@@ -21,7 +21,7 @@ print(f"mesh: {len(mesh.tets)} tets, {dof_map.n_dofs} identified dofs")
 lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave)
 print(f"largest generalized eigenvalue {lam:.4e} -> dt_max = {dt_max:.6e}")
 
-precond = make_preconditioner(ops.mass, "ic0")
+precond = make_preconditioner(ops.mass)
 u0 = initial_bump(mesh, dof_map, dom, (0, 0, 0), 0.3, 100.0)
 dt = 0.95 * dt_max
 steps = 4000

@@ -23,6 +23,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import ClassSizeError, NoConvergence, WeightSingularity
+from .icosian import merge_classes
 from .meshing import TetMesh
 from .quadrature import QuadratureRule, quadrature_rule
 
@@ -136,27 +137,16 @@ class DofMap:
 def build_dof_map(mesh: TetMesh) -> DofMap:
     """Group boundary nodes by the transitive closure of their partners."""
     n = len(mesh.vertices)
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return int(i)
-
-    for v, d in mesh.partners.items():
-        for p in d.values():
-            ri, rj = find(v), find(p)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    pairs = [(v, p) for v, d in mesh.partners.items() for p in d.values()]
+    node_to_dof, dof_to_node = merge_classes(n, pairs)
 
     groups: dict[int, list] = {}
     for v in mesh.node_faces:
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(int(node_to_dof[v]), []).append(v)
 
     n_edge = n_face = n_corner = 0
     classes = []
-    for root, members in sorted(groups.items()):
+    for _, members in sorted(groups.items()):
         size = len(members)
         if size == 2:
             n_face += size
@@ -169,15 +159,8 @@ def build_dof_map(mesh: TetMesh) -> DofMap:
                 f"boundary class {sorted(members)} has size {size}, expected 2, 3 or 4")
         classes.append(tuple(sorted(members)))
 
-    boundary = set(mesh.node_faces)
-    n_interior = n - len(boundary)
-    reps = sorted({find(v) for v in range(n)})
-    rep_index = {r: k for k, r in enumerate(reps)}
-    node_to_dof = np.array([rep_index[find(v)] for v in range(n)], dtype=np.int64)
-    dof_to_node = np.array(reps, dtype=np.int64)
-
     dof_map = DofMap(node_to_dof=node_to_dof, dof_to_node=dof_to_node,
-                     n_interior=n_interior, n_edge_nodes=n_edge,
+                     n_interior=n - len(mesh.node_faces), n_edge_nodes=n_edge,
                      n_face_nodes=n_face, n_corner_classes=n_corner,
                      classes=classes)
     if dof_map.n_dofs != round(dof_map.formula_count()):
@@ -240,7 +223,7 @@ def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(mass.n)
     x /= np.linalg.norm(x)
-    precond = make_preconditioner(mass, kind="ic0")
+    precond = make_preconditioner(mass)
     lam = 0.0
     y = None
     for _ in range(max_iter):

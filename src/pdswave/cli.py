@@ -20,10 +20,10 @@ import numpy as np
 from . import __version__
 from .assembly import assemble, build_dof_map, estimate_spectral_bound
 from .domain import build_domain
-from .errors import (BreakdownPivot, ClassSizeError, DegenerateTet, EnergyBlowup,
-                     NoConvergence, NotInDomain, ParseError,
-                     PeriodicityViolation, SnapFailure, TooShort,
-                     UnsupportedDegree, WeightSingularity)
+from .errors import (ClassSizeError, DegenerateTet, EnergyBlowup, NoConvergence,
+                     NotInDomain, ParseError, PeriodicityViolation, SnapFailure,
+                     TooShort, UnstableTimeStep, UnsupportedDegree,
+                     WeightSingularity)
 from .evolve import (DOMAIN_DIAMETER, initial_bump, initial_random, leapfrog_run,
                      make_preconditioner, snap_probes)
 from .icosian import cell_to_json, generate_group, group_to_json, orbit_vertices
@@ -36,7 +36,7 @@ EXIT_OK, EXIT_USAGE, EXIT_MESH, EXIT_EVOLUTION, EXIT_ANALYSIS = 0, 1, 2, 3, 4
 
 _MESH_ERRORS = (ParseError, PeriodicityViolation, SnapFailure, DegenerateTet,
                 ClassSizeError, UnsupportedDegree, WeightSingularity, NotInDomain)
-_EVOLUTION_ERRORS = (NoConvergence, EnergyBlowup, BreakdownPivot)
+_EVOLUTION_ERRORS = (NoConvergence, EnergyBlowup, UnstableTimeStep)
 _ANALYSIS_ERRORS = (TooShort,)
 
 
@@ -143,13 +143,15 @@ def _parse_points(text):
 def cmd_run(args) -> int:
     domain = build_domain()
     mesh, mesh_report, dof_map, ops = _build_operators(args, domain)
-    precond = make_preconditioner(ops.mass, args.precond)
+    precond = make_preconditioner(ops.mass)
 
     lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave)
     if args.dt == "auto":
         dt = 0.95 * dt_max
     else:
         dt = float(args.dt)
+        if not dt > 0:
+            raise ValueError(f"--dt must be positive, got {args.dt}")
     if args.random is not None:
         u0 = initial_random(args.random, args.amplitude, dof_map.n_dofs)
         initial = {"kind": "random", "seed": args.random, "amplitude": args.amplitude}
@@ -167,8 +169,7 @@ def cmd_run(args) -> int:
     result = leapfrog_run(ops.mass, ops.wave, u0, dt=dt, steps=args.steps,
                           probes=probes, snapshot_every=args.snapshot_every,
                           dt_max=dt_max, force=args.force,
-                          solve_tol=args.solve_tol, precond=precond,
-                          two_phase_start=args.two_phase_start)
+                          solve_tol=args.solve_tol, precond=precond)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,6 +198,7 @@ def cmd_run(args) -> int:
         "initial": initial,
         "solve_tol": args.solve_tol,
         "preconditioner": precond.kind,
+        "pcg_iterations": result.solve_iterations,
         "probe_nodes": [int(v) for v in probes.nodes],
         "window": [first, last],
     }
@@ -373,15 +375,10 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=int, nargs=2, metavar=("NI", "NF"), default=None)
     p.add_argument("--snapshot-every", type=int, default=0)
     p.add_argument("--solve-tol", type=float, default=1e-13)
-    p.add_argument("--precond", choices=("ic0", "jacobi"), default="ic0")
-    p.add_argument("--two-phase-start", action="store_true",
-                   help="loose diagonal-preconditioned pass before each solve")
     p.add_argument("--force", action="store_true",
                    help="allow dt beyond the stability bound")
     p.add_argument("--force-window", action="store_true",
                    help="allow recording before one domain crossing")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; execution is single-threaded and deterministic")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("spectrum", help="extract eigenvalues from probe signals")
@@ -431,7 +428,7 @@ def main(argv=None) -> int:
         return EXIT_ANALYSIS
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVOLUTION if "dt" in str(exc) else EXIT_USAGE
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

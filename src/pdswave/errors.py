@@ -70,8 +70,8 @@ class WeightSingularity(PdsError):
 
 
 # time integration
-class BreakdownPivot(PdsError):
-    pass
+class UnstableTimeStep(PdsError, ValueError):
+    """dt beyond the 0.95 * dt_max stability margin."""
 
 
 class NoConvergence(PdsError):

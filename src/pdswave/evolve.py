@@ -21,13 +21,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .assembly import DofMap, SparseSymMatrix
 from .domain import VERTEX_X0, FundamentalDomain, lift_many
-from .errors import BreakdownPivot, EnergyBlowup, NoConvergence, NotInDomain
+from .errors import EnergyBlowup, NoConvergence, NotInDomain, UnstableTimeStep
 from .meshing import TetMesh
 
 # spherical diameter of the domain; probe windows should start after one crossing
@@ -84,71 +82,20 @@ class Preconditioner:
         return self._apply(r)
 
 
-def ic0_factor(mass: SparseSymMatrix) -> sp.csr_matrix:
-    """Zero-fill incomplete Cholesky on the lower-triangle sparsity of mass."""
-    a = mass.lower
-    n = mass.n
-    indptr, indices, data = a.indptr, a.indices, a.data
-    rows: list[dict] = [dict() for _ in range(n)]
-    for i in range(n):
-        row_i = rows[i]
-        for idx in range(indptr[i], indptr[i + 1]):
-            j = indices[idx]
-            v = data[idx]
-            if j < i:
-                row_j = rows[j]
-                s = 0.0
-                if len(row_i) <= len(row_j):
-                    for k, lik in row_i.items():
-                        if k < j:
-                            ljk = row_j.get(k)
-                            if ljk is not None:
-                                s += lik * ljk
-                else:
-                    for k, ljk in row_j.items():
-                        if k < j:
-                            lik = row_i.get(k)
-                            if lik is not None:
-                                s += lik * ljk
-                row_i[j] = (v - s) / row_j[j]
-            elif j == i:
-                pivot = v - sum(l * l for l in row_i.values())
-                if pivot <= 0.0:
-                    raise BreakdownPivot(f"nonpositive pivot {pivot:.3e} at row {i}")
-                row_i[i] = math.sqrt(pivot)
-    counts = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
-    out_indptr = np.concatenate([[0], np.cumsum(counts)])
-    out_indices = np.empty(out_indptr[-1], dtype=np.int64)
-    out_data = np.empty(out_indptr[-1])
-    pos = 0
-    for i in range(n):
-        cols = sorted(rows[i])
-        for c in cols:
-            out_indices[pos] = c
-            out_data[pos] = rows[i][c]
-            pos += 1
-    return sp.csr_matrix((out_data, out_indices, out_indptr), shape=(n, n))
+def make_preconditioner(mass: SparseSymMatrix, kind: str = "jacobi") -> Preconditioner:
+    """Diagonal (Jacobi) preconditioner of the mass matrix.
 
-
-def make_preconditioner(mass: SparseSymMatrix, kind: str = "ic0") -> Preconditioner:
-    if kind == "jacobi":
-        inv_diag = 1.0 / mass.diagonal()
-        return Preconditioner("jacobi", lambda r: inv_diag * r)
+    The weighted P1 mass matrix is spectrally equivalent to its diagonal, so
+    the diagonal is the only preconditioner.  The kind "ic0" is a deprecated
+    alias for it.
+    """
     if kind == "ic0":
-        try:
-            factor = ic0_factor(mass)
-        except BreakdownPivot as exc:
-            warnings.warn(f"IC(0) broke down ({exc}); falling back to Jacobi")
-            return make_preconditioner(mass, "jacobi")
-        # SuperLU on the already-triangular factor gives C-speed substitutions
-        lu = spla.splu(factor.tocsc(), permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-
-        def apply_ic0(r):
-            return lu.solve(lu.solve(r, trans="N"), trans="T")
-
-        return Preconditioner("ic0", apply_ic0)
-    raise ValueError(f"unknown preconditioner kind {kind!r}")
+        warnings.warn('preconditioner kind "ic0" is deprecated; using "jacobi"',
+                      DeprecationWarning, stacklevel=2)
+    elif kind != "jacobi":
+        raise ValueError(f"unknown preconditioner kind {kind!r}")
+    inv_diag = 1.0 / mass.diagonal()
+    return Preconditioner("jacobi", lambda r: inv_diag * r)
 
 
 # -- linear solver ---------------------------------------------------------------
@@ -160,13 +107,17 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
     """Preconditioned conjugate gradients to relative residual tol.
 
     If `info` is a dict it receives the iteration count under "iterations".
+    A right-hand side that is not finite, or a search direction along which
+    the operator is not positive (breakdown), raises NoConvergence at once.
     """
     n = len(b)
     if max_iter is None:
         max_iter = max(200, int(10 * math.sqrt(n)))
     if precond is None:
-        precond = make_preconditioner(mass, "jacobi")
+        precond = make_preconditioner(mass)
     b_norm = float(np.linalg.norm(b))
+    if not math.isfinite(b_norm):
+        raise NoConvergence(f"pcg: right-hand side norm is {b_norm}")
     if b_norm == 0.0:
         if info is not None:
             info["iterations"] = 0
@@ -183,7 +134,10 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
     rz = float(r @ z)
     for it in range(max_iter):
         ap = mass @ p
-        alpha = rz / float(p @ ap)
+        pap = float(p @ ap)
+        if not 0.0 < pap < math.inf:
+            raise NoConvergence(f"pcg: breakdown, p.Ap = {pap:.3e} at iteration {it + 1}")
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         if np.linalg.norm(r) <= target:
@@ -251,7 +205,7 @@ class LeapfrogResult:
     energy: np.ndarray                   # energy at steps 0..n (0 = initial pair)
     probe_signals: np.ndarray | None     # (samples, n_probes)
     snapshots: list = field(repr=False, default_factory=list)
-    solve_iterations: int = 0
+    solve_iterations: int = 0           # PCG iterations of the run, start solve included
 
 
 def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
@@ -263,24 +217,24 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
                  dt_max: float | None = None, force: bool = False,
                  solve_tol: float = 1e-13,
                  precond: Preconditioner | None = None,
-                 two_phase_start: bool = False,
                  energy_guard: float = 10.0) -> LeapfrogResult:
     """Run the explicit scheme for `steps` steps.
 
     The previous level is built from u0 and the initial velocity v0 by a
     second-order Taylor start (default v0 = 0); passing `u_prev` instead
     restarts from an explicit level pair, e.g. for time reversal.  Solves
-    warm-start from a linear predictor; `two_phase_start` additionally runs
-    a loose diagonal-preconditioned pass before the main solve (usually the
-    predictor alone is faster).
+    warm-start from a linear predictor.  A non-finite energy, or one beyond
+    `energy_guard` times E(dt), raises EnergyBlowup.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if dt_max is not None and not force and dt > 0.95 * dt_max * (1 + 1e-12):
-        raise ValueError(f"dt {dt} exceeds 0.95 * dt_max = {0.95 * dt_max}; "
-                         "pass force=True to override")
+        raise UnstableTimeStep(f"dt {dt} exceeds 0.95 * dt_max = {0.95 * dt_max}; "
+                               "pass force=True to override")
     if precond is None:
-        precond = make_preconditioner(mass, "ic0")
+        precond = make_preconditioner(mass)
+    info: dict = {}
+    iterations = 0
 
     u_cur = np.asarray(u0, dtype=float).copy()
     if u_prev is not None:
@@ -289,7 +243,8 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
         u_prev = np.asarray(u_prev, dtype=float).copy()
     else:
         a0 = wave @ u_cur
-        z = pcg_solve(mass, a0, precond, tol=solve_tol)
+        z = pcg_solve(mass, a0, precond, tol=solve_tol, info=info)
+        iterations += info["iterations"]
         u_prev = u_cur - 0.5 * dt * dt * z
         if v0 is not None:
             u_prev -= dt * np.asarray(v0, dtype=float)
@@ -299,6 +254,8 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     energy = np.empty(steps + 1)
     energy[0] = (float((m_cur - m_prev) @ (u_cur - u_prev)) / (dt * dt)
                  + float((wave @ u_prev) @ u_cur))
+    if not math.isfinite(energy[0]):
+        raise EnergyBlowup(f"energy {energy[0]} at step 0")
     e_ref = None
 
     signals = None
@@ -313,18 +270,18 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     if snapshot_every:
         snapshots.append((0, u_cur.copy()))
 
-    jacobi = make_preconditioner(mass, "jacobi") if two_phase_start else None
     dt2 = dt * dt
     for n in range(1, steps + 1):
         a_cur = wave @ u_cur
         rhs = 2.0 * m_cur - m_prev - dt2 * a_cur
         x0 = 2.0 * u_cur - u_prev
-        if jacobi is not None:
-            x0 = pcg_solve(mass, rhs, jacobi, tol=math.sqrt(solve_tol), x0=x0)
-        u_new = pcg_solve(mass, rhs, precond, tol=solve_tol, x0=x0)
+        u_new = pcg_solve(mass, rhs, precond, tol=solve_tol, x0=x0, info=info)
+        iterations += info["iterations"]
         m_new = mass @ u_new
         e = float((m_new - m_cur) @ (u_new - u_cur)) / dt2 + float(a_cur @ u_new)
         energy[n] = e
+        if not math.isfinite(e):
+            raise EnergyBlowup(f"energy {e} at step {n}")
         if e_ref is None:
             e_ref = e
         elif abs(e) > energy_guard * max(abs(e_ref), 1e-300):
@@ -344,4 +301,4 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     return LeapfrogResult(state=WaveState(u_cur=u_cur, u_prev=u_prev,
                                           step=steps, dt=dt),
                           energy=energy, probe_signals=signals,
-                          snapshots=snapshots)
+                          snapshots=snapshots, solve_iterations=iterations)

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import golden
@@ -206,6 +208,24 @@ def generate_group() -> GroupTable:
     return table
 
 
+# -- equivalence classes ----------------------------------------------------
+
+def merge_classes(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Equivalence classes of range(n) under the closure of (i, j) `pairs`.
+
+    Returns (labels, representatives): the class label of each item, and
+    the smallest member of each class.  Labels are numbered in the order of
+    the smallest members, so representatives[labels[i]] <= i and
+    representatives is increasing.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(n, n))
+    labels = connected_components(graph, directed=False)[1].astype(np.int64)
+    _, representatives = np.unique(labels, return_index=True)
+    return labels, representatives.astype(np.int64)
+
+
 # -- the 600-cell orbit ------------------------------------------------------
 
 # coordinate families of the 600 vertices, as multisets of |coordinate| * 2*sqrt2
@@ -237,21 +257,8 @@ def orbit_vertices(table: GroupTable, seeds: np.ndarray) -> tuple[np.ndarray, np
     mats = np.array([e.matrix4 for e in table.elements])
     pts = np.einsum("gab,sb->gsa", mats, seeds).reshape(-1, 4)
     # merge duplicates; distinct 120-cell vertices are >= 0.27 apart
-    tree = cKDTree(pts)
-    parent = np.arange(len(pts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tree.query_pairs(1e-9):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    reps = sorted({find(i) for i in range(len(pts))})
-    points = pts[reps]
+    pairs = cKDTree(pts).query_pairs(1e-9, output_type="ndarray")
+    points = pts[merge_classes(len(pts), pairs)[1]]
     if len(points) != 600:
         raise OrbitCountMismatch(f"orbit has {len(points)} points, expected 600")
 

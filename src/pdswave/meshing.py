@@ -22,6 +22,7 @@ from scipy.spatial import cKDTree
 from .charts import FaceChart, triangulate_face_chart
 from .domain import FundamentalDomain, geodesic_point
 from .errors import DegenerateTet, PeriodicityViolation, SnapFailure
+from .icosian import merge_classes
 from .quadrature import QuadratureRule, quadrature_rule
 
 SIGMA = (1.0 + math.sqrt(5.0)) / 2.0
@@ -110,22 +111,9 @@ def build_boundary_mesh(domain: FundamentalDomain, chart: FaceChart) -> SurfaceM
     all_nodes = np.vstack([blocks[i] for i in range(1, 13)])
 
     # merge coincident nodes (shared pentagon edges and corners)
-    tree = cKDTree(all_nodes)
-    parent = np.arange(len(all_nodes))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tree.query_pairs(1e-9):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(len(all_nodes))])
-    uniq, global_id = np.unique(roots, return_inverse=True)
-    nodes = all_nodes[uniq]
+    pairs = cKDTree(all_nodes).query_pairs(1e-9, output_type="ndarray")
+    global_id, first = merge_classes(len(all_nodes), pairs)
+    nodes = all_nodes[first]
 
     tris = []
     tri_face = []

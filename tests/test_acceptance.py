@@ -227,7 +227,7 @@ def test_pcg_iteration_regression(system8):
     rng = np.random.default_rng(0)
     b = ops.mass @ rng.standard_normal(dof_map.n_dofs)
     info = {}
-    pcg_solve(ops.mass, b, make_preconditioner(ops.mass, "ic0"), tol=1e-12, info=info)
+    pcg_solve(ops.mass, b, make_preconditioner(ops.mass), tol=1e-12, info=info)
     print(f"\n[regression] pcg on n=8 mass: {info['iterations']} iterations at tol 1e-12")
     assert info["iterations"] <= 200
 

@@ -130,6 +130,12 @@ def test_unstable_dt_exit_code(tmp_path):
     assert code == 3
 
 
+def test_nonpositive_dt_is_usage_error(tmp_path):
+    code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
+                 "--dt", "0", "--out", str(tmp_path / "r")])
+    assert code == 1
+
+
 def test_forced_unstable_run_trips_guard(tmp_path):
     code = main(["run", "--n", "1", "--layers", "1", "--steps", "1000",
                  "--dt", "0.2", "--force", "--out", str(tmp_path / "r")])
@@ -143,6 +149,7 @@ def test_config_file(tmp_path):
     manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
     assert manifest["steps"] == 60                 # explicit flag wins
     assert manifest["mesh"]["tet_count"] == 960    # config n/layers applied
+    assert manifest["pcg_iterations"] > 60         # start solve + 60 step solves
 
 
 def test_zero_amplitude_gives_zero_signals(tmp_path):

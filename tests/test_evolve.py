@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from pdswave.assembly import SparseSymMatrix, assemble, build_dof_map, estimate_spectral_bound
-from pdswave.errors import EnergyBlowup, NoConvergence, NotInDomain
+from pdswave.errors import EnergyBlowup, NoConvergence, NotInDomain, UnstableTimeStep
 from pdswave.evolve import (DOMAIN_DIAMETER, ProbeSet, bump_profile, discrete_energy,
-                            ic0_factor, initial_bump, initial_random, leapfrog_run,
+                            initial_bump, initial_random, leapfrog_run,
                             make_preconditioner, pcg_solve, snap_probes)
 from pdswave.meshing import generate_mesh
 
@@ -63,41 +63,23 @@ class TestInitialData:
 
 
 class TestPreconditioners:
-    def test_ic0_on_diagonal_matrix(self):
-        d = np.array([4.0, 9.0, 16.0])
-        mass = SparseSymMatrix(sp.csr_matrix(np.diag(d)))
-        f = ic0_factor(mass).toarray()
-        assert np.abs(f - np.diag(np.sqrt(d))).max() < 1e-15
-
-    def test_ic0_exact_on_small_spd(self):
-        # dense SPD matrix: IC(0) on full sparsity equals exact Cholesky
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=(5, 5))
-        a = b @ b.T + 5 * np.eye(5)
-        mass = SparseSymMatrix(sp.csr_matrix(np.tril(a)))
-        f = ic0_factor(mass).toarray()
-        assert np.abs(f @ f.T - a).max() < 1e-12
-
     def test_application_is_spd(self, small_system):
         _, dof_map, ops, _ = small_system
         rng = np.random.default_rng(1)
-        for kind in ("jacobi", "ic0"):
-            p = make_preconditioner(ops.mass, kind)
-            for _ in range(10):
-                u = rng.standard_normal(dof_map.n_dofs)
-                assert u @ p.apply(u) > 0
+        p = make_preconditioner(ops.mass)
+        for _ in range(10):
+            u = rng.standard_normal(dof_map.n_dofs)
+            assert u @ p.apply(u) > 0
 
-    def test_ic0_beats_jacobi(self, small_system):
+    def test_ic0_is_deprecated_alias_of_jacobi(self, small_system):
         _, dof_map, ops, _ = small_system
-        rng = np.random.default_rng(2)
-        b = ops.mass @ rng.standard_normal(dof_map.n_dofs)
-        counts = {}
-        for kind in ("jacobi", "ic0"):
-            info = {}
-            pcg_solve(ops.mass, b, make_preconditioner(ops.mass, kind),
-                      tol=1e-12, info=info)
-            counts[kind] = info["iterations"]
-        assert counts["ic0"] < counts["jacobi"]
+        r = np.random.default_rng(2).standard_normal(dof_map.n_dofs)
+        with pytest.warns(DeprecationWarning):
+            p = make_preconditioner(ops.mass, "ic0")
+        assert p.kind == "jacobi"
+        assert np.array_equal(p.apply(r), make_preconditioner(ops.mass).apply(r))
+        with pytest.raises(ValueError):
+            make_preconditioner(ops.mass, "ilu")
 
 
 class TestPcg:
@@ -105,7 +87,7 @@ class TestPcg:
         _, dof_map, ops, _ = small_system
         rng = np.random.default_rng(3)
         y = rng.standard_normal(dof_map.n_dofs)
-        x = pcg_solve(ops.mass, ops.mass @ y, make_preconditioner(ops.mass, "ic0"))
+        x = pcg_solve(ops.mass, ops.mass @ y, make_preconditioner(ops.mass))
         assert np.linalg.norm(x - y) / np.linalg.norm(y) < 1e-10
 
     def test_zero_rhs(self, small_system):
@@ -119,6 +101,19 @@ class TestPcg:
         with pytest.raises(NoConvergence):
             pcg_solve(ops.mass, b, make_preconditioner(ops.mass, "jacobi"),
                       tol=1e-14, max_iter=2)
+
+    def test_indefinite_matrix_breaks_down(self):
+        # p.Ap = 0 on diag(1, -1): a breakdown, not a division by zero
+        mass = SparseSymMatrix(sp.csr_matrix(np.diag([1.0, -1.0])))
+        with pytest.raises(NoConvergence, match="breakdown"):
+            pcg_solve(mass, np.array([1.0, 1.0]))
+
+    def test_non_finite_rhs_fails_fast(self, small_system):
+        _, dof_map, ops, _ = small_system
+        b = np.ones(dof_map.n_dofs)
+        b[3] = np.nan
+        with pytest.raises(NoConvergence, match="right-hand side"):
+            pcg_solve(ops.mass, b)
 
 
 class TestLeapfrog:
@@ -179,12 +174,27 @@ class TestLeapfrog:
             leapfrog_run(ops.mass, ops.wave, u0, dt=1.05 * dt_max, steps=1000,
                          dt_max=dt_max, force=True)
 
+    def test_non_finite_energy_blows_up(self, small_system):
+        # without a ratio guard the energy overflows; it must not reach the solver
+        mesh, dof_map, ops, dt_max = small_system
+        u0 = initial_bump(mesh, dof_map, the_domain_of(mesh))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(EnergyBlowup, match="energy (inf|nan)"):
+            leapfrog_run(ops.mass, ops.wave, u0, dt=1.05 * dt_max, steps=100_000,
+                         dt_max=dt_max, force=True, energy_guard=math.inf)
+
     def test_oversized_dt_rejected_without_force(self, small_system):
         mesh, dof_map, ops, dt_max = small_system
         u0 = np.zeros(dof_map.n_dofs)
         with pytest.raises(ValueError):
             leapfrog_run(ops.mass, ops.wave, u0, dt=1.05 * dt_max, steps=10,
                          dt_max=dt_max)
+
+    def test_oversized_dt_raises_typed_error(self, small_system):
+        _, dof_map, ops, dt_max = small_system
+        with pytest.raises(UnstableTimeStep):
+            leapfrog_run(ops.mass, ops.wave, np.zeros(dof_map.n_dofs),
+                         dt=1.05 * dt_max, steps=10, dt_max=dt_max)
 
     def test_determinism(self, small_system):
         mesh, dof_map, ops, dt_max = small_system
@@ -241,13 +251,3 @@ def the_domain_of(mesh):
 
 def test_domain_diameter_constant():
     assert DOMAIN_DIAMETER == pytest.approx(0.776279, abs=1e-6)
-
-
-def test_two_phase_start_matches_direct(small_system):
-    mesh, dof_map, ops, dt_max = small_system
-    u0 = initial_bump(mesh, dof_map, the_domain_of(mesh))
-    kw = dict(dt=0.5 * dt_max, steps=50, dt_max=dt_max, solve_tol=1e-13)
-    a = leapfrog_run(ops.mass, ops.wave, u0, **kw)
-    b = leapfrog_run(ops.mass, ops.wave, u0, two_phase_start=True, **kw)
-    scale = np.abs(a.state.u_cur).max()
-    assert np.abs(a.state.u_cur - b.state.u_cur).max() < 1e-10 * scale

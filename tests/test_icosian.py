@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from pdswave import icosian
 from pdswave.errors import NonUnitQuaternion, OrbitCountMismatch
 from pdswave.icosian import (CHI_VALUES, GEN_GAMMA, GEN_S, IDENTITY, Quaternion,
-                             SIGMA, generate_group, left_matrix, orbit_vertices,
-                             quat_mul, rotation_of, translation_distance)
+                             SIGMA, generate_group, left_matrix, merge_classes,
+                             orbit_vertices, quat_mul, rotation_of,
+                             translation_distance)
 
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
@@ -67,6 +68,35 @@ def test_s_cubed_is_minus_one():
 def test_norm_multiplicative(a, b):
     assert math.isclose((a * b).norm_sq(), a.norm_sq() * b.norm_sq(),
                         rel_tol=1e-12, abs_tol=1e-12)
+
+
+@st.composite
+def index_pairs(draw):
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=40))
+    return n, pairs
+
+
+@given(index_pairs())
+def test_merge_classes_matches_transitive_closure(case):
+    n, pairs = case
+    reach = np.eye(n, dtype=bool)
+    for i, j in pairs:
+        reach[i, j] = reach[j, i] = True
+    for k in range(n):                     # Warshall closure
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    # brute force: label classes in the order of their smallest member
+    expected = np.full(n, -1)
+    count = 0
+    for i in range(n):
+        if expected[i] < 0:
+            expected[reach[i]] = count
+            count += 1
+    labels, representatives = merge_classes(n, pairs)
+    assert np.array_equal(labels, expected)
+    assert np.array_equal(representatives,
+                          [np.flatnonzero(expected == c)[0] for c in range(count)])
 
 
 def test_mul_matches_oracle():
