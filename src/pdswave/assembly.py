@@ -10,6 +10,8 @@ w(X) = (1 - |X|^2)^(-1/2):
     stiffness  k_ij = int w  grad e_i . grad e_j
     radial     d_ij = -int w (X . grad e_i)(X . grad e_j)
 
+plus the wave operator, stiffness + radial.
+
 The stored object is the lower triangle in compressed sparse rows.
 """
 
@@ -22,10 +24,10 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .errors import ClassSizeError, NoConvergence, WeightSingularity
+from .errors import ClassSizeError, NoConvergence
 from .icosian import merge_classes
 from .meshing import TetMesh
-from .quadrature import QuadratureRule, quadrature_rule
+from .quadrature import QuadratureRule, quadrature_rule, weighted_quadrature
 
 
 class SparseSymMatrix:
@@ -41,27 +43,18 @@ class SparseSymMatrix:
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> "SparseSymMatrix":
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
+        """Sum the triplets on and below the diagonal and drop the rest.
+
+        The round-off of the sums follows the order of the triplets.
+        """
+        rows, cols = np.asarray(rows), np.asarray(cols)
         vals = np.asarray(vals, dtype=float)
         keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        # canonical accumulation order: element order then does not influence
-        # round-off, so assembly is bit-identical under tet permutations
-        order = np.lexsort((vals, cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        keys = rows.astype(np.int64) * n + cols
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        acc = np.zeros(len(uniq))
-        np.add.at(acc, inverse, vals)
-        lower = sp.csr_matrix((acc, (uniq // n, uniq % n)), shape=(n, n))
-        lower.sort_indices()
+        lower = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                              shape=(n, n)).tocsr()
         return cls(lower)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._full @ x
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._full @ x
 
     def diagonal(self) -> np.ndarray:
@@ -80,9 +73,6 @@ class SparseSymMatrix:
     def nnz_lower(self) -> int:
         return self.lower.nnz
 
-    def scaled_sum(self, other: "SparseSymMatrix", alpha: float = 1.0) -> "SparseSymMatrix":
-        return SparseSymMatrix((self.lower + alpha * other.lower).tocsr())
-
     def total_sum(self) -> float:
         strict = sp.tril(self.lower, k=-1)
         return float(self.lower.sum() + strict.sum())
@@ -95,11 +85,7 @@ class Operators(NamedTuple):
     mass: SparseSymMatrix
     stiffness: SparseSymMatrix
     radial: SparseSymMatrix
-
-    @property
-    def wave(self) -> SparseSymMatrix:
-        """stiffness + radial, the spatial operator of the scheme."""
-        return self.stiffness.scaled_sum(self.radial)
+    wave: SparseSymMatrix       # stiffness + radial, the spatial operator
 
 
 @dataclass
@@ -172,42 +158,40 @@ def build_dof_map(mesh: TetMesh) -> DofMap:
 
 def assemble(mesh: TetMesh, dof_map: DofMap,
              rule: QuadratureRule | None = None) -> Operators:
-    """Assemble mass, stiffness and radial matrices on identified dofs."""
+    """Assemble mass, stiffness, radial and wave matrices on identified dofs.
+
+    The tets are summed in a canonical order (by sorted vertex ids), so the
+    round-off does not depend on the order of `mesh.tets`.
+    """
     if rule is None:
         rule = quadrature_rule(4)
-    verts = mesh.vertices[mesh.tets]            # (T, 4, 3)
-    edges = verts[:, 1:] - verts[:, :1]         # (T, 3, 3)
-    det = np.linalg.det(edges)                  # 6 * volume, positive
-    inv = np.linalg.inv(edges)                  # rows of inv are grad lam_1..3
+    key = np.sort(mesh.tets, axis=1)
+    tets = mesh.tets[np.lexsort(key.T[::-1])]
+    verts = mesh.vertices[tets]                  # (T, 4, 3)
+    det, pts, wq = weighted_quadrature(verts, rule)
+    inv = np.linalg.inv(verts[:, 1:] - verts[:, :1])   # rows: grad lam_1..3
     grads = np.empty_like(verts)
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
 
-    pts = np.einsum("mi,til->tml", rule.points, verts)      # (T, m, 3)
-    r2 = np.einsum("tml,tml->tm", pts, pts)
-    if r2.max() >= 1.0:
-        raise WeightSingularity("quadrature point outside the unit ball")
-    w = 1.0 / np.sqrt(1.0 - r2)                              # (T, m)
+    s = np.einsum("tml,til->tmi", pts, grads)                # (T, m, 4)
+    d_loc = -np.einsum("tm,tmi,tmj->tij", wq, s, s) * det[:, None, None]
+    del pts, s                                   # the largest temporaries
 
-    wq = w * rule.weights                                    # (T, m)
     bb = np.einsum("mi,mj->mij", rule.points, rule.points)   # (m, 4, 4)
     m_loc = np.einsum("tm,mij->tij", wq, bb) * det[:, None, None]
 
     gg = np.einsum("til,tjl->tij", grads, grads)
     k_loc = (wq.sum(axis=1) * det)[:, None, None] * gg
 
-    s = np.einsum("tml,til->tmi", pts, grads)                # (T, m, 4)
-    d_loc = -np.einsum("tm,tmi,tmj->tij", wq, s, s) * det[:, None, None]
-
-    dof = dof_map.node_to_dof[mesh.tets]                     # (T, 4)
+    dof = dof_map.node_to_dof[tets]                          # (T, 4)
     rows = np.repeat(dof, 4, axis=1).ravel()
     cols = np.tile(dof, (1, 4)).ravel()
     n = dof_map.n_dofs
-    return Operators(
-        mass=SparseSymMatrix.from_triplets(n, rows, cols, m_loc.ravel()),
-        stiffness=SparseSymMatrix.from_triplets(n, rows, cols, k_loc.ravel()),
-        radial=SparseSymMatrix.from_triplets(n, rows, cols, d_loc.ravel()),
-    )
+    mass, stiffness, radial = (SparseSymMatrix.from_triplets(n, rows, cols, loc.ravel())
+                               for loc in (m_loc, k_loc, d_loc))
+    wave = SparseSymMatrix((stiffness.lower + radial.lower).tocsr())
+    return Operators(mass, stiffness, radial, wave)
 
 
 def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,

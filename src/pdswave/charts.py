@@ -17,10 +17,10 @@ import numpy as np
 
 from .domain import VERTEX_X0, FundamentalDomain, geodesic_point
 from .errors import InvalidSubdivision, OffPlane
+from .golden import SIGMA_FLOAT as SIGMA
+from .golden import SQRT5
 
 SQRT2 = math.sqrt(2.0)
-SQRT5 = math.sqrt(5.0)
-SIGMA = (1.0 + SQRT5) / 2.0
 _T = 3.0 - SIGMA                      # |(1/sigma, 1, 0)|^2
 _ST = math.sqrt(_T)
 

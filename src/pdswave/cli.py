@@ -30,7 +30,7 @@ from .icosian import cell_to_json, generate_group, group_to_json, orbit_vertices
 from .mesh_io import export_mesh, import_mesh, write_vtk_mesh
 from .meshing import generate_mesh, validate_mesh
 from .quadrature import quadrature_rule
-from .spectra import analyze_probe_signals, average_spectra, dft_magnitude
+from .spectra import analyze_probe_signals
 
 EXIT_OK, EXIT_USAGE, EXIT_MESH, EXIT_EVOLUTION, EXIT_ANALYSIS = 0, 1, 2, 3, 4
 
@@ -249,10 +249,7 @@ def cmd_spectrum(args) -> int:
                                    window="hann" if args.hann else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spectra = [dft_magnitude(values[:, k], dt,
-                             window="hann" if args.hann else None)
-               for k in range(values.shape[1])]
-    avg = average_spectra(spectra)
+    avg = report.spectrum
     with open(out / "spectrum.csv", "w") as fh:
         fh.write("bin,q,magnitude\n")
         qs = avg.bin_to_q(np.arange(len(avg.magnitude)))

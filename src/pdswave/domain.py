@@ -19,11 +19,10 @@ import numpy as np
 
 from . import golden
 from .errors import AntipodalEndpoints, NotInDomain, OutsideUnitBall
+from .golden import SIGMA_FLOAT as SIGMA
 from .icosian import Quaternion, left_matrix, quat_mul
 
 SQRT2 = math.sqrt(2.0)
-SQRT5 = math.sqrt(5.0)
-SIGMA = (1.0 + SQRT5) / 2.0
 _IS = 1.0 / SIGMA
 _S2 = SIGMA * SIGMA
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-_SQRT5 = math.sqrt(5.0)
+SQRT5 = math.sqrt(5.0)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class Golden:
         return self * other.inverse()
 
     def __float__(self) -> float:
-        return (self.a + self.b * _SQRT5) / self.c
+        return (self.a + self.b * SQRT5) / self.c
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -76,3 +76,6 @@ HALF = Golden(1, 0, 2)
 SIGMA = Golden(1, 1, 2)
 SIGMA_HALF = Golden(1, 1, 4)          # sigma / 2
 INV_TWO_SIGMA = Golden(-1, 1, 4)      # 1 / (2 sigma) = (sqrt5 - 1)/4
+
+# the golden ratio as a float, for the floating-point geometry
+SIGMA_FLOAT = float(SIGMA)

@@ -21,10 +21,8 @@ from scipy.spatial import cKDTree
 
 from . import golden
 from .errors import GenerationDiverged, NonUnitQuaternion, OrbitCountMismatch
-from .golden import Golden
-
-SQRT5 = math.sqrt(5.0)
-SIGMA = (1.0 + SQRT5) / 2.0
+from .golden import SIGMA_FLOAT as SIGMA
+from .golden import SQRT5, Golden
 
 # translation distances occurring in the group
 CHI_VALUES = (0.0, math.pi / 5, math.pi / 3, 2 * math.pi / 5, math.pi / 2,

@@ -9,14 +9,13 @@ degree-of-freedom map.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .domain import FundamentalDomain
 from .errors import ParseError, PeriodicityViolation
-from .meshing import TetMesh, signed_tet_volumes, validate_mesh
+from .golden import SIGMA_FLOAT
+from .meshing import TetMesh, face_counts, signed_tet_volumes, validate_mesh
 
 
 def write_node_file(path, vertices: np.ndarray) -> None:
@@ -120,10 +119,7 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
     tets = tets.copy()
     tets[vols < 0] = tets[vols < 0][:, [0, 1, 3, 2]]
 
-    faces = np.vstack([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
-                       tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]])
-    faces = np.sort(faces, axis=1)
-    uniq, counts = np.unique(faces, axis=0, return_counts=True)
+    uniq, counts = face_counts(tets)
     if counts.max() > 2:
         raise ParseError("mesh is not conforming: a triangle is shared by >2 tets")
     boundary_tris = uniq[counts == 1]
@@ -132,7 +128,7 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
     # hyperplane residual over its three vertices
     normals = np.array([domain.face(i).normal for i in range(1, 13)])
     x0 = np.sqrt(1.0 - r2)
-    res_all = vertices @ normals.T - x0[:, None] / SIGMA2    # (N, 12)
+    res_all = vertices @ normals.T - x0[:, None] / SIGMA_FLOAT ** 2    # (N, 12)
     tri_res = np.abs(res_all[boundary_tris]).max(axis=1)     # (T, 12)
     boundary_faces = tri_res.argmin(axis=1) + 1
     if tri_res.min(axis=1).max() > 10 * tol:
@@ -170,9 +166,6 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
     report = validate_mesh(domain, mesh, tol=tol)
     report["reoriented_tets"] = flipped
     return mesh, report
-
-
-SIGMA2 = ((1.0 + math.sqrt(5.0)) / 2.0) ** 2
 
 
 def write_vtk_mesh(path, mesh: TetMesh, point_data: dict | None = None) -> None:

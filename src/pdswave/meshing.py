@@ -22,14 +22,12 @@ from scipy.spatial import cKDTree
 from .charts import FaceChart, triangulate_face_chart
 from .domain import FundamentalDomain, geodesic_point
 from .errors import DegenerateTet, PeriodicityViolation, SnapFailure
+from .golden import SIGMA_FLOAT as _S
 from .icosian import merge_classes
-from .quadrature import QuadratureRule, quadrature_rule
-
-SIGMA = (1.0 + math.sqrt(5.0)) / 2.0
+from .quadrature import QuadratureRule, quadrature_rule, weighted_quadrature
 
 # rotations carrying face 1 onto faces 2..6 (axes through face centers,
 # angles +-2pi/5); they are symmetries of the dodecahedron
-_S = SIGMA
 REPLICATION_ROTATIONS = {
     2: 0.5 * np.array([[1 / _S, _S, 1], [-_S, 1, -1 / _S], [-1, -1 / _S, _S]]),
     3: 0.5 * np.array([[_S, -1, -1 / _S], [1, 1 / _S, _S], [-1 / _S, -_S, 1]]),
@@ -223,12 +221,8 @@ def weighted_volume(mesh: TetMesh, rule: QuadratureRule | None = None) -> float:
     """Sum over tets of the Riemannian volume integral of w = (1-|X|^2)^(-1/2)."""
     if rule is None:
         rule = quadrature_rule(4)
-    v = mesh.vertices[mesh.tets]
-    det = np.abs(np.linalg.det(v[:, 1:] - v[:, :1]))
-    pts = np.einsum("mi,til->tml", rule.points, v)
-    r2 = np.einsum("tml,tml->tm", pts, pts)
-    w = 1.0 / np.sqrt(1.0 - r2)
-    return float(det @ (w @ rule.weights))
+    det, _, wq = weighted_quadrature(mesh.vertices[mesh.tets], rule)
+    return float(det @ wq.sum(axis=1))
 
 EXACT_DOMAIN_VOLUME = math.pi ** 2 / 60.0   # one 120th of vol(S^3) = 2 pi^2
 
@@ -240,7 +234,8 @@ def boundary_edge_lengths(mesh: TetMesh) -> tuple[float, float]:
     return float(d.min()), float(d.max())
 
 
-def _face_counts(tets: np.ndarray):
+def face_counts(tets: np.ndarray):
+    """Distinct triangles (sorted vertex ids) and the number of tets sharing each."""
     faces = np.vstack([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
                        tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]])
     faces = np.sort(faces, axis=1)
@@ -268,7 +263,7 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
     report["min_tet_volume"] = float(vols.min())
     report["all_volumes_positive"] = bool(vols.min() > 0)
 
-    uniq, counts = _face_counts(mesh.tets)
+    uniq, counts = face_counts(mesh.tets)
     report["conforming"] = bool(np.all((counts == 1) | (counts == 2)))
     once = uniq[counts == 1]
     tagged = np.unique(np.sort(mesh.boundary_tris, axis=1), axis=0)

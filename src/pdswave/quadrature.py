@@ -3,6 +3,8 @@
 Barycentric points with weights summing to the reference volume 1/6.
 The degree-2 rule is the classical 4-point rule; "degree 4" is served by a
 14-point rule with positive weights that is in fact exact to degree 5.
+`weighted_quadrature` applies a rule to physical tets under the weight
+w(X) = (1 - |X|^2)^(-1/2), the volume density of the lift to the 3-sphere.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDegree
+from .errors import UnsupportedDegree, WeightSingularity
 
 
 @dataclass(frozen=True)
@@ -69,3 +71,19 @@ def reference_monomial_integral(p: int, q: int, r: int) -> float:
     """
     return (math.factorial(p) * math.factorial(q) * math.factorial(r)
             / math.factorial(p + q + r + 3))
+
+
+def weighted_quadrature(verts: np.ndarray, rule: QuadratureRule):
+    """det (T,) = 6 * volume, points (T, m, 3) and weights times w (T, m).
+
+    `verts` is (T, 4, 3); the weighted integral of f over tet t is
+    det[t] * sum_q wq[t, q] f(pts[t, q]).
+    """
+    det = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
+    pts = np.einsum("mi,til->tml", rule.points, verts)
+    r2 = np.einsum("tml,tml->tm", pts, pts)
+    if r2.max() >= 1.0:
+        raise WeightSingularity("quadrature point outside the unit ball")
+    wq = 1.0 / np.sqrt(1.0 - r2)
+    wq *= rule.weights
+    return det, pts, wq

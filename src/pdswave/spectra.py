@@ -136,6 +136,8 @@ class SpectrumReport:
     resolution: float                 # frequency resolution in q
     match_tolerance: float = 0.05
     meta: dict = field(default_factory=dict)
+    # probe-averaged magnitudes the peaks were taken from; not part of to_json
+    spectrum: MagnitudeSpectrum | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
         out = {
@@ -201,16 +203,22 @@ def match_eigenvalues(peaks: list, exact: np.ndarray,
 def analyze_probe_signals(signals: np.ndarray, dt: float, count: int = 10,
                           min_prominence: float = 0.01, tol: float = 0.05,
                           window: str | None = None) -> SpectrumReport:
-    """DFT each probe column, average magnitudes, detect and match peaks."""
-    signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    if signals.shape[0] < signals.shape[1]:
-        signals = signals.T
+    """DFT each probe column, average magnitudes, detect and match peaks.
+
+    `signals` is (samples, probes); a 1-D array is one probe.
+    """
+    signals = np.asarray(signals, dtype=float)
+    if signals.ndim == 1:
+        signals = signals[:, None]
+    elif signals.ndim != 2:
+        raise ValueError(f"signals must be (samples, probes), got shape {signals.shape}")
     spectra = [dft_magnitude(signals[:, k], dt, window=window)
                for k in range(signals.shape[1])]
     avg = average_spectra(spectra)
     peaks = find_peaks(avg, min_prominence=min_prominence)
     report = match_eigenvalues(peaks, exact_spectrum(count), tol=tol)
     report.resolution = avg.resolution
+    report.spectrum = avg
     report.meta = {"n_signal": avg.n_signal, "n_fft": avg.n_fft,
                    "dt": dt, "probes": signals.shape[1]}
     return report

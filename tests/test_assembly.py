@@ -103,6 +103,24 @@ def dense_reference_assembly(mesh, dof_map, rule):
     return mass, stiff, radial
 
 
+class TestFromTriplets:
+    def test_sums_duplicates_and_drops_upper_triangle(self):
+        rows = [2, 0, 2, 1, 0, 2, 1]
+        cols = [0, 0, 0, 2, 1, 2, 0]
+        vals = [1.0, 4.0, 2.0, 9.0, 9.0, 5.0, 3.0]
+        mat = SparseSymMatrix.from_triplets(3, rows, cols, vals)
+        # (1, 2) and (0, 1) lie above the diagonal and are dropped
+        expected = np.array([[4.0, 3.0, 3.0],
+                             [3.0, 0.0, 0.0],
+                             [3.0, 0.0, 5.0]])
+        assert np.array_equal(mat.to_dense(), expected)
+        assert mat.nnz_lower == 4
+        assert mat.lower.has_sorted_indices
+        for i in range(mat.n):
+            row = mat.lower.indices[mat.lower.indptr[i]:mat.lower.indptr[i + 1]]
+            assert np.all(np.diff(row) > 0)
+
+
 class TestAssembly:
     def test_matches_dense_oracle(self, mesh11, ops11):
         dof_map, ops = ops11
@@ -112,6 +130,12 @@ class TestAssembly:
         assert np.abs(ops.mass.to_dense() - ref_m).max() < 1e-14 * max(1, scale)
         assert np.abs(ops.stiffness.to_dense() - ref_k).max() < 1e-14 * np.abs(ref_k).max()
         assert np.abs(ops.radial.to_dense() - ref_d).max() < 1e-14 * np.abs(ref_d).max()
+
+    def test_wave_is_built_once(self, ops44):
+        _, ops = ops44
+        assert ops.wave is ops.wave
+        total = (ops.stiffness.lower + ops.radial.lower).toarray()
+        assert np.array_equal(ops.wave.lower.toarray(), total)
 
     def test_mass_positive_definite(self, ops11):
         _, ops = ops11

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pdswave.errors import UnsupportedDegree
-from pdswave.quadrature import quadrature_rule, reference_monomial_integral
+from pdswave.errors import UnsupportedDegree, WeightSingularity
+from pdswave.quadrature import (quadrature_rule, reference_monomial_integral,
+                                weighted_quadrature)
 
 
 def quad_monomial(rule, p, q, r):
@@ -44,3 +45,18 @@ def test_points_inside_simplex():
 def test_unsupported_degree():
     with pytest.raises(UnsupportedDegree):
         quadrature_rule(3)
+
+
+def test_weighted_quadrature_near_origin():
+    # a small tet at the origin: w ~ 1, so det * sum(wq) ~ 6 * volume
+    verts = 1e-3 * np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    det, pts, wq = weighted_quadrature(verts, quadrature_rule(4))
+    assert det[0] == pytest.approx(1e-9, rel=1e-12)
+    assert pts.shape == (1, 14, 3)
+    assert (det * wq.sum(axis=1))[0] == pytest.approx(1e-9 / 6, rel=1e-6)
+
+
+def test_weighted_quadrature_rejects_points_outside_ball():
+    verts = np.array([[[0.0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]])
+    with pytest.raises(WeightSingularity):
+        weighted_quadrature(verts, quadrature_rule(2))

@@ -167,3 +167,27 @@ class TestEndToEnd:
         rep = analyze_probe_signals(sig, dt, count=3)
         assert any(m.exact_q2 == 440.0 for m in rep.matches)
         assert rep.meta["probes"] == 2
+
+    def test_analyze_takes_columns_as_probes(self):
+        # fewer samples than probes: the array is not transposed
+        sig = np.random.default_rng(0).standard_normal((20, 30))
+        rep = analyze_probe_signals(sig, 0.01, count=3)
+        assert rep.meta["probes"] == 30
+        assert rep.meta["n_signal"] == 20
+
+    def test_analyze_one_dimensional_is_one_probe(self):
+        rep = analyze_probe_signals(np.cos(0.3 * np.arange(64)), 0.1, count=3)
+        assert rep.meta["probes"] == 1
+        assert rep.meta["n_signal"] == 64
+
+    def test_analyze_rejects_other_ranks(self):
+        with pytest.raises(ValueError):
+            analyze_probe_signals(np.zeros((64, 2, 2)), 0.1)
+
+    def test_report_carries_averaged_spectrum(self):
+        sig = np.random.default_rng(1).standard_normal((64, 3))
+        rep = analyze_probe_signals(sig, 0.1, count=3, window="hann")
+        avg = average_spectra([dft_magnitude(sig[:, k], 0.1, window="hann")
+                               for k in range(3)])
+        assert np.array_equal(rep.spectrum.magnitude, avg.magnitude)
+        assert "spectrum" not in rep.to_json()
