@@ -174,14 +174,16 @@ def assemble(mesh: TetMesh, dof_map: DofMap,
     grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
 
-    s = np.einsum("tml,til->tmi", pts, grads)                # (T, m, 4)
-    d_loc = -np.einsum("tm,tmi,tmj->tij", wq, s, s) * det[:, None, None]
-    del pts, s                                   # the largest temporaries
+    s = pts @ grads.transpose(0, 2, 1)                       # (T, m, 4)
+    del pts                                      # before the weighted copy of s
+    ws = wq[:, :, None] * s
+    d_loc = -(ws.transpose(0, 2, 1) @ s) * det[:, None, None]
+    del s, ws                                    # the largest temporaries
 
     bb = np.einsum("mi,mj->mij", rule.points, rule.points)   # (m, 4, 4)
-    m_loc = np.einsum("tm,mij->tij", wq, bb) * det[:, None, None]
+    m_loc = (wq @ bb.reshape(-1, 16)).reshape(-1, 4, 4) * det[:, None, None]
 
-    gg = np.einsum("til,tjl->tij", grads, grads)
+    gg = grads @ grads.transpose(0, 2, 1)
     k_loc = (wq.sum(axis=1) * det)[:, None, None] * gg
 
     dof = dof_map.node_to_dof[tets]                          # (T, 4)

@@ -141,6 +141,8 @@ def _parse_points(text):
 
 
 def cmd_run(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     domain = build_domain()
     mesh, mesh_report, dof_map, ops = _build_operators(args, domain)
     precond = make_preconditioner(ops.mass)
@@ -186,6 +188,8 @@ def cmd_run(args) -> int:
     for step, vec in result.snapshots:
         write_vtk_mesh(out / f"snapshot_{step:06d}.vtk", mesh,
                        {"u": vec[dof_map.node_to_dof]})
+    e0, e1, eT = result.energy[0], result.energy[1], result.energy[-1]
+    drift = abs(eT - e1) / abs(e1) if e1 != 0 else None
     manifest = {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -199,16 +203,16 @@ def cmd_run(args) -> int:
         "solve_tol": args.solve_tol,
         "preconditioner": precond.kind,
         "pcg_iterations": result.solve_iterations,
+        "energy_drift": drift,
         "probe_nodes": [int(v) for v in probes.nodes],
         "window": [first, last],
     }
     _write_json(out / "manifest.json", manifest)
-    e0, eT = result.energy[0], result.energy[-1]
     print(f"dt = {dt:.6e} (dt_max {dt_max:.6e}, lambda_max {lam:.6e})")
     print(f"E_d(0) = {e0:.14e}")
     print(f"E_d(T) = {eT:.14e}")
-    if e0 != 0:
-        print(f"relative energy drift {abs(eT - result.energy[1]) / abs(result.energy[1]):.3e}")
+    if drift is not None:
+        print(f"relative energy drift {drift:.3e}")
     return EXIT_OK
 
 
@@ -294,6 +298,9 @@ def cmd_report(args) -> int:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         print(f"run of {manifest['steps']} steps, dt = {manifest['dt']:.6e}, "
               f"{manifest['n_dofs']} dofs (mesh {manifest['mesh_hash'][:12]})")
+        drift = manifest.get("energy_drift")
+        print("relative energy drift |E_T - E_1| / |E_1| = "
+              + ("n/a" if drift is None else f"{drift:.3e}"))
         rpath = run_dir / "spectrum_report.json"
         if rpath.exists():
             rep = json.loads(rpath.read_text())

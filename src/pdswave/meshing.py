@@ -234,13 +234,28 @@ def boundary_edge_lengths(mesh: TetMesh) -> tuple[float, float]:
     return float(d.min()), float(d.max())
 
 
+def _unique_triangles(tris: np.ndarray):
+    """Distinct triangles as sorted vertex-id rows, in lexicographic order, and
+    how often each occurs.
+
+    Vertex ids are non-negative.  Each sorted row (a, b, c) becomes one int64
+    key (a nv + b) nv + c with nv = max id + 1, which orders the keys as the
+    rows, so a 1-D unique does the work.
+    """
+    tris = np.sort(tris, axis=1)
+    nv = int(tris.max()) + 1
+    if nv ** 3 > np.iinfo(np.int64).max:
+        raise ValueError(f"vertex id {nv - 1} is too large for an int64 triangle key")
+    t = tris.astype(np.int64, copy=False)
+    key = (t[:, 0] * nv + t[:, 1]) * nv + t[:, 2]
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return tris[first], counts
+
+
 def face_counts(tets: np.ndarray):
     """Distinct triangles (sorted vertex ids) and the number of tets sharing each."""
-    faces = np.vstack([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
-                       tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]])
-    faces = np.sort(faces, axis=1)
-    uniq, counts = np.unique(faces, axis=0, return_counts=True)
-    return uniq, counts
+    return _unique_triangles(np.vstack([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
+                                        tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]]))
 
 
 def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
@@ -266,7 +281,7 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
     uniq, counts = face_counts(mesh.tets)
     report["conforming"] = bool(np.all((counts == 1) | (counts == 2)))
     once = uniq[counts == 1]
-    tagged = np.unique(np.sort(mesh.boundary_tris, axis=1), axis=0)
+    tagged, _ = _unique_triangles(mesh.boundary_tris)
     report["boundary_matches_tags"] = bool(
         once.shape == tagged.shape and np.array_equal(once, tagged))
 

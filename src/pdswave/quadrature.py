@@ -80,7 +80,7 @@ def weighted_quadrature(verts: np.ndarray, rule: QuadratureRule):
     det[t] * sum_q wq[t, q] f(pts[t, q]).
     """
     det = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
-    pts = np.einsum("mi,til->tml", rule.points, verts)
+    pts = np.matmul(rule.points, verts)
     r2 = np.einsum("tml,tml->tm", pts, pts)
     if r2.max() >= 1.0:
         raise WeightSingularity("quadrature point outside the unit ball")

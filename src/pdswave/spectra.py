@@ -165,13 +165,15 @@ class SpectrumReport:
         return "\n".join(lines)
 
 
-def match_eigenvalues(peaks: list, exact: np.ndarray,
-                      tol: float = 0.05) -> SpectrumReport:
+def match_eigenvalues(peaks: list, exact: np.ndarray, tol: float = 0.05, *,
+                      resolution: float = 0.0) -> SpectrumReport:
     """Greedy nearest matching of detected q against exact sqrt(beta^2 - 1).
 
     Matching happens in q with relative tolerance `tol`; reported errors are
     on q^2.  Exact values with no surviving peak are listed as missing
     (probes can sit on nodal lines; use several probes to mitigate).
+    `resolution` is the frequency resolution in q of the spectrum the peaks
+    came from, stored in the report (0.0 when unknown).
     """
     peaks = sorted(peaks, key=lambda p: p.q)
     qs = np.array([p.q for p in peaks])
@@ -195,7 +197,6 @@ def match_eigenvalues(peaks: list, exact: np.ndarray,
         matches.append(Match(beta=float(beta), exact_q2=float(q2),
                              detected_q2=det,
                              relative_error=abs(det - q2) / q2))
-    resolution = 0.0
     return SpectrumReport(peaks=peaks, matches=matches, missing=missing,
                           resolution=resolution, match_tolerance=tol)
 
@@ -216,8 +217,8 @@ def analyze_probe_signals(signals: np.ndarray, dt: float, count: int = 10,
                for k in range(signals.shape[1])]
     avg = average_spectra(spectra)
     peaks = find_peaks(avg, min_prominence=min_prominence)
-    report = match_eigenvalues(peaks, exact_spectrum(count), tol=tol)
-    report.resolution = avg.resolution
+    report = match_eigenvalues(peaks, exact_spectrum(count), tol=tol,
+                               resolution=avg.resolution)
     report.spectrum = avg
     report.meta = {"n_signal": avg.n_signal, "n_fft": avg.n_fft,
                    "dt": dt, "probes": signals.shape[1]}

@@ -103,7 +103,10 @@ def test_report_dumps(tmp_path):
 
 def test_report_run_dir(run_dir, capsys):
     assert main(["report", "--run-dir", str(run_dir)]) == 0
-    assert "400 steps" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "400 steps" in out
+    drift = json.loads((run_dir / "manifest.json").read_text())["energy_drift"]
+    assert f"energy drift |E_T - E_1| / |E_1| = {drift:.3e}" in out
 
 
 def test_usage_error_exit_code():
@@ -136,6 +139,12 @@ def test_nonpositive_dt_is_usage_error(tmp_path):
     assert code == 1
 
 
+def test_zero_steps_is_usage_error(tmp_path):
+    code = main(["run", "--n", "1", "--layers", "1", "--steps", "0",
+                 "--out", str(tmp_path / "r")])
+    assert code == 1
+
+
 def test_forced_unstable_run_trips_guard(tmp_path):
     code = main(["run", "--n", "1", "--layers", "1", "--steps", "1000",
                  "--dt", "0.2", "--force", "--out", str(tmp_path / "r")])
@@ -150,6 +159,10 @@ def test_config_file(tmp_path):
     assert manifest["steps"] == 60                 # explicit flag wins
     assert manifest["mesh"]["tet_count"] == 960    # config n/layers applied
     assert manifest["pcg_iterations"] > 60         # start solve + 60 step solves
+    rows = (tmp_path / "c" / "energy.csv").read_text().splitlines()[1:]
+    e = [float(row.split(",")[2]) for row in rows]
+    assert manifest["energy_drift"] == abs(e[-1] - e[1]) / abs(e[1])
+    assert manifest["energy_drift"] < 1e-9
 
 
 def test_zero_amplitude_gives_zero_signals(tmp_path):
@@ -159,6 +172,8 @@ def test_zero_amplitude_gives_zero_signals(tmp_path):
     rows = (out / "probes.csv").read_text().splitlines()[1:]
     values = [float(v) for row in rows for v in row.split(",")[2:]]
     assert values and not any(values)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["energy_drift"] is None        # E_1 = 0: no relative drift
 
 
 def test_out_env_var(tmp_path, monkeypatch):

@@ -4,12 +4,7 @@ import pytest
 from pdswave.errors import ParseError, PeriodicityViolation
 from pdswave.mesh_io import (export_mesh, import_mesh, read_ele_file, read_node_file,
                              write_ele_file, write_node_file, write_vtk_mesh)
-from pdswave.meshing import generate_mesh, validate_mesh
-
-
-@pytest.fixture(scope="module")
-def mesh22(the_domain):
-    return generate_mesh(the_domain, 2, 2)
+from pdswave.meshing import validate_mesh
 
 
 def test_round_trip_exact(the_domain, mesh22, tmp_path):
@@ -43,6 +38,13 @@ def test_perturbed_vertex_rejected(the_domain, mesh22, tmp_path):
     write_ele_file(tmp_path / "b.ele", mesh22.tets)
     with pytest.raises(PeriodicityViolation):
         import_mesh(the_domain, tmp_path / "b.node", tmp_path / "b.ele", tol=1e-6)
+
+
+def test_non_conforming_ele_rejected(the_domain, mesh22, triple_face_tets, tmp_path):
+    write_node_file(tmp_path / "t.node", mesh22.vertices)
+    write_ele_file(tmp_path / "t.ele", triple_face_tets)
+    with pytest.raises(ParseError, match="not conforming"):
+        import_mesh(the_domain, tmp_path / "t.node", tmp_path / "t.ele")
 
 
 def test_zero_based_files_accepted(the_domain, mesh22, tmp_path):

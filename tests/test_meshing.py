@@ -1,19 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdswave.charts import triangulate_face_chart
 from pdswave.errors import SnapFailure
 from pdswave.meshing import (EXACT_DOMAIN_VOLUME, REPLICATION_ROTATIONS,
-                             build_boundary_mesh, build_volume_mesh, generate_mesh,
-                             layer_radii, signed_tet_volumes, validate_mesh,
-                             weighted_volume)
-
-
-@pytest.fixture(scope="module")
-def mesh22(the_domain):
-    return generate_mesh(the_domain, 2, 2)
+                             build_boundary_mesh, build_volume_mesh, face_counts,
+                             generate_mesh, layer_radii, signed_tet_volumes,
+                             validate_mesh, weighted_volume)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +88,11 @@ class TestVolume:
         assert report22["conforming"]
         assert report22["boundary_matches_tags"]
 
+    def test_triangle_shared_by_three_tets_not_conforming(self, the_domain, mesh22,
+                                                          triple_face_tets):
+        bad = dataclasses.replace(mesh22, tets=triple_face_tets)
+        assert not validate_mesh(the_domain, bad)["conforming"]
+
     def test_partner_involution(self, report22):
         assert report22["partner_involution"]
         assert report22["max_partner_mismatch"] < 1e-12
@@ -121,3 +124,27 @@ def test_layer_validation_rejects_bad_layers(the_domain):
     surface = build_boundary_mesh(the_domain, triangulate_face_chart(the_domain, 1))
     with pytest.raises(ValueError):
         build_volume_mesh(the_domain, surface, 0)
+
+
+@st.composite
+def tet_arrays(draw):
+    """(T, 4) vertex ids; a small id range makes many shared triangles."""
+    top = draw(st.sampled_from([3, 10, 100, 2_000_000]))
+    count = draw(st.integers(1, 40))
+    return draw(arrays(np.int64, (count, 4), elements=st.integers(0, top)))
+
+
+@given(tet_arrays())
+def test_face_counts_matches_row_unique(tets):
+    faces = np.vstack([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
+                       tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]])
+    ref_uniq, ref_counts = np.unique(np.sort(faces, axis=1), axis=0, return_counts=True)
+    uniq, counts = face_counts(tets)
+    assert np.array_equal(uniq, ref_uniq)
+    assert np.array_equal(counts, ref_counts)
+
+
+def test_face_counts_rejects_ids_overflowing_the_key():
+    tets = np.array([[0, 1, 2, 3_000_000]])
+    with pytest.raises(ValueError, match="int64"):
+        face_counts(tets)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -130,6 +131,11 @@ class TestMatch:
         peaks = [self.peak(168.0), self.peak(168.5)]
         rep = match_eigenvalues(peaks, exact_spectrum(2), tol=0.05)
         assert len(rep.matches) == 1
+
+    def test_report_carries_given_resolution(self):
+        rep = match_eigenvalues([self.peak(168.0)], exact_spectrum(2), resolution=0.25)
+        assert rep.resolution == 0.25
+        assert json.loads(rep.to_json())["resolution"] == 0.25
 
     def test_table_renders(self):
         rep = match_eigenvalues([self.peak(167.6126)], exact_spectrum(3))
