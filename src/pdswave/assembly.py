@@ -123,31 +123,26 @@ class DofMap:
 def build_dof_map(mesh: TetMesh) -> DofMap:
     """Group boundary nodes by the transitive closure of their partners."""
     n = len(mesh.vertices)
-    pairs = [(v, p) for v, d in mesh.partners.items() for p in d.values()]
-    node_to_dof, dof_to_node = merge_classes(n, pairs)
+    node_to_dof, dof_to_node = merge_classes(n, mesh.periodic[:, [0, 2]])
 
-    groups: dict[int, list] = {}
-    for v in mesh.node_faces:
-        groups.setdefault(int(node_to_dof[v]), []).append(v)
-
-    n_edge = n_face = n_corner = 0
-    classes = []
-    for _, members in sorted(groups.items()):
-        size = len(members)
-        if size == 2:
-            n_face += size
-        elif size == 3:
-            n_edge += size
-        elif size == 4:
-            n_corner += 1
-        else:
-            raise ClassSizeError(
-                f"boundary class {sorted(members)} has size {size}, expected 2, 3 or 4")
-        classes.append(tuple(sorted(members)))
+    boundary = mesh.boundary_nodes
+    members = boundary[np.argsort(node_to_dof[boundary], kind="stable")]
+    _, starts, sizes = np.unique(node_to_dof[members], return_index=True,
+                                 return_counts=True)
+    bad = np.flatnonzero((sizes < 2) | (sizes > 4))
+    if len(bad):
+        k = bad[0]
+        raise ClassSizeError(
+            f"boundary class {members[starts[k]:starts[k] + sizes[k]].tolist()} has size "
+            f"{sizes[k]}, expected 2, 3 or 4")
+    ids, ends = members.tolist(), (starts + sizes).tolist()
+    classes = [tuple(ids[a:b]) for a, b in zip(starts.tolist(), ends)]
 
     dof_map = DofMap(node_to_dof=node_to_dof, dof_to_node=dof_to_node,
-                     n_interior=n - len(mesh.node_faces), n_edge_nodes=n_edge,
-                     n_face_nodes=n_face, n_corner_classes=n_corner,
+                     n_interior=n - len(boundary),
+                     n_edge_nodes=int(sizes[sizes == 3].sum()),
+                     n_face_nodes=int(sizes[sizes == 2].sum()),
+                     n_corner_classes=int((sizes == 4).sum()),
                      classes=classes)
     if dof_map.n_dofs != round(dof_map.formula_count()):
         raise ClassSizeError(

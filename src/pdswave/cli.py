@@ -21,8 +21,8 @@ from . import __version__
 from .assembly import assemble, build_dof_map, estimate_spectral_bound
 from .domain import build_domain
 from .errors import (ClassSizeError, DegenerateTet, EnergyBlowup, NoConvergence,
-                     NotInDomain, ParseError, PeriodicityViolation, SnapFailure,
-                     TooShort, UnstableTimeStep, UnsupportedDegree,
+                     NotInDomain, OutsideUnitBall, ParseError, PeriodicityViolation,
+                     SnapFailure, TooShort, UnstableTimeStep, UnsupportedDegree,
                      WeightSingularity)
 from .evolve import (DOMAIN_DIAMETER, initial_bump, initial_random, leapfrog_run,
                      make_preconditioner, snap_probes)
@@ -35,7 +35,8 @@ from .spectra import analyze_probe_signals
 EXIT_OK, EXIT_USAGE, EXIT_MESH, EXIT_EVOLUTION, EXIT_ANALYSIS = 0, 1, 2, 3, 4
 
 _MESH_ERRORS = (ParseError, PeriodicityViolation, SnapFailure, DegenerateTet,
-                ClassSizeError, UnsupportedDegree, WeightSingularity, NotInDomain)
+                ClassSizeError, UnsupportedDegree, WeightSingularity, NotInDomain,
+                OutsideUnitBall)
 _EVOLUTION_ERRORS = (NoConvergence, EnergyBlowup, UnstableTimeStep)
 _ANALYSIS_ERRORS = (TooShort,)
 
@@ -144,6 +145,10 @@ def cmd_run(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     domain = build_domain()
+    points = _parse_points(args.probes)
+    if (np.einsum("ij,ij->i", points, points) >= 1.0).any() \
+            or not domain.contains_many(points, tol=1e-9).all():
+        raise NotInDomain(f"probe points {args.probes!r} are not all in the domain")
     mesh, mesh_report, dof_map, ops = _build_operators(args, domain)
     precond = make_preconditioner(ops.mass)
 
@@ -165,8 +170,8 @@ def cmd_run(args) -> int:
 
     first = args.window[0] if args.window else math.ceil(DOMAIN_DIAMETER / dt)
     last = args.window[1] if args.window else args.steps
-    probes = snap_probes(mesh, dof_map, _parse_points(args.probes),
-                         (first, last), dt, force_window=args.force_window)
+    probes = snap_probes(mesh, dof_map, points, (first, last), dt,
+                         force_window=args.force_window)
 
     result = leapfrog_run(ops.mass, ops.wave, u0, dt=dt, steps=args.steps,
                           probes=probes, snapshot_every=args.snapshot_every,

@@ -228,9 +228,12 @@ class FundamentalDomain:
         return self.face_vertices3(i).mean(axis=0)
 
     def face_residuals(self, X) -> np.ndarray:
-        """a_i x + b_i y + c_i z - x0/sigma^2 for the twelve faces (<= 0 inside)."""
-        q = lift(X)
-        return self._normals @ q[1:] - q[0] / _S2
+        """a_i x + b_i y + c_i z - x0/sigma^2 for the twelve faces (<= 0 inside):
+        shape (12,) for one point, (n, 12) for an (n, 3) array of points."""
+        X = np.asarray(X, dtype=float)
+        q = lift_many(X.reshape(-1, 3))
+        res = q[:, 1:] @ self._normals.T - q[:, :1] / _S2
+        return res.reshape(X.shape[:-1] + (12,))
 
     def contains(self, X, tol: float = 1e-12) -> bool:
         X = np.asarray(X, dtype=float)
@@ -239,9 +242,7 @@ class FundamentalDomain:
         return bool(np.all(self.face_residuals(X) <= tol))
 
     def contains_many(self, X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        q = lift_many(X)
-        res = q[:, 1:] @ self._normals.T - q[:, :1] / _S2
-        return np.all(res <= tol, axis=1)
+        return np.all(self.face_residuals(X) <= tol, axis=1)
 
     def outward_normal(self, i: int, X) -> np.ndarray:
         """Unit outgoing normal of the visualization at X on face i (ellipsoid gradient)."""

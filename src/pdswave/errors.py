@@ -36,8 +36,8 @@ class OffPlane(PdsError):
     pass
 
 
-class InvalidSubdivision(PdsError):
-    pass
+class InvalidSubdivision(PdsError, ValueError):
+    """Edge subdivision count below 1."""
 
 
 class SnapFailure(PdsError):

@@ -143,7 +143,6 @@ class GroupTable:
     def __init__(self, elements: list[GroupElement]):
         self.elements = tuple(elements)
         coeffs = np.array([e.quat.as_array() for e in elements])
-        self._coeffs = coeffs
         key_of = {_float_key(c): i for i, c in enumerate(coeffs)}
         mats = np.array([e.matrix4 for e in elements])
         # all pairwise products in one shot, then index lookup
@@ -161,13 +160,6 @@ class GroupTable:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def index_of(self, q: Quaternion, tol: float = 1e-9) -> int:
-        d = np.abs(self._coeffs - q.as_array()).max(axis=1)
-        i = int(d.argmin())
-        if d[i] > tol:
-            raise KeyError("quaternion is not a group element")
-        return i
 
 
 def _float_key(coeffs) -> tuple:

@@ -10,12 +10,10 @@ degree-of-freedom map.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import FundamentalDomain
 from .errors import ParseError, PeriodicityViolation
-from .golden import SIGMA_FLOAT
-from .meshing import TetMesh, face_counts, signed_tet_volumes, validate_mesh
+from .meshing import TetMesh, face_counts, orient_tets, periodic_pairs, validate_mesh
 
 
 def write_node_file(path, vertices: np.ndarray) -> None:
@@ -107,17 +105,16 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
     """Read, orient, tag and periodicity-check a mesh; returns (mesh, report)."""
     vertices = read_node_file(node_path)
     tets = read_ele_file(ele_path, len(vertices))
+    unused = np.setdiff1d(np.arange(len(vertices)), tets)
+    if len(unused):
+        raise ParseError(f"{node_path}: vertex {unused[0]} (0-based) is used by no tet")
 
-    r2 = np.einsum("ij,ij->i", vertices, vertices)
-    if r2.max() >= 1.0:
+    if np.einsum("ij,ij->i", vertices, vertices).max() >= 1.0:
         raise PeriodicityViolation("mesh has vertices outside the unit ball")
     if not domain.contains_many(vertices, tol=10 * tol).all():
         raise PeriodicityViolation("mesh has vertices outside the fundamental domain")
 
-    vols = signed_tet_volumes(vertices, tets)
-    flipped = int((vols < 0).sum())
-    tets = tets.copy()
-    tets[vols < 0] = tets[vols < 0][:, [0, 1, 3, 2]]
+    tets, vols = orient_tets(vertices, tets)
 
     uniq, counts = face_counts(tets)
     if counts.max() > 2:
@@ -125,46 +122,21 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
     boundary_tris = uniq[counts == 1]
 
     # assign each boundary triangle to the face with the smallest lifted
-    # hyperplane residual over its three vertices
-    normals = np.array([domain.face(i).normal for i in range(1, 13)])
-    x0 = np.sqrt(1.0 - r2)
-    res_all = vertices @ normals.T - x0[:, None] / SIGMA_FLOAT ** 2    # (N, 12)
-    tri_res = np.abs(res_all[boundary_tris]).max(axis=1)     # (T, 12)
+    # hyperplane residual over its three vertices; each ellipsoid carries two
+    # opposite faces, and the signed residual is zero only on the right one
+    tri_res = np.abs(domain.face_residuals(vertices)[boundary_tris]).max(axis=1)
     boundary_faces = tri_res.argmin(axis=1) + 1
     if tri_res.min(axis=1).max() > 10 * tol:
         bad = int(tri_res.min(axis=1).argmax())
         raise PeriodicityViolation(
             f"boundary triangle {bad} lies on no face (residual {tri_res.min(axis=1)[bad]:.2e})")
 
-    # per-node face sets; each ellipsoid carries two opposite faces, so the
-    # signed hyperplane residual (zero only on the right one) decides
-    b_nodes = np.unique(boundary_tris)
-    node_faces: dict[int, tuple] = {}
-    for v in b_nodes:
-        on = [i + 1 for i in range(12) if abs(res_all[v, i]) <= tol]
-        if not on:
-            raise PeriodicityViolation(
-                f"boundary node {v} is on no face within {tol}")
-        node_faces[int(v)] = tuple(on)
-
-    tree = cKDTree(vertices[b_nodes])
-    partners: dict[int, dict[int, int]] = {}
-    for v, on in node_faces.items():
-        partners[v] = {}
-        for i in on:
-            img = domain.face_map(i).matrix3 @ vertices[v]
-            d, j = tree.query(img)
-            if d > tol:
-                raise PeriodicityViolation(
-                    f"boundary node {v} has no partner through face {i} "
-                    f"(nearest at distance {d:.2e})")
-            partners[v][i] = int(b_nodes[j])
-
     mesh = TetMesh(vertices=vertices, tets=tets,
                    boundary_tris=boundary_tris, boundary_faces=boundary_faces,
-                   node_faces=node_faces, partners=partners)
+                   periodic=periodic_pairs(domain, vertices, boundary_tris,
+                                           boundary_faces, tol))
     report = validate_mesh(domain, mesh, tol=tol)
-    report["reoriented_tets"] = flipped
+    report["reoriented_tets"] = int((vols < 0).sum())
     return mesh, report
 
 

@@ -8,13 +8,19 @@ filled using star-shapedness about the origin: scaled copies of the surface
 nodes on L radial layers, prisms between layers split into three tets each
 by a global-vertex-index diagonal rule, and an innermost layer coned to the
 origin.  No node is added on the boundary itself.
+
+The face identifications reach the solver as one int64 array `periodic` of
+(node, face, partner) rows, one per boundary node v and face i that v lies
+on, where partner is the node at the image of v under the face-i map.  The
+rows are sorted by (node, face); `periodic_pairs` derives them, for
+generated and imported meshes alike.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -44,9 +50,7 @@ class SurfaceMesh:
     nodes: np.ndarray                       # (S, 3)
     tris: np.ndarray                        # (T, 3)
     tri_face: np.ndarray                    # (T,) face tag 1..12
-    node_faces: dict = field(repr=False)    # node -> tuple of faces it lies on
-    partners: dict = field(repr=False)      # node -> {face: partner node}
-    subdivision: int = 0
+    periodic: np.ndarray                    # (P, 3) (node, face, partner)
 
 
 @dataclass
@@ -55,15 +59,11 @@ class TetMesh:
     tets: np.ndarray                        # (M, 4), positively oriented
     boundary_tris: np.ndarray               # (T, 3) global vertex indices
     boundary_faces: np.ndarray              # (T,) face tags 1..12
-    node_faces: dict = field(repr=False)    # boundary vertex -> faces
-    partners: dict = field(repr=False)      # boundary vertex -> {face: partner}
-    subdivision: int | None = None
-    layers: int | None = None
-    grading: float = 1.0
+    periodic: np.ndarray                    # (P, 3) (node, face, partner)
 
     @property
     def boundary_nodes(self) -> np.ndarray:
-        return np.fromiter(self.node_faces.keys(), dtype=np.int64)
+        return np.unique(self.boundary_tris)
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -113,36 +113,39 @@ def build_boundary_mesh(domain: FundamentalDomain, chart: FaceChart) -> SurfaceM
     global_id, first = merge_classes(len(all_nodes), pairs)
     nodes = all_nodes[first]
 
-    tris = []
-    tri_face = []
-    for i in range(1, 13):
-        offset = (i - 1) * ns
-        tris.append(global_id[chart.triangles + offset])
-        tri_face.append(np.full(len(chart.triangles), i))
-    tris = np.vstack(tris)
-    tri_face = np.concatenate(tri_face)
+    offsets = ns * np.arange(12)
+    tris = global_id[chart.triangles + offsets[:, None, None]].reshape(-1, 3)
+    tri_face = np.repeat(np.arange(1, 13), len(chart.triangles))
+    periodic = periodic_pairs(domain, nodes, tris, tri_face, 1e-9)
+    return SurfaceMesh(nodes=nodes, tris=tris, tri_face=tri_face, periodic=periodic)
 
-    node_faces: dict[int, set] = {}
-    for i in range(1, 13):
-        offset = (i - 1) * ns
-        for g in global_id[offset:offset + ns]:
-            node_faces.setdefault(int(g), set()).add(i)
 
-    merged_tree = cKDTree(nodes)
-    partners: dict[int, dict[int, int]] = {}
-    for v, faces in node_faces.items():
-        partners[v] = {}
-        for i in faces:
-            image = domain.face_map(i).matrix3 @ nodes[v]
-            d, j = merged_tree.query(image)
-            if d > 1e-9:
-                raise PeriodicityViolation(
-                    f"node {v} has no partner through face {i} (distance {d:.2e})")
-            partners[v][i] = int(j)
-    node_faces = {v: tuple(sorted(s)) for v, s in node_faces.items()}
-    return SurfaceMesh(nodes=nodes, tris=tris, tri_face=tri_face,
-                       node_faces=node_faces, partners=partners,
-                       subdivision=chart.n)
+def _face_images(domain: FundamentalDomain, points: np.ndarray,
+                 faces: np.ndarray) -> np.ndarray:
+    """Image of each points[k] under the identification map of face faces[k]."""
+    mats = np.array([domain.face_map(i).matrix3 for i in range(1, 13)])
+    return np.einsum("kij,kj->ki", mats[faces - 1], points)
+
+
+def periodic_pairs(domain: FundamentalDomain, vertices: np.ndarray, tris: np.ndarray,
+                   tri_face: np.ndarray, tol: float) -> np.ndarray:
+    """(node, face, partner) rows of a boundary triangulation, sorted by (node, face).
+
+    The (node, face) pairs are the distinct (vertex, tag) pairs of the tagged
+    triangles `tris`; each partner is the boundary vertex nearest the node's
+    image under the face map, which must lie within `tol` of it.
+    """
+    key = np.unique(13 * tris.astype(np.int64) + tri_face[:, None])
+    node, face = np.divmod(key, 13)
+    boundary = np.unique(tris)
+    dist, j = cKDTree(vertices[boundary]).query(
+        _face_images(domain, vertices[node], face))
+    if len(dist) and dist.max() > tol:
+        k = int(dist.argmax())
+        raise PeriodicityViolation(
+            f"boundary node {node[k]} has no partner through face {face[k]} "
+            f"(nearest at distance {dist[k]:.2e})")
+    return np.column_stack([node, face, boundary[j]]).astype(np.int64)
 
 
 def layer_radii(layers: int, grading: float = 1.0) -> np.ndarray:
@@ -181,24 +184,16 @@ def build_volume_mesh(domain: FundamentalDomain, surface: SurfaceMesh,
         tets.append(np.column_stack([pk, qk, rk, pk1]))
         tets.append(np.column_stack([qk, rk, pk1, qk1]))
         tets.append(np.column_stack([rk, pk1, qk1, rk1]))
-    tets = np.vstack(tets)
-
-    vols = signed_tet_volumes(vertices, tets)
-    neg = vols < 0
-    tets[neg] = tets[neg][:, [0, 1, 3, 2]]
-    vols = np.abs(vols)
-    if vols.min() < 1e-16:
-        raise DegenerateTet(f"tet volume {vols.min():.2e}")
+    tets, vols = orient_tets(vertices, np.vstack(tets))
+    vmin = np.abs(vols).min()
+    if vmin < 1e-16:
+        raise DegenerateTet(f"tet volume {vmin:.2e}")
 
     boundary_offset = 1 + (layers - 1) * s_count
-    boundary_tris = surface.tris + boundary_offset
-    node_faces = {v + boundary_offset: f for v, f in surface.node_faces.items()}
-    partners = {v + boundary_offset: {i: p + boundary_offset for i, p in d.items()}
-                for v, d in surface.partners.items()}
     return TetMesh(vertices=vertices, tets=tets,
-                   boundary_tris=boundary_tris, boundary_faces=surface.tri_face.copy(),
-                   node_faces=node_faces, partners=partners,
-                   subdivision=surface.subdivision, layers=layers, grading=grading)
+                   boundary_tris=surface.tris + boundary_offset,
+                   boundary_faces=surface.tri_face.copy(),
+                   periodic=surface.periodic + [boundary_offset, 0, boundary_offset])
 
 
 def generate_mesh(domain: FundamentalDomain, subdivision: int, layers: int,
@@ -215,6 +210,16 @@ def signed_tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     v = vertices[tets]
     e = v[:, 1:] - v[:, :1]
     return np.linalg.det(e) / 6.0
+
+
+def orient_tets(vertices: np.ndarray, tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positively oriented copy of `tets` (the last two vertices of each
+    negatively oriented tet swapped) and the signed volumes before the swap."""
+    vols = signed_tet_volumes(vertices, tets)
+    tets = tets.copy()
+    neg = vols < 0
+    tets[neg] = tets[neg][:, [0, 1, 3, 2]]
+    return tets, vols
 
 
 def weighted_volume(mesh: TetMesh, rule: QuadratureRule | None = None) -> float:
@@ -265,12 +270,11 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
     inside = domain.contains_many(mesh.vertices, tol=tol)
     report["vertices_inside"] = bool(inside.all())
 
-    ell_err = 0.0
-    for v, faces in mesh.node_faces.items():
-        X = mesh.vertices[v]
-        for i in faces:
-            ell_err = max(ell_err, abs(X @ domain.face(i).ellipsoid @ X - 1.0))
-    report["max_ellipsoid_residual"] = ell_err
+    node, face, partner = mesh.periodic.T
+    X = mesh.vertices[node]
+    ells = np.array([domain.face(i).ellipsoid for i in range(1, 13)])
+    ell_res = np.einsum("ki,kij,kj->k", X, ells[face - 1], X) - 1.0
+    report["max_ellipsoid_residual"] = float(np.abs(ell_res).max(initial=0.0))
 
     vols = signed_tet_volumes(mesh.vertices, mesh.tets)
     report["tet_count"] = int(len(mesh.tets))
@@ -285,19 +289,15 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
     report["boundary_matches_tags"] = bool(
         once.shape == tagged.shape and np.array_equal(once, tagged))
 
-    partner_err = 0.0
-    involution_ok = True
-    pair_count = 0
-    for v, d in mesh.partners.items():
-        for i, p in d.items():
-            pair_count += 1
-            img = domain.face_map(i).matrix3 @ mesh.vertices[v]
-            partner_err = max(partner_err, float(np.abs(img - mesh.vertices[p]).max()))
-            back = mesh.partners[p].get(domain.face_map(i).inverse_index)
-            involution_ok &= back == v
-    report["periodic_pairs"] = pair_count
-    report["max_partner_mismatch"] = partner_err
-    report["partner_involution"] = bool(involution_ok)
+    # the identification is an involution when the rows, each reversed to
+    # (partner, inverse face, node), are the same rows again
+    mismatch = np.abs(_face_images(domain, X, face) - mesh.vertices[partner])
+    inverse = np.array([domain.face_map(i).inverse_index for i in range(1, 13)])
+    back = np.column_stack([partner, inverse[face - 1], node])
+    report["periodic_pairs"] = int(len(mesh.periodic))
+    report["max_partner_mismatch"] = float(mismatch.max(initial=0.0))
+    report["partner_involution"] = bool(np.array_equal(
+        np.unique(mesh.periodic, axis=0), np.unique(back, axis=0)))
 
     vol = weighted_volume(mesh)
     report["volume_sum"] = vol

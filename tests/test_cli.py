@@ -118,13 +118,31 @@ def test_usage_error_exit_code():
 def test_broken_import_exit_code(tmp_path, the_domain):
     mesh = generate_mesh(the_domain, 1, 1)
     v = mesh.vertices.copy()
-    node = sorted(mesh.node_faces)[0]
+    node = mesh.boundary_nodes[0]
     v[node] *= 1.0 - 1e-3
     write_node_file(tmp_path / "b.node", v)
     write_ele_file(tmp_path / "b.ele", mesh.tets)
     assert main(["mesh", "--import-node", str(tmp_path / "b.node"),
                  "--import-ele", str(tmp_path / "b.ele"),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("probes", ["5,5,5", "0.9,0,0", "0,0,0;0.6,0.3,0"])
+def test_probe_outside_domain_exit_code(tmp_path, probes, capsys):
+    code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
+                 "--probes", probes, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "not all in the domain" in capsys.readouterr().err
+
+
+def test_bump_outside_unit_ball_exit_code(tmp_path):
+    code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
+                 "--bump", "2", "0", "0", "0.3", "--out", str(tmp_path / "r")])
+    assert code == 2
+
+
+def test_zero_subdivision_is_usage_error(tmp_path):
+    assert main(["mesh", "--n", "0", "--out", str(tmp_path / "m")]) == 1
 
 
 def test_unstable_dt_exit_code(tmp_path):
