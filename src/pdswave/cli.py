@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (ClassSizeError, DegenerateTet, EnergyBlowup, NoConvergence,
 from .evolve import (DOMAIN_DIAMETER, initial_bump, initial_random, leapfrog_run,
                      make_preconditioner, snap_probes)
 from .icosian import cell_to_json, generate_group, group_to_json, orbit_vertices
-from .mesh_io import export_mesh, import_mesh, write_vtk_mesh
+from .mesh_io import _read_table, _write_rows, export_mesh, import_mesh, write_vtk_mesh
 from .meshing import generate_mesh, validate_mesh
 from .quadrature import quadrature_rule
 from .spectra import analyze_probe_signals
@@ -39,6 +40,8 @@ _MESH_ERRORS = (ParseError, PeriodicityViolation, SnapFailure, DegenerateTet,
                 OutsideUnitBall)
 _EVOLUTION_ERRORS = (NoConvergence, EnergyBlowup, UnstableTimeStep)
 _ANALYSIS_ERRORS = (TooShort,)
+# the stages of `run` whose wall times manifest.json records, in run order
+RUN_STAGES = ("mesh", "assemble", "spectral_bound", "leapfrog", "write")
 
 
 def _default_out() -> str:
@@ -78,6 +81,20 @@ def _write_json(path, data):
     Path(path).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
+def _write_csv(path, header: str, row_format: str, *columns) -> None:
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        _write_rows(fh, row_format, *columns)
+
+
+@contextmanager
+def _timed(stage_s: dict, name: str):
+    """Record the wall seconds of the block under stage_s[name]."""
+    start = time.perf_counter()
+    yield
+    stage_s[name] = time.perf_counter() - start
+
+
 def cmd_mesh(args) -> int:
     domain = build_domain()
     mesh, report = _get_mesh(args, domain)
@@ -98,16 +115,18 @@ def cmd_mesh(args) -> int:
     return EXIT_OK
 
 
-def _build_operators(args, domain):
-    mesh, mesh_report = _get_mesh(args, domain)
-    dof_map = build_dof_map(mesh)
-    ops = assemble(mesh, dof_map, quadrature_rule(args.degree))
+def _build_operators(args, domain, stage_s: dict):
+    with _timed(stage_s, "mesh"):
+        mesh, mesh_report = _get_mesh(args, domain)
+    with _timed(stage_s, "assemble"):
+        dof_map = build_dof_map(mesh)
+        ops = assemble(mesh, dof_map, quadrature_rule(args.degree))
     return mesh, mesh_report, dof_map, ops
 
 
 def cmd_assemble(args) -> int:
     domain = build_domain()
-    mesh, _, dof_map, ops = _build_operators(args, domain)
+    mesh, _, dof_map, ops = _build_operators(args, domain, {})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     info = {
@@ -133,26 +152,38 @@ def cmd_assemble(args) -> int:
 
 
 def _parse_points(text):
-    pts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            pts.append([float(v) for v in chunk.split(",")])
-    return np.array(pts)
+    """(k, 3) points from "x,y,z;x,y,z;..." with k >= 1, else ValueError."""
+    try:
+        pts = np.array([[float(v) for v in chunk.split(",")]
+                        for chunk in text.split(";") if chunk.strip()])
+    except ValueError:
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"--probes must be one or more x,y,z triples "
+                         f"separated by ';', got {text!r}")
+    return pts
 
 
 def cmd_run(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
-    domain = build_domain()
+    if args.snapshot_every < 0:
+        raise ValueError(f"--snapshot-every must be 0 (none) or positive, "
+                         f"got {args.snapshot_every}")
+    if args.window and not 0 <= args.window[0] <= args.window[1] <= args.steps:
+        raise ValueError(f"--window NI NF needs 0 <= NI <= NF <= --steps = {args.steps}, "
+                         f"got {args.window[0]} {args.window[1]}")
     points = _parse_points(args.probes)
+    domain = build_domain()
     if (np.einsum("ij,ij->i", points, points) >= 1.0).any() \
             or not domain.contains_many(points, tol=1e-9).all():
         raise NotInDomain(f"probe points {args.probes!r} are not all in the domain")
-    mesh, mesh_report, dof_map, ops = _build_operators(args, domain)
+    stage_s: dict = {}
+    mesh, mesh_report, dof_map, ops = _build_operators(args, domain, stage_s)
     precond = make_preconditioner(ops.mass)
 
-    lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave)
+    with _timed(stage_s, "spectral_bound"):
+        lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave)
     if args.dt == "auto":
         dt = 0.95 * dt_max
     else:
@@ -173,26 +204,27 @@ def cmd_run(args) -> int:
     probes = snap_probes(mesh, dof_map, points, (first, last), dt,
                          force_window=args.force_window)
 
-    result = leapfrog_run(ops.mass, ops.wave, u0, dt=dt, steps=args.steps,
-                          probes=probes, snapshot_every=args.snapshot_every,
-                          dt_max=dt_max, force=args.force,
-                          solve_tol=args.solve_tol, precond=precond)
+    with _timed(stage_s, "leapfrog"):
+        result = leapfrog_run(ops.mass, ops.wave, u0, dt=dt, steps=args.steps,
+                              probes=probes, snapshot_every=args.snapshot_every,
+                              dt_max=dt_max, force=args.force,
+                              solve_tol=args.solve_tol, precond=precond)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "energy.csv", "w") as fh:
-        fh.write("step,time,energy\n")
-        for k, e in enumerate(result.energy):
-            fh.write(f"{k},{k * dt:.17g},{e:.17g}\n")
-    with open(out / "probes.csv", "w") as fh:
-        names = ",".join(f"probe_{k}" for k in range(len(probes.dofs)))
-        fh.write(f"step,time,{names}\n")
-        for row, k in enumerate(range(first, first + len(result.probe_signals))):
-            vals = ",".join(f"{v:.17g}" for v in result.probe_signals[row])
-            fh.write(f"{k},{k * dt:.17g},{vals}\n")
-    for step, vec in result.snapshots:
-        write_vtk_mesh(out / f"snapshot_{step:06d}.vtk", mesh,
-                       {"u": vec[dof_map.node_to_dof]})
+    with _timed(stage_s, "write"):
+        energy_steps = np.arange(len(result.energy))
+        _write_csv(out / "energy.csv", "step,time,energy", "%d,%.17g,%.17g\n",
+                   energy_steps, energy_steps * dt, result.energy)
+        n_probes = len(probes.dofs)
+        probe_steps = np.arange(first, first + len(result.probe_signals))
+        _write_csv(out / "probes.csv",
+                   "step,time," + ",".join(f"probe_{k}" for k in range(n_probes)),
+                   "%d,%.17g" + ",%.17g" * n_probes + "\n",
+                   probe_steps, probe_steps * dt, result.probe_signals)
+        for step, vec in result.snapshots:
+            write_vtk_mesh(out / f"snapshot_{step:06d}.vtk", mesh,
+                           {"u": vec[dof_map.node_to_dof]})
     e0, e1, eT = result.energy[0], result.energy[1], result.energy[-1]
     drift = abs(eT - e1) / abs(e1) if e1 != 0 else None
     manifest = {
@@ -211,6 +243,7 @@ def cmd_run(args) -> int:
         "energy_drift": drift,
         "probe_nodes": [int(v) for v in probes.nodes],
         "window": [first, last],
+        "stage_s": stage_s,
     }
     _write_json(out / "manifest.json", manifest)
     print(f"dt = {dt:.6e} (dt_max {dt_max:.6e}, lambda_max {lam:.6e})")
@@ -221,14 +254,16 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _signal_row(header):
+    return [("step", np.int64), ("time", np.float64),
+            ("values", np.float64, (len(header) - 2,))]
+
+
 def _read_signals(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    steps = np.array([int(r[0]) for r in rows])
-    times = np.array([float(r[1]) for r in rows])
-    values = np.array([[float(v) for v in r[2:]] for r in rows])
-    return header[2:], steps, times, values
+    header, rows = _read_table(path, _signal_row, delimiter=",")
+    if rows is None:
+        raise ValueError(f"{path}: no header line")
+    return header[2:], rows["step"], rows["time"], rows["values"]
 
 
 def cmd_spectrum(args) -> int:
@@ -259,11 +294,9 @@ def cmd_spectrum(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     avg = report.spectrum
-    with open(out / "spectrum.csv", "w") as fh:
-        fh.write("bin,q,magnitude\n")
-        qs = avg.bin_to_q(np.arange(len(avg.magnitude)))
-        for j, (q, m) in enumerate(zip(qs, avg.magnitude)):
-            fh.write(f"{j},{q:.17g},{m:.17g}\n")
+    bins = np.arange(len(avg.magnitude))
+    _write_csv(out / "spectrum.csv", "bin,q,magnitude", "%d,%.17g,%.17g\n",
+               bins, avg.bin_to_q(bins), avg.magnitude)
     (out / "spectrum_report.json").write_text(report.to_json() + "\n")
     print(report.table())
     print(f"resolution dq = {report.resolution:.6f}, "
@@ -306,6 +339,10 @@ def cmd_report(args) -> int:
         drift = manifest.get("energy_drift")
         print("relative energy drift |E_T - E_1| / |E_1| = "
               + ("n/a" if drift is None else f"{drift:.3e}"))
+        stage_s = manifest.get("stage_s")
+        if stage_s:
+            print("stage wall times: " + ", ".join(
+                f"{name} {stage_s[name]:.3f} s" for name in RUN_STAGES if name in stage_s))
         rpath = run_dir / "spectrum_report.json"
         if rpath.exists():
             rep = json.loads(rpath.read_text())

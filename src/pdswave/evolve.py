@@ -172,18 +172,20 @@ class WaveState:
 
 @dataclass
 class ProbeSet:
-    nodes: np.ndarray        # mesh vertex of each probe (dof representative)
+    nodes: np.ndarray        # representative mesh vertex of each probe's dof
     dofs: np.ndarray
     window: tuple            # (first, last) recorded step, inclusive
 
 
 def snap_probes(mesh: TetMesh, dof_map: DofMap, points, window: tuple,
                 dt: float, force_window: bool = False) -> ProbeSet:
-    """Snap probe points to the nearest dof representative vertices."""
-    reps = mesh.vertices[dof_map.dof_to_node]
-    tree = cKDTree(reps)
-    _, dofs = tree.query(np.atleast_2d(np.asarray(points, dtype=float)))
-    dofs = np.atleast_1d(dofs).astype(np.int64)
+    """Snap each probe point to the dof of its nearest mesh vertex.
+
+    The nearest vertex may be a boundary node that is not its class's
+    representative; its dof is still the one it carries.
+    """
+    _, nodes = cKDTree(mesh.vertices).query(np.atleast_2d(np.asarray(points, dtype=float)))
+    dofs = dof_map.node_to_dof[np.atleast_1d(nodes)].astype(np.int64)
     first, last = window
     if first * dt < DOMAIN_DIAMETER and not force_window:
         warnings.warn(

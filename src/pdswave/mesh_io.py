@@ -9,6 +9,9 @@ degree-of-freedom map.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 
 from .domain import FundamentalDomain
@@ -16,20 +19,65 @@ from .errors import ParseError, PeriodicityViolation
 from .meshing import TetMesh, face_counts, orient_tets, periodic_pairs, validate_mesh
 
 
+# rows formatted per %-operation; bounds the Python scalars held at once
+_BLOCK_ROWS = 1 << 16
+_NODE_ROW = np.dtype([("id", np.int64), ("xyz", np.float64, (3,))])
+_ELE_ROW = np.dtype([("id", np.int64), ("nodes", np.int64, (4,))])
+
+
+def _write_rows(fh, row_format: str, *columns) -> None:
+    """Write `row_format % row` for every row of the columns side by side.
+
+    Each column is 1-D, or 2-D with one row per line.  A block of rows is
+    formatted by one %-operation over its cells as Python scalars, which
+    gives the same text as f-string formatting of each value.
+    """
+    cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    for start in range(0, len(cols[0]), _BLOCK_ROWS):
+        cells = np.hstack([c[start:start + _BLOCK_ROWS].astype(object) for c in cols])
+        fh.write((row_format * len(cells)) % tuple(cells.ravel().tolist()))
+
+
+def _read_table(path, row_dtype, delimiter=None) -> tuple[list, np.ndarray | None]:
+    """Header fields and data rows of a text table.
+
+    The first line with anything besides a `#` comment is the header; every
+    later non-blank line is a row, parsed by `np.loadtxt` into the structured
+    `row_dtype` (or into `row_dtype(header)` if it is callable).  Only the
+    leading columns the dtype holds are read, so rows may carry more; a
+    shorter row, or a cell that does not parse as its field's type, raises
+    ValueError.  A file with no header gives ([], None).
+    """
+    with open(path) as fh:
+        for line in fh:
+            body = line.split("#", 1)[0].strip()
+            if body:
+                header = body.split(delimiter)
+                break
+        else:
+            return [], None
+        dtype = np.dtype(row_dtype(header) if callable(row_dtype) else row_dtype)
+        width = sum(math.prod(dtype[name].shape) for name in dtype.names)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments="#",
+                              usecols=range(width), ndmin=1)
+    return header, rows
+
+
 def write_node_file(path, vertices: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write(f"# {len(vertices)} vertices, written by pdswave\n")
         fh.write(f"{len(vertices)} 3 0 0\n")
-        for i, (x, y, z) in enumerate(vertices, start=1):
-            fh.write(f"{i} {x:.17g} {y:.17g} {z:.17g}\n")
+        _write_rows(fh, "%d %.17g %.17g %.17g\n",
+                    np.arange(1, len(vertices) + 1), vertices)
 
 
 def write_ele_file(path, tets: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write(f"# {len(tets)} tetrahedra, written by pdswave\n")
         fh.write(f"{len(tets)} 4 0\n")
-        for i, (a, b, c, d) in enumerate(tets + 1, start=1):
-            fh.write(f"{i} {a} {b} {c} {d}\n")
+        _write_rows(fh, "%d %d %d %d %d\n", np.arange(1, len(tets) + 1), tets + 1)
 
 
 def export_mesh(mesh: TetMesh, node_path, ele_path) -> None:
@@ -37,60 +85,41 @@ def export_mesh(mesh: TetMesh, node_path, ele_path) -> None:
     write_ele_file(ele_path, mesh.tets)
 
 
-def _data_lines(path):
+def _read_mesh_table(path, row_dtype, what: str, per: int):
+    """Rows of a .node (per = 3) or .ele (per = 4) file, checked against its header."""
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
+        header, rows = _read_table(path, row_dtype)
     except OSError as exc:
         raise ParseError(str(exc)) from exc
-    out = []
-    for line in lines:
-        body = line.split("#", 1)[0].strip()
-        if body:
-            out.append(body.split())
-    return out
+    except ValueError as exc:
+        raise ParseError(f"{path}: malformed {what} line: {exc}") from exc
+    if not header:
+        raise ParseError(f"{path}: empty {what} file")
+    try:
+        count, width = int(header[0]), int(header[1])
+    except (ValueError, IndexError) as exc:
+        raise ParseError(f"{path}: malformed header {header}") from exc
+    if width != per:
+        raise ParseError(f"{path}: {width} values per {what}, expected {per}")
+    if len(rows) != count:
+        raise ParseError(f"{path}: header says {count} {what}s, file has {len(rows)}")
+    if count == 0:
+        raise ParseError(f"{path}: no {what}s")
+    return rows
 
 
 def read_node_file(path) -> np.ndarray:
-    rows = _data_lines(path)
-    if not rows:
-        raise ParseError(f"{path}: empty node file")
-    try:
-        count, dim = int(rows[0][0]), int(rows[0][1])
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed header {rows[0]}") from exc
-    if dim != 3:
-        raise ParseError(f"{path}: dimension {dim} != 3")
-    if len(rows) - 1 != count:
-        raise ParseError(f"{path}: header says {count} nodes, file has {len(rows) - 1}")
-    try:
-        idx = np.array([int(r[0]) for r in rows[1:]])
-        pts = np.array([[float(r[1]), float(r[2]), float(r[3])] for r in rows[1:]])
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed node line") from exc
+    rows = _read_mesh_table(path, _NODE_ROW, "node", 3)
+    idx = rows["id"]
     base = idx.min()
-    if base not in (0, 1) or not np.array_equal(np.sort(idx), np.arange(base, base + count)):
+    if base not in (0, 1) or not np.array_equal(np.sort(idx), np.arange(base, base + len(idx))):
         raise ParseError(f"{path}: node indices are not consecutive from 0 or 1")
-    return pts[np.argsort(idx)]
+    return rows["xyz"][np.argsort(idx)]
 
 
 def read_ele_file(path, node_count: int) -> np.ndarray:
-    rows = _data_lines(path)
-    if not rows:
-        raise ParseError(f"{path}: empty ele file")
-    try:
-        count, per = int(rows[0][0]), int(rows[0][1])
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed header {rows[0]}") from exc
-    if per != 4:
-        raise ParseError(f"{path}: {per} nodes per tet, expected 4")
-    if len(rows) - 1 != count:
-        raise ParseError(f"{path}: header says {count} tets, file has {len(rows) - 1}")
-    try:
-        body = np.array([[int(v) for v in r[:5]] for r in rows[1:]])
-    except ValueError as exc:
-        raise ParseError(f"{path}: malformed element line") from exc
-    tets = body[np.argsort(body[:, 0]), 1:]
+    rows = _read_mesh_table(path, _ELE_ROW, "tet", 4)
+    tets = rows["nodes"][np.argsort(rows["id"])]
     base = tets.min()
     if base not in (0, 1):
         raise ParseError(f"{path}: vertex indices start at {base}")
@@ -148,16 +177,14 @@ def write_vtk_mesh(path, mesh: TetMesh, point_data: dict | None = None) -> None:
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(mesh.vertices)} double\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        _write_rows(fh, "%.17g %.17g %.17g\n", mesh.vertices)
         fh.write(f"CELLS {len(mesh.tets)} {5 * len(mesh.tets)}\n")
-        for t in mesh.tets:
-            fh.write(f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n")
+        _write_rows(fh, "4 %d %d %d %d\n", mesh.tets)
         fh.write(f"CELL_TYPES {len(mesh.tets)}\n")
-        fh.write("\n".join(["10"] * len(mesh.tets)) + "\n")
+        fh.write("10\n" * len(mesh.tets))
         if point_data:
             fh.write(f"POINT_DATA {len(mesh.vertices)}\n")
             for name, values in point_data.items():
                 fh.write(f"SCALARS {name} double 1\n")
                 fh.write("LOOKUP_TABLE default\n")
-                fh.write("\n".join(f"{v:.17g}" for v in values) + "\n")
+                _write_rows(fh, "%.17g\n", values)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pdswave.cli import main
+import pdswave.cli as cli
+from pdswave.cli import RUN_STAGES, _read_signals, _write_csv, main
 from pdswave.mesh_io import write_ele_file, write_node_file
 from pdswave.meshing import generate_mesh
 
@@ -105,8 +106,59 @@ def test_report_run_dir(run_dir, capsys):
     assert main(["report", "--run-dir", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "400 steps" in out
-    drift = json.loads((run_dir / "manifest.json").read_text())["energy_drift"]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    drift = manifest["energy_drift"]
     assert f"energy drift |E_T - E_1| / |E_1| = {drift:.3e}" in out
+    stage_s = manifest["stage_s"]
+    assert sorted(stage_s) == sorted(RUN_STAGES)
+    assert all(t >= 0 for t in stage_s.values())
+    assert "stage wall times: " + ", ".join(
+        f"{name} {stage_s[name]:.3f} s" for name in RUN_STAGES) in out
+
+
+def test_csv_writer_matches_reference(tmp_path):
+    values = np.array([-0.0, 1e-300, 1e300, -1e300, 5e-324, 0.1, 1 / 3, -7.0])
+    signals = np.column_stack([values, values[::-1], -values])
+    dt = 0.1
+    _write_csv(tmp_path / "e.csv", "step,time,energy", "%d,%.17g,%.17g\n",
+               np.arange(8), np.arange(8) * dt, values)
+    ref = "step,time,energy\n" + "".join(
+        f"{k},{k * dt:.17g},{e:.17g}\n" for k, e in enumerate(values))
+    assert (tmp_path / "e.csv").read_text() == ref
+    first = 120
+    _write_csv(tmp_path / "p.csv", "step,time,probe_0,probe_1,probe_2",
+               "%d,%.17g,%.17g,%.17g,%.17g\n",
+               np.arange(first, first + 8), np.arange(first, first + 8) * dt, signals)
+    ref = "step,time,probe_0,probe_1,probe_2\n" + "".join(
+        f"{k},{k * dt:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n"
+        for k, row in zip(range(first, first + 8), signals))
+    assert (tmp_path / "p.csv").read_text() == ref
+    names, steps, times, back = _read_signals(tmp_path / "p.csv")
+    assert names == ["probe_0", "probe_1", "probe_2"]
+    assert steps.dtype == np.int64 and np.array_equal(steps, np.arange(first, first + 8))
+    assert times.tobytes() == (np.arange(first, first + 8) * dt).tobytes()
+    assert back.tobytes() == signals.tobytes()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--window", "60", "80"], "--window"),       # window past --steps
+    (["--window", "30", "10"], "--window"),       # NI > NF
+    (["--window", "-1", "10"], "--window"),
+    (["--snapshot-every", "-5"], "--snapshot-every"),
+    (["--probes", ""], "--probes"),
+    (["--probes", "0,0"], "--probes"),
+    (["--probes", "0,0,0;0.1,0"], "--probes"),
+    (["--probes", "a,b,c"], "--probes"),
+])
+def test_run_flags_checked_before_setup(tmp_path, monkeypatch, capsys, flags, named):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("setup ran before the flags were checked")
+    monkeypatch.setattr(cli, "generate_mesh", no_setup)
+    code = main(["run", "--n", "1", "--layers", "1", "--steps", "50",
+                 "--out", str(tmp_path / "r")] + flags)
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_usage_error_exit_code():

@@ -222,6 +222,17 @@ class TestProbes:
         assert ps.dofs[0] == 7
         assert ps.nodes[0] == dof_map.dof_to_node[7]
 
+    def test_boundary_nodes_snap_to_their_own_dof(self, small_system):
+        # a probe exactly on a boundary node that is not its class's
+        # representative must read that class's dof, not a nearer representative
+        mesh, dof_map, _, _ = small_system
+        nodes = np.flatnonzero(dof_map.dof_to_node[dof_map.node_to_dof]
+                               != np.arange(len(mesh.vertices)))
+        assert len(nodes) == 71
+        ps = snap_probes(mesh, dof_map, mesh.vertices[nodes], (1000, 2000), dt=1e-3)
+        assert np.array_equal(ps.dofs, dof_map.node_to_dof[nodes])
+        assert np.array_equal(ps.nodes, dof_map.dof_to_node[ps.dofs])
+
     def test_early_window_warns(self, small_system):
         mesh, dof_map, _, _ = small_system
         with pytest.warns(UserWarning):
@@ -242,6 +253,38 @@ class TestProbes:
         res = leapfrog_run(ops.mass, ops.wave, u0, dt=0.5 * dt_max, steps=40,
                            probes=probes, dt_max=dt_max)
         assert res.probe_signals.shape == (21, 1)
+
+
+class TestSolveCounting:
+    """Solves are made through `evolve.pcg_solve`, looked up at call time,
+    and fill `info["iterations"]`: the benchmark counts them that way."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        import pdswave.evolve as evolve
+        counts = []
+        raw = evolve.pcg_solve
+
+        def counting(mass, b, *args, info=None, **kwargs):
+            own = {} if info is None else info
+            x = raw(mass, b, *args, info=own, **kwargs)
+            counts.append(own["iterations"])
+            return x
+        monkeypatch.setattr(evolve, "pcg_solve", counting)
+        return counts
+
+    def test_leapfrog_makes_one_solve_per_step_plus_start(self, small_system, solves):
+        _, dof_map, ops, dt_max = small_system
+        u0 = initial_random(4, 1.0, dof_map.n_dofs)
+        res = leapfrog_run(ops.mass, ops.wave, u0, dt=0.5 * dt_max, steps=7,
+                           dt_max=dt_max)
+        assert len(solves) == 7 + 1
+        assert sum(solves) == res.solve_iterations > 0
+
+    def test_spectral_bound_solves_are_counted(self, small_system, solves):
+        _, _, ops, _ = small_system
+        estimate_spectral_bound(ops.mass, ops.wave)
+        assert len(solves) >= 2
 
 
 def the_domain_of(mesh):

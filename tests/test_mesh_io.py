@@ -1,3 +1,4 @@
+import io
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -5,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pdswave.assembly import build_dof_map
 from pdswave.cli import main
 from pdswave.errors import ParseError, PeriodicityViolation
-from pdswave.mesh_io import (export_mesh, import_mesh, read_ele_file, read_node_file,
-                             write_ele_file, write_node_file, write_vtk_mesh)
-from pdswave.meshing import generate_mesh, validate_mesh
+from pdswave.mesh_io import (_write_rows, export_mesh, import_mesh, read_ele_file,
+                             read_node_file, write_ele_file, write_node_file,
+                             write_vtk_mesh)
+from pdswave.meshing import TetMesh, generate_mesh, validate_mesh
 
 
 def test_round_trip_exact(the_domain, mesh22, tmp_path):
@@ -151,3 +154,130 @@ def test_vtk_writer_structure(mesh22, tmp_path):
     assert lines[idx + 1].startswith("4 ")
     assert f"POINT_DATA {len(mesh22.vertices)}" in lines
     assert "SCALARS u double 1" in lines
+
+
+# -- bulk writers against per-value f-string references -----------------------------
+
+EXTREMES = [-0.0, 1e-300, 1e300, -1e300, 5e-324, 0.1, -2.5, 1 / 3, 123456789.0]
+
+
+def _ref_node(vertices):
+    out = f"# {len(vertices)} vertices, written by pdswave\n{len(vertices)} 3 0 0\n"
+    for i, (x, y, z) in enumerate(vertices, start=1):
+        out += f"{i} {x:.17g} {y:.17g} {z:.17g}\n"
+    return out
+
+
+def _ref_ele(tets):
+    out = f"# {len(tets)} tetrahedra, written by pdswave\n{len(tets)} 4 0\n"
+    for i, (a, b, c, d) in enumerate(tets + 1, start=1):
+        out += f"{i} {a} {b} {c} {d}\n"
+    return out
+
+
+def _ref_vtk(vertices, tets, values):
+    out = ("# vtk DataFile Version 2.0\npdswave mesh\nASCII\n"
+           f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(vertices)} double\n")
+    for x, y, z in vertices:
+        out += f"{x:.17g} {y:.17g} {z:.17g}\n"
+    out += f"CELLS {len(tets)} {5 * len(tets)}\n"
+    for t in tets:
+        out += f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n"
+    out += f"CELL_TYPES {len(tets)}\n" + "\n".join(["10"] * len(tets)) + "\n"
+    out += f"POINT_DATA {len(vertices)}\nSCALARS u double 1\nLOOKUP_TABLE default\n"
+    return out + "\n".join(f"{v:.17g}" for v in values) + "\n"
+
+
+@pytest.fixture
+def odd_values(mesh22):
+    rng = np.random.default_rng(0)
+    v = mesh22.vertices * rng.uniform(0.5, 1.5, mesh22.vertices.shape)
+    v.flat[:len(EXTREMES)] = EXTREMES
+    u = rng.standard_normal(len(v)) * 10.0 ** rng.integers(-300, 300, len(v))
+    u[:len(EXTREMES)] = EXTREMES
+    return v, u
+
+
+def test_node_and_ele_writers_match_reference(mesh22, odd_values, tmp_path):
+    vertices, _ = odd_values
+    write_node_file(tmp_path / "m.node", vertices)
+    write_ele_file(tmp_path / "m.ele", mesh22.tets)
+    assert (tmp_path / "m.node").read_text() == _ref_node(vertices)
+    assert (tmp_path / "m.ele").read_text() == _ref_ele(mesh22.tets)
+    assert (tmp_path / "m.ele").read_text().splitlines()[2].startswith("1 ")
+
+
+def test_vtk_writer_matches_reference(mesh22, odd_values, tmp_path):
+    vertices, u = odd_values
+    mesh = TetMesh(vertices=vertices, tets=mesh22.tets,
+                   boundary_tris=mesh22.boundary_tris,
+                   boundary_faces=mesh22.boundary_faces, periodic=mesh22.periodic)
+    write_vtk_mesh(tmp_path / "m.vtk", mesh, {"u": u})
+    assert (tmp_path / "m.vtk").read_text() == _ref_vtk(vertices, mesh22.tets, u)
+
+
+def test_rows_written_in_blocks(monkeypatch):
+    import pdswave.mesh_io as mesh_io
+    monkeypatch.setattr(mesh_io, "_BLOCK_ROWS", 3)
+    ids, vals = np.arange(10), np.linspace(-1.0, 1.0, 20).reshape(10, 2)
+    fh = io.StringIO()
+    _write_rows(fh, "%d:%.17g,%.17g\n", ids, vals)
+    assert fh.getvalue() == "".join(f"{i}:{a:.17g},{b:.17g}\n" for i, (a, b) in zip(ids, vals))
+
+
+# -- readers ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(vertices=hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)),
+                           elements=st.floats(allow_nan=False)),
+       data=st.data())
+def test_write_read_round_trip(vertices, data):
+    n = len(vertices)
+    tets = data.draw(hnp.arrays(np.int64, st.tuples(st.integers(1, 30), st.just(4)),
+                                elements=st.integers(0, n - 1)))
+    tets[0, 0] = 0                     # the base is read off the smallest index
+    with tempfile.TemporaryDirectory() as d:
+        write_node_file(Path(d) / "r.node", vertices)
+        write_ele_file(Path(d) / "r.ele", tets)
+        back_v = read_node_file(Path(d) / "r.node")
+        back_t = read_ele_file(Path(d) / "r.ele", n)
+    assert back_v.dtype == np.float64 and back_v.tobytes() == vertices.tobytes()
+    assert back_t.dtype == np.int64 and np.array_equal(back_t, tets)
+
+
+@pytest.mark.parametrize("row", [
+    "2 0.1 0",                           # short row
+    "2.0 0.1 0 0",                       # non-integer id
+    "x 0.1 0 0",
+    "2 0.1 zero 0",                      # non-numeric coordinate
+])
+def test_malformed_node_row_rejected(tmp_path, row):
+    path = tmp_path / "bad.node"
+    path.write_text(f"2 3 0 0\n1 0 0 0\n{row}\n")
+    with pytest.raises(ParseError, match="malformed node line"):
+        read_node_file(path)
+
+
+@pytest.mark.parametrize("row", [
+    "2 1 2 3",                           # short row
+    "2.5 1 2 3 4",                       # non-integer id
+    "2 1 2 3 four",                      # non-integer vertex
+    "2 1 2 3 4.0",
+])
+def test_malformed_ele_row_rejected(tmp_path, row):
+    path = tmp_path / "bad.ele"
+    path.write_text(f"2 4 0\n1 1 2 3 4\n{row}\n")
+    with pytest.raises(ParseError, match="malformed tet line"):
+        read_ele_file(path, node_count=4)
+
+
+def test_extra_attribute_columns_accepted(tmp_path):
+    (tmp_path / "a.node").write_text("2 3 1 1\n1 0 0 0 7.5 1\n2 0.1 0.2 0.3 -1 0 # c\n")
+    (tmp_path / "a.ele").write_text("1 4 1\n1 1 2 2 1 42\n")
+    assert np.array_equal(read_node_file(tmp_path / "a.node"), [[0, 0, 0], [0.1, 0.2, 0.3]])
+    assert np.array_equal(read_ele_file(tmp_path / "a.ele", 2), [[0, 1, 1, 0]])
+
+
+def test_missing_file_is_parse_error(tmp_path):
+    with pytest.raises(ParseError):
+        read_node_file(tmp_path / "none.node")
