@@ -17,6 +17,7 @@ The stored object is the lower triangle in compressed sparse rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -193,29 +194,42 @@ def assemble(mesh: TetMesh, dof_map: DofMap,
 
 def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
                             tol: float = 1e-4, max_iter: int = 10000,
-                            seed: int = 0) -> tuple[float, float]:
+                            seed: int = 0, info: dict | None = None) -> tuple[float, float]:
     """Largest generalized eigenvalue of (wave, mass) by power iteration.
 
     Returns (lambda_max, dt_max) with dt_max = 2 / sqrt(lambda_max), the
-    stability limit of the explicit scheme.
+    stability limit of the explicit scheme.  The iteration stops once the
+    Rayleigh quotient changes by at most `tol` relative; each step's mass
+    solve runs to `tol / 100`, warm-started from the previous solution.  If
+    `info` is a dict it receives the number of power iterations under
+    "iterations" and the final relative change of lambda under
+    "relative_change".
     """
     from .evolve import make_preconditioner, pcg_solve
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(mass.n)
     x /= np.linalg.norm(x)
+    mx = mass @ x
     precond = make_preconditioner(mass)
+    solve_info: dict = {}
     lam = 0.0
-    y = None
-    for _ in range(max_iter):
+    y = my = None
+    for k in range(1, max_iter + 1):
         ax = wave @ x
-        y = pcg_solve(mass, ax, precond, tol=1e-10, x0=y)
-        lam_new = float(x @ ax) / float(x @ (mass @ x))
-        x = y / np.linalg.norm(y)
-        if lam_new > 0 and abs(lam_new - lam) <= tol * lam_new:
-            lam = lam_new
-            break
+        y = pcg_solve(mass, ax, precond, tol=tol / 100, x0=y, info=solve_info,
+                      mass_x0=my)
+        my = solve_info["mass_x"]
+        lam_new = float(x @ ax) / float(x @ mx)
+        y_norm = np.linalg.norm(y)
+        x, mx = y / y_norm, my / y_norm
+        change = abs(lam_new - lam) / lam_new if lam_new else math.inf
         lam = lam_new
+        if lam > 0 and change <= tol:
+            break
     else:
         raise NoConvergence(f"power iteration did not settle in {max_iter} iterations")
+    if info is not None:
+        info["iterations"] = k
+        info["relative_change"] = change
     return lam, 2.0 / np.sqrt(lam)

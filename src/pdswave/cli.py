@@ -182,8 +182,9 @@ def cmd_run(args) -> int:
     mesh, mesh_report, dof_map, ops = _build_operators(args, domain, stage_s)
     precond = make_preconditioner(ops.mass)
 
+    power: dict = {}
     with _timed(stage_s, "spectral_bound"):
-        lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave)
+        lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave, info=power)
     if args.dt == "auto":
         dt = 0.95 * dt_max
     else:
@@ -200,6 +201,10 @@ def cmd_run(args) -> int:
                    "amplitude": args.amplitude}
 
     first = args.window[0] if args.window else math.ceil(DOMAIN_DIAMETER / dt)
+    if first > args.steps:
+        raise ValueError(f"--steps {args.steps} ends before the first recorded step "
+                         f"{first} (one domain crossing at dt = {dt:.6e}); raise "
+                         "--steps or pass --window")
     last = args.window[1] if args.window else args.steps
     probes = snap_probes(mesh, dof_map, points, (first, last), dt,
                          force_window=args.force_window)
@@ -227,6 +232,7 @@ def cmd_run(args) -> int:
                            {"u": vec[dof_map.node_to_dof]})
     e0, e1, eT = result.energy[0], result.energy[1], result.energy[-1]
     drift = abs(eT - e1) / abs(e1) if e1 != 0 else None
+    per_step = result.solve_iterations[-args.steps:]
     manifest = {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -239,7 +245,11 @@ def cmd_run(args) -> int:
         "initial": initial,
         "solve_tol": args.solve_tol,
         "preconditioner": precond.kind,
-        "pcg_iterations": result.solve_iterations,
+        "pcg_iterations": int(result.solve_iterations.sum()),
+        "pcg_per_step": {"min": int(per_step.min()), "mean": float(per_step.mean()),
+                         "max": int(per_step.max())},
+        "power_iterations": power["iterations"],
+        "power_relative_change": power["relative_change"],
         "energy_drift": drift,
         "probe_nodes": [int(v) for v in probes.nodes],
         "window": [first, last],
@@ -339,6 +349,14 @@ def cmd_report(args) -> int:
         drift = manifest.get("energy_drift")
         print("relative energy drift |E_T - E_1| / |E_1| = "
               + ("n/a" if drift is None else f"{drift:.3e}"))
+        per_step = manifest.get("pcg_per_step")
+        if per_step:
+            print(f"PCG iterations per step: min {per_step['min']}, "
+                  f"mean {per_step['mean']:.2f}, max {per_step['max']} "
+                  f"({manifest['pcg_iterations']} in all)")
+        if "power_iterations" in manifest:
+            print(f"spectral bound: {manifest['power_iterations']} power iterations, "
+                  f"final relative change {manifest['power_relative_change']:.3e}")
         stage_s = manifest.get("stage_s")
         if stage_s:
             print("stage wall times: " + ", ".join(

@@ -12,6 +12,12 @@ conserves the discrete energy
 exactly in exact arithmetic; the only drift comes from the inexact mass
 solves, so the solver tolerance is kept tight and solves are warm-started
 from a linear predictor.
+
+Each step makes one product with `wave` and (iterations + 1) products with
+`mass`: one per PCG iteration plus the solver's final true-residual check,
+whose product `mass @ U^{n+1}` is the next step's mass level.  The
+predictor's product `mass (2 U^n - U^{n-1})` is formed from the two mass
+levels already held, not by a fresh product.
 """
 
 from __future__ import annotations
@@ -72,14 +78,15 @@ def initial_random(seed: int, amplitude: float, n_dofs: int) -> np.ndarray:
 # -- preconditioners ------------------------------------------------------------
 
 class Preconditioner:
-    """Application of an SPD approximation of the mass inverse."""
+    """Jacobi preconditioner: multiplication by the inverse mass diagonal."""
 
-    def __init__(self, kind: str, apply_fn):
-        self.kind = kind
-        self._apply = apply_fn
+    kind = "jacobi"
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self._apply(r)
+    def __init__(self, inv_diag: np.ndarray):
+        self.inv_diag = inv_diag
+
+    def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(self.inv_diag, r, out=out)
 
 
 def make_preconditioner(mass: SparseSymMatrix, kind: str = "jacobi") -> Preconditioner:
@@ -94,8 +101,7 @@ def make_preconditioner(mass: SparseSymMatrix, kind: str = "jacobi") -> Precondi
                       DeprecationWarning, stacklevel=2)
     elif kind != "jacobi":
         raise ValueError(f"unknown preconditioner kind {kind!r}")
-    inv_diag = 1.0 / mass.diagonal()
-    return Preconditioner("jacobi", lambda r: inv_diag * r)
+    return Preconditioner(1.0 / mass.diagonal())
 
 
 # -- linear solver ---------------------------------------------------------------
@@ -103,12 +109,17 @@ def make_preconditioner(mass: SparseSymMatrix, kind: str = "jacobi") -> Precondi
 def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
               precond: Preconditioner | None = None, tol: float = 1e-12,
               max_iter: int | None = None, x0: np.ndarray | None = None,
-              info: dict | None = None) -> np.ndarray:
+              info: dict | None = None,
+              mass_x0: np.ndarray | None = None) -> np.ndarray:
     """Preconditioned conjugate gradients to relative residual tol.
 
-    If `info` is a dict it receives the iteration count under "iterations".
-    A right-hand side that is not finite, or a search direction along which
-    the operator is not positive (breakdown), raises NoConvergence at once.
+    `mass_x0` is `mass @ x0` when the caller already holds it; without it
+    the start costs one product (none for a cold start, x0 = None).  If
+    `info` is a dict it receives the iteration count under "iterations" and
+    `mass @ x` under "mass_x", the product of the final residual check
+    (`mass_x0` on an immediate return, zeros for b = 0).  A right-hand side
+    that is not finite, or a search direction along which the operator is
+    not positive (breakdown), raises NoConvergence at once.
     """
     n = len(b)
     if max_iter is None:
@@ -118,19 +129,27 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
     b_norm = float(np.linalg.norm(b))
     if not math.isfinite(b_norm):
         raise NoConvergence(f"pcg: right-hand side norm is {b_norm}")
-    if b_norm == 0.0:
+
+    def done(x, mass_x, iterations):
         if info is not None:
-            info["iterations"] = 0
-        return np.zeros(n)
-    x = np.zeros(n) if x0 is None else x0.astype(float).copy()
-    r = b - (mass @ x)
+            info["iterations"] = iterations
+            info["mass_x"] = mass_x
+        return x
+
+    if b_norm == 0.0:
+        return done(np.zeros(n), np.zeros(n), 0)
+    if x0 is None:
+        x, mass_x = np.zeros(n), np.zeros(n)
+    else:
+        x = np.array(x0, dtype=float)
+        mass_x = mass @ x if mass_x0 is None else mass_x0
+    r = b - mass_x
     target = tol * b_norm
     if np.linalg.norm(r) <= target:
-        if info is not None:
-            info["iterations"] = 0
-        return x
+        return done(x, mass_x, 0)
     z = precond.apply(r)
     p = z.copy()
+    step = np.empty(n)
     rz = float(r @ z)
     for it in range(max_iter):
         ap = mass @ p
@@ -138,22 +157,22 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
         if not 0.0 < pap < math.inf:
             raise NoConvergence(f"pcg: breakdown, p.Ap = {pap:.3e} at iteration {it + 1}")
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         if np.linalg.norm(r) <= target:
-            true_r = b - (mass @ x)
-            if np.linalg.norm(true_r) <= 2 * target:
-                if info is not None:
-                    info["iterations"] = it + 1
-                return x
-            r = true_r          # drift safeguard: restart from the true residual
-            z = precond.apply(r)
-            p = z.copy()
+            mass_x = mass @ x
+            np.subtract(b, mass_x, out=r)
+            if np.linalg.norm(r) <= 2 * target:
+                return done(x, mass_x, it + 1)
+            # drift safeguard: restart from the true residual
+            precond.apply(r, out=z)
+            p[:] = z
             rz = float(r @ z)
             continue
-        z = precond.apply(r)
+        precond.apply(r, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise NoConvergence(
         f"pcg: residual {np.linalg.norm(b - (mass @ x)) / b_norm:.3e} "
@@ -206,8 +225,10 @@ class LeapfrogResult:
     state: WaveState
     energy: np.ndarray                   # energy at steps 0..n (0 = initial pair)
     probe_signals: np.ndarray | None     # (samples, n_probes)
+    # PCG iterations of each solve: the start solve first (none when the run
+    # restarts from a level pair), then one solve per step
+    solve_iterations: np.ndarray
     snapshots: list = field(repr=False, default_factory=list)
-    solve_iterations: int = 0           # PCG iterations of the run, start solve included
 
 
 def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
@@ -236,7 +257,7 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     if precond is None:
         precond = make_preconditioner(mass)
     info: dict = {}
-    iterations = 0
+    iterations = []
 
     u_cur = np.asarray(u0, dtype=float).copy()
     if u_prev is not None:
@@ -246,7 +267,7 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     else:
         a0 = wave @ u_cur
         z = pcg_solve(mass, a0, precond, tol=solve_tol, info=info)
-        iterations += info["iterations"]
+        iterations.append(info["iterations"])
         u_prev = u_cur - 0.5 * dt * dt * z
         if v0 is not None:
             u_prev -= dt * np.asarray(v0, dtype=float)
@@ -275,11 +296,13 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     dt2 = dt * dt
     for n in range(1, steps + 1):
         a_cur = wave @ u_cur
-        rhs = 2.0 * m_cur - m_prev - dt2 * a_cur
+        m_pred = 2.0 * m_cur - m_prev              # mass @ the predictor x0
+        rhs = m_pred - dt2 * a_cur
         x0 = 2.0 * u_cur - u_prev
-        u_new = pcg_solve(mass, rhs, precond, tol=solve_tol, x0=x0, info=info)
-        iterations += info["iterations"]
-        m_new = mass @ u_new
+        u_new = pcg_solve(mass, rhs, precond, tol=solve_tol, x0=x0, info=info,
+                          mass_x0=m_pred)
+        iterations.append(info["iterations"])
+        m_new = info["mass_x"]
         e = float((m_new - m_cur) @ (u_new - u_cur)) / dt2 + float(a_cur @ u_new)
         energy[n] = e
         if not math.isfinite(e):
@@ -303,4 +326,5 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     return LeapfrogResult(state=WaveState(u_cur=u_cur, u_prev=u_prev,
                                           step=steps, dt=dt),
                           energy=energy, probe_signals=signals,
-                          snapshots=snapshots, solve_iterations=iterations)
+                          snapshots=snapshots,
+                          solve_iterations=np.array(iterations, dtype=np.int64))

@@ -170,6 +170,7 @@ def test_criterion_6_conservation(the_domain, system4):
                     f"drift {drift:.2e}, {time.time() - t0:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_eigenvalues(the_domain, system8):
     t0 = time.time()
     mesh, dof_map, ops = system8

@@ -204,6 +204,19 @@ class TestSpectralBound:
             lams.append(lam)
         assert 3.0 <= lams[1] / lams[0] <= 5.0
 
+    def test_inner_solves_run_to_a_hundredth_of_tol(self, ops11, monkeypatch):
+        import pdswave.evolve as evolve
+        _, ops = ops11
+        raw, tols = evolve.pcg_solve, []
+
+        def recording(mass, b, *args, tol, **kwargs):
+            tols.append(tol)
+            return raw(mass, b, *args, tol=tol, **kwargs)
+        monkeypatch.setattr(evolve, "pcg_solve", recording)
+        info = {}
+        estimate_spectral_bound(ops.mass, ops.wave, tol=1e-3, info=info)
+        assert len(tols) == info["iterations"] and set(tols) == {1e-5}
+
     def test_dt_max_relation(self, ops11):
         _, ops = ops11
         lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave)

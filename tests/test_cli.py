@@ -114,6 +114,22 @@ def test_report_run_dir(run_dir, capsys):
     assert all(t >= 0 for t in stage_s.values())
     assert "stage wall times: " + ", ".join(
         f"{name} {stage_s[name]:.3f} s" for name in RUN_STAGES) in out
+    per_step = manifest["pcg_per_step"]
+    assert (f"PCG iterations per step: min {per_step['min']}, mean "
+            f"{per_step['mean']:.2f}, max {per_step['max']} "
+            f"({manifest['pcg_iterations']} in all)") in out
+    assert (f"spectral bound: {manifest['power_iterations']} power iterations, final "
+            f"relative change {manifest['power_relative_change']:.3e}") in out
+
+
+def test_manifest_run_facts(run_dir):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    per_step = manifest["pcg_per_step"]
+    assert 0 < per_step["min"] <= per_step["mean"] <= per_step["max"]
+    # the start solve plus 400 step solves
+    assert manifest["pcg_iterations"] > 400 * per_step["min"]
+    assert manifest["power_iterations"] > 1
+    assert 0 <= manifest["power_relative_change"] <= 1e-4
 
 
 def test_csv_writer_matches_reference(tmp_path):
@@ -207,6 +223,16 @@ def test_nonpositive_dt_is_usage_error(tmp_path):
     code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
                  "--dt", "0", "--out", str(tmp_path / "r")])
     assert code == 1
+
+
+def test_derived_window_past_steps_is_usage_error(tmp_path, capsys):
+    # at n = L = 1 one domain crossing takes 14 steps of 0.95 dt_max
+    code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
+                 "--out", str(tmp_path / "r")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--steps 10" in err and "first recorded step 14" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_zero_steps_is_usage_error(tmp_path):

@@ -116,6 +116,48 @@ class TestPcg:
             pcg_solve(ops.mass, b)
 
 
+    def test_mass_x_is_the_product_of_the_solution(self, small_system):
+        _, dof_map, ops, _ = small_system
+        b = ops.mass @ np.random.default_rng(5).standard_normal(dof_map.n_dofs)
+        info = {}
+        x = pcg_solve(ops.mass, b, info=info)
+        assert info["iterations"] > 0
+        assert info["mass_x"].tobytes() == (ops.mass @ x).tobytes()
+
+    def test_mass_x_on_immediate_return(self, small_system):
+        _, dof_map, ops, _ = small_system
+        x0 = np.random.default_rng(6).standard_normal(dof_map.n_dofs)
+        info = {}
+        x = pcg_solve(ops.mass, ops.mass @ x0, x0=x0, info=info)
+        assert info["iterations"] == 0 and np.array_equal(x, x0)
+        assert info["mass_x"].tobytes() == (ops.mass @ x).tobytes()
+        # a product the caller holds is taken as given
+        info = {}
+        pcg_solve(ops.mass, ops.mass @ x0, x0=x0, info=info, mass_x0=ops.mass @ x0)
+        assert info["iterations"] == 0
+        assert info["mass_x"].tobytes() == (ops.mass @ x0).tobytes()
+
+    def test_mass_x_of_zero_rhs(self, small_system):
+        _, dof_map, ops, _ = small_system
+        info = {}
+        x = pcg_solve(ops.mass, np.zeros(dof_map.n_dofs), info=info)
+        assert info["iterations"] == 0
+        assert info["mass_x"].tobytes() == (ops.mass @ x).tobytes()
+
+    def test_mass_x0_gives_the_same_solution(self, small_system):
+        # the leapfrog's predictor 2a - c with its product formed from M a and M c
+        _, dof_map, ops, _ = small_system
+        rng = np.random.default_rng(7)
+        a, c = rng.standard_normal((2, dof_map.n_dofs))
+        b = ops.mass @ (a + 1e-3 * rng.standard_normal(dof_map.n_dofs))
+        x0 = 2.0 * a - c
+        plain = pcg_solve(ops.mass, b, x0=x0, tol=1e-13)
+        given = pcg_solve(ops.mass, b, x0=x0, tol=1e-13,
+                          mass_x0=2.0 * (ops.mass @ a) - ops.mass @ c)
+        assert np.linalg.norm(given - plain) <= 1e-14 * np.linalg.norm(plain)
+        assert np.array_equal(x0, 2.0 * a - c)        # x0 is not overwritten
+
+
 class TestLeapfrog:
     def test_zero_data_stays_zero(self, small_system):
         _, dof_map, ops, dt_max = small_system
@@ -279,12 +321,64 @@ class TestSolveCounting:
         res = leapfrog_run(ops.mass, ops.wave, u0, dt=0.5 * dt_max, steps=7,
                            dt_max=dt_max)
         assert len(solves) == 7 + 1
-        assert sum(solves) == res.solve_iterations > 0
+        assert res.solve_iterations.tolist() == solves and sum(solves) > 0
 
     def test_spectral_bound_solves_are_counted(self, small_system, solves):
         _, _, ops, _ = small_system
-        estimate_spectral_bound(ops.mass, ops.wave)
-        assert len(solves) >= 2
+        info = {}
+        estimate_spectral_bound(ops.mass, ops.wave, info=info)
+        assert len(solves) == info["iterations"] >= 2
+        assert 0 <= info["relative_change"] <= 1e-4
+
+
+class CountingMatrix(SparseSymMatrix):
+    """The same matrix, counting its products."""
+
+    def __init__(self, matrix: SparseSymMatrix):
+        super().__init__(matrix.lower)
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return super().__matmul__(x)
+
+
+class TestProductCounts:
+    """Per step: one wave product, and a mass product per PCG iteration plus
+    the solver's final residual check, which also gives the next mass level."""
+
+    def counted_run(self, ops, u0, dt, steps):
+        mass, wave = CountingMatrix(ops.mass), CountingMatrix(ops.wave)
+        res = leapfrog_run(mass, wave, u0, dt=dt, steps=steps, solve_tol=1e-10)
+        return res, mass.products, wave.products
+
+    def test_products_per_step(self, small_system):
+        _, dof_map, ops, dt_max = small_system
+        u0 = initial_random(12, 1.0, dof_map.n_dofs)
+        _, mass0, wave0 = self.counted_run(ops, u0, 0.9 * dt_max, 0)
+        k = 25
+        res, mass_k, wave_k = self.counted_run(ops, u0, 0.9 * dt_max, k)
+        step_iterations = res.solve_iterations[1:]
+        assert len(step_iterations) == k and step_iterations.min() > 0
+        assert wave_k - wave0 == k
+        assert mass_k - mass0 == int((step_iterations + 1).sum())
+
+    def test_next_mass_level_is_the_product_of_the_solution(self, small_system,
+                                                             monkeypatch):
+        import pdswave.evolve as evolve
+        _, dof_map, ops, dt_max = small_system
+        raw = evolve.pcg_solve
+        checked = []
+
+        def checking(mass, b, *args, info=None, **kwargs):
+            x = raw(mass, b, *args, info=info, **kwargs)
+            if info["iterations"]:
+                checked.append(info["mass_x"].tobytes() == (mass @ x).tobytes())
+            return x
+        monkeypatch.setattr(evolve, "pcg_solve", checking)
+        leapfrog_run(ops.mass, ops.wave, initial_random(13, 1.0, dof_map.n_dofs),
+                     dt=0.9 * dt_max, steps=10)
+        assert len(checked) == 11 and all(checked)
 
 
 def the_domain_of(mesh):
