@@ -12,6 +12,12 @@ w(X) = (1 - |X|^2)^(-1/2):
 
 plus the wave operator, stiffness + radial.
 
+Each tet gives three 4x4 element matrices.  Barycentric coordinates lam
+are affine, so X . grad lam_i = (B lam)_i with B = G V^T (G the gradients
+of lam, V the vertices, both (4, 3)): the radial element matrix is
+-B M_loc B^T with M_loc the mass element matrix, and the quadrature needs
+only the weights, which take |X|^2 from the vertex Gram matrix V V^T.
+
 The stored object is the lower triangle in compressed sparse rows.
 """
 
@@ -152,6 +158,24 @@ def build_dof_map(mesh: TetMesh) -> DofMap:
     return dof_map
 
 
+def element_matrices(verts: np.ndarray, rule: QuadratureRule):
+    """Mass, stiffness and radial element matrices (T, 4, 4) of the tets `verts`."""
+    det, wq = weighted_quadrature(verts, rule)
+    grads = np.empty_like(verts)                 # rows: grad lam_0..3
+    grads[:, 1:] = np.linalg.inv(verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+
+    bb = np.einsum("mi,mj->mij", rule.points, rule.points)   # (m, 4, 4)
+    m_loc = (wq @ bb.reshape(-1, 16)).reshape(-1, 4, 4)
+    m_loc *= det[:, None, None]
+    k_loc = grads @ grads.transpose(0, 2, 1)
+    k_loc *= (wq.sum(axis=1) * det)[:, None, None]
+
+    b = grads @ verts.transpose(0, 2, 1)         # X . grad lam = B lam
+    d_loc = -b @ m_loc @ b.transpose(0, 2, 1)
+    return m_loc, k_loc, d_loc
+
+
 def assemble(mesh: TetMesh, dof_map: DofMap,
              rule: QuadratureRule | None = None) -> Operators:
     """Assemble mass, stiffness, radial and wave matrices on identified dofs.
@@ -163,31 +187,13 @@ def assemble(mesh: TetMesh, dof_map: DofMap,
         rule = quadrature_rule(4)
     key = np.sort(mesh.tets, axis=1)
     tets = mesh.tets[np.lexsort(key.T[::-1])]
-    verts = mesh.vertices[tets]                  # (T, 4, 3)
-    det, pts, wq = weighted_quadrature(verts, rule)
-    inv = np.linalg.inv(verts[:, 1:] - verts[:, :1])   # rows: grad lam_1..3
-    grads = np.empty_like(verts)
-    grads[:, 1:, :] = np.transpose(inv, (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-
-    s = pts @ grads.transpose(0, 2, 1)                       # (T, m, 4)
-    del pts                                      # before the weighted copy of s
-    ws = wq[:, :, None] * s
-    d_loc = -(ws.transpose(0, 2, 1) @ s) * det[:, None, None]
-    del s, ws                                    # the largest temporaries
-
-    bb = np.einsum("mi,mj->mij", rule.points, rule.points)   # (m, 4, 4)
-    m_loc = (wq @ bb.reshape(-1, 16)).reshape(-1, 4, 4) * det[:, None, None]
-
-    gg = grads @ grads.transpose(0, 2, 1)
-    k_loc = (wq.sum(axis=1) * det)[:, None, None] * gg
-
+    locs = element_matrices(mesh.vertices[tets], rule)
     dof = dof_map.node_to_dof[tets]                          # (T, 4)
     rows = np.repeat(dof, 4, axis=1).ravel()
     cols = np.tile(dof, (1, 4)).ravel()
     n = dof_map.n_dofs
     mass, stiffness, radial = (SparseSymMatrix.from_triplets(n, rows, cols, loc.ravel())
-                               for loc in (m_loc, k_loc, d_loc))
+                               for loc in locs)
     wave = SparseSymMatrix((stiffness.lower + radial.lower).tocsr())
     return Operators(mass, stiffness, radial, wave)
 
@@ -199,11 +205,11 @@ def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
 
     Returns (lambda_max, dt_max) with dt_max = 2 / sqrt(lambda_max), the
     stability limit of the explicit scheme.  The iteration stops once the
-    Rayleigh quotient changes by at most `tol` relative; each step's mass
-    solve runs to `tol / 100`, warm-started from the previous solution.  If
-    `info` is a dict it receives the number of power iterations under
-    "iterations" and the final relative change of lambda under
-    "relative_change".
+    Rayleigh quotient changes by at most `tol` relative, tested before the
+    next iterate is solved for: k iterations make k - 1 mass solves, each to
+    `tol / 100`, warm-started from the previous solution.  If `info` is a
+    dict it receives the number of power iterations k under "iterations"
+    and the final relative change of lambda under "relative_change".
     """
     from .evolve import make_preconditioner, pcg_solve
 
@@ -217,16 +223,16 @@ def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
     y = my = None
     for k in range(1, max_iter + 1):
         ax = wave @ x
-        y = pcg_solve(mass, ax, precond, tol=tol / 100, x0=y, info=solve_info,
-                      mass_x0=my)
-        my = solve_info["mass_x"]
         lam_new = float(x @ ax) / float(x @ mx)
-        y_norm = np.linalg.norm(y)
-        x, mx = y / y_norm, my / y_norm
         change = abs(lam_new - lam) / lam_new if lam_new else math.inf
         lam = lam_new
         if lam > 0 and change <= tol:
             break
+        y = pcg_solve(mass, ax, precond, tol=tol / 100, x0=y, info=solve_info,
+                      mass_x0=my)
+        my = solve_info["mass_x"]
+        y_norm = np.linalg.norm(y)
+        x, mx = y / y_norm, my / y_norm
     else:
         raise NoConvergence(f"power iteration did not settle in {max_iter} iterations")
     if info is not None:

@@ -143,28 +143,20 @@ class GroupTable:
     def __init__(self, elements: list[GroupElement]):
         self.elements = tuple(elements)
         coeffs = np.array([e.quat.as_array() for e in elements])
-        key_of = {_float_key(c): i for i, c in enumerate(coeffs)}
         mats = np.array([e.matrix4 for e in elements])
-        # all pairwise products in one shot, then index lookup
-        prods = np.einsum("iab,jb->ija", mats, coeffs)
         n = len(elements)
-        table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            for j in range(n):
-                table[i, j] = key_of[_float_key(prods[i, j])]
-        self.product = table
-        inv = np.empty(n, dtype=np.int32)
-        for i, e in enumerate(elements):
-            inv[i] = key_of[_float_key(e.quat.conjugate().as_array())]
-        self.inverse = inv
+        # the nearest element of every product (row-major) and every inverse
+        queries = np.vstack([np.einsum("iab,jb->ija", mats, coeffs).reshape(-1, 4),
+                             coeffs * [1.0, -1.0, -1.0, -1.0]])      # conjugates
+        dist, idx = cKDTree(coeffs).query(queries)
+        if dist.max() > 1e-6:                   # elements lie >= 0.3 apart
+            raise GenerationDiverged(f"a product or inverse lies {dist.max():.3g} "
+                                     "from every element: the set is not closed")
+        self.product = idx[:n * n].reshape(n, n).astype(np.int32)
+        self.inverse = idx[n * n:].astype(np.int32)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def _float_key(coeffs) -> tuple:
-    # element coefficients are separated by >= 0.3, so rounding to 1e-6 is safe
-    return tuple(np.round(np.asarray(coeffs, dtype=float), 6) + 0.0)
 
 
 def _exact_key(q: Quaternion) -> tuple:

@@ -226,7 +226,7 @@ def weighted_volume(mesh: TetMesh, rule: QuadratureRule | None = None) -> float:
     """Sum over tets of the Riemannian volume integral of w = (1-|X|^2)^(-1/2)."""
     if rule is None:
         rule = quadrature_rule(4)
-    det, _, wq = weighted_quadrature(mesh.vertices[mesh.tets], rule)
+    det, wq = weighted_quadrature(mesh.vertices[mesh.tets], rule)
     return float(det @ wq.sum(axis=1))
 
 EXACT_DOMAIN_VOLUME = math.pi ** 2 / 60.0   # one 120th of vol(S^3) = 2 pi^2

@@ -5,6 +5,8 @@ The degree-2 rule is the classical 4-point rule; "degree 4" is served by a
 14-point rule with positive weights that is in fact exact to degree 5.
 `weighted_quadrature` applies a rule to physical tets under the weight
 w(X) = (1 - |X|^2)^(-1/2), the volume density of the lift to the 3-sphere.
+|X|^2 = lam^T (V V^T) lam comes from the Gram matrix of the (4, 3) vertex
+matrix V, so no physical point X = V^T lam is formed.
 """
 
 from __future__ import annotations
@@ -74,16 +76,16 @@ def reference_monomial_integral(p: int, q: int, r: int) -> float:
 
 
 def weighted_quadrature(verts: np.ndarray, rule: QuadratureRule):
-    """det (T,) = 6 * volume, points (T, m, 3) and weights times w (T, m).
+    """det (T,) = 6 * volume and weights times w (T, m).
 
     `verts` is (T, 4, 3); the weighted integral of f over tet t is
-    det[t] * sum_q wq[t, q] f(pts[t, q]).
+    det[t] * sum_q wq[t, q] f(X_q), X_q = rule.points[q] @ verts[t].
     """
     det = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
-    pts = np.matmul(rule.points, verts)
-    r2 = np.einsum("tml,tml->tm", pts, pts)
+    gram = (verts @ verts.transpose(0, 2, 1)).reshape(-1, 16)
+    r2 = gram @ np.einsum("mi,mj->ijm", rule.points, rule.points).reshape(16, -1)
     if r2.max() >= 1.0:
         raise WeightSingularity("quadrature point outside the unit ball")
     wq = 1.0 / np.sqrt(1.0 - r2)
     wq *= rule.weights
-    return det, pts, wq
+    return det, wq

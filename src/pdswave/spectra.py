@@ -206,13 +206,13 @@ def analyze_probe_signals(signals: np.ndarray, dt: float, count: int = 10,
                           window: str | None = None) -> SpectrumReport:
     """DFT each probe column, average magnitudes, detect and match peaks.
 
-    `signals` is (samples, probes); a 1-D array is one probe.
+    `signals` is (samples, probes), probes >= 1; a 1-D array is one probe.
     """
     signals = np.asarray(signals, dtype=float)
     if signals.ndim == 1:
         signals = signals[:, None]
-    elif signals.ndim != 2:
-        raise ValueError(f"signals must be (samples, probes), got shape {signals.shape}")
+    elif signals.ndim != 2 or signals.shape[1] == 0:
+        raise ValueError(f"signals must be (samples, probes >= 1), got shape {signals.shape}")
     spectra = [dft_magnitude(signals[:, k], dt, window=window)
                for k in range(signals.shape[1])]
     avg = average_spectra(spectra)

@@ -81,6 +81,15 @@ def test_spectrum_guards_early_window(tmp_path):
                  "--out", str(tmp_path), "--force-window"]) == 0
 
 
+def test_spectrum_without_probe_columns_is_usage_error(tmp_path, capsys):
+    signals = tmp_path / "probes.csv"
+    signals.write_text("step,time\n0,0.0\n1,0.01\n2,0.02\n")
+    code = main(["spectrum", "--signals", str(signals), "--out", str(tmp_path / "s"),
+                 "--dt", "0.01", "--force-window"])
+    assert code == 1
+    assert "probes >= 1" in capsys.readouterr().err
+
+
 def test_validate_command(tmp_path, the_domain):
     mesh = generate_mesh(the_domain, 1, 1)
     write_node_file(tmp_path / "v.node", mesh.vertices)

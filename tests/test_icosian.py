@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdswave import icosian
-from pdswave.errors import NonUnitQuaternion, OrbitCountMismatch
-from pdswave.icosian import (CHI_VALUES, GEN_GAMMA, GEN_S, IDENTITY, Quaternion,
-                             SIGMA, generate_group, left_matrix, merge_classes,
-                             orbit_vertices, quat_mul, rotation_of,
+from pdswave.errors import GenerationDiverged, NonUnitQuaternion, OrbitCountMismatch
+from pdswave.icosian import (CHI_VALUES, GEN_GAMMA, GEN_S, IDENTITY, GroupTable,
+                             Quaternion, SIGMA, generate_group, left_matrix,
+                             merge_classes, orbit_vertices, quat_mul, rotation_of,
                              translation_distance)
 
 I = Quaternion(0, 1, 0, 0)
@@ -186,6 +186,20 @@ class TestGroup:
         table = generate_group()
         for i in range(len(table)):
             assert table.product[i, table.inverse[i]] == 0
+
+    def test_product_table_matches_hamilton_product(self):
+        table = generate_group()
+        coeffs = np.array([e.quat.as_array() for e in table.elements])
+        rng = np.random.default_rng(29)
+        for i, j in rng.integers(0, len(table), size=(200, 2)):
+            prod = table.elements[i].quat * table.elements[j].quat
+            assert np.abs(coeffs[table.product[i, j]] - prod.as_array()).max() < 1e-12
+
+    def test_table_of_unclosed_set_diverges(self):
+        # without one element some products and one inverse have no match
+        elements = list(generate_group().elements)
+        with pytest.raises(GenerationDiverged):
+            GroupTable(elements[:-1])
 
     def test_associativity_on_random_triples(self):
         rng = np.random.default_rng(19)

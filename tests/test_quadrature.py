@@ -50,9 +50,8 @@ def test_unsupported_degree():
 def test_weighted_quadrature_near_origin():
     # a small tet at the origin: w ~ 1, so det * sum(wq) ~ 6 * volume
     verts = 1e-3 * np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]])
-    det, pts, wq = weighted_quadrature(verts, quadrature_rule(4))
+    det, wq = weighted_quadrature(verts, quadrature_rule(4))
     assert det[0] == pytest.approx(1e-9, rel=1e-12)
-    assert pts.shape == (1, 14, 3)
     assert (det * wq.sum(axis=1))[0] == pytest.approx(1e-9 / 6, rel=1e-6)
 
 
@@ -60,3 +59,15 @@ def test_weighted_quadrature_rejects_points_outside_ball():
     verts = np.array([[[0.0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]])
     with pytest.raises(WeightSingularity):
         weighted_quadrature(verts, quadrature_rule(2))
+
+
+@pytest.mark.parametrize("deg", [2, 4])
+def test_weights_from_gram_match_the_points(deg):
+    # |X|^2 from the vertex Gram matrix agrees with the physical points
+    rule = quadrature_rule(deg)
+    rng = np.random.default_rng(5)
+    verts = rng.uniform(-0.4, 0.4, size=(50, 4, 3))
+    _, wq = weighted_quadrature(verts, rule)
+    pts = rule.points @ verts
+    ref = rule.weights / np.sqrt(1.0 - (pts ** 2).sum(axis=2))
+    assert np.abs(wq - ref).max() <= 1e-15 * ref.max()

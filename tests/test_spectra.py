@@ -190,6 +190,10 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             analyze_probe_signals(np.zeros((64, 2, 2)), 0.1)
 
+    def test_analyze_rejects_zero_probes(self):
+        with pytest.raises(ValueError, match=r"probes >= 1"):
+            analyze_probe_signals(np.zeros((64, 0)), 0.1)
+
     def test_report_carries_averaged_spectrum(self):
         sig = np.random.default_rng(1).standard_normal((64, 3))
         rep = analyze_probe_signals(sig, 0.1, count=3, window="hann")
