@@ -18,7 +18,8 @@ of lam, V the vertices, both (4, 3)): the radial element matrix is
 -B M_loc B^T with M_loc the mass element matrix, and the quadrature needs
 only the weights, which take |X|^2 from the vertex Gram matrix V V^T.
 
-The stored object is the lower triangle in compressed sparse rows.
+Each matrix is built from its summed lower triangle and stored once, as
+the full symmetric matrix in compressed sparse rows.
 """
 
 from __future__ import annotations
@@ -38,13 +39,12 @@ from .quadrature import QuadratureRule, quadrature_rule, weighted_quadrature
 
 
 class SparseSymMatrix:
-    """Symmetric matrix stored as its lower triangle in CSR form."""
+    """Symmetric matrix built from its lower triangle, stored once as full CSR."""
 
     def __init__(self, lower: sp.csr_matrix):
         n, m = lower.shape
         assert n == m
         self.n = n
-        self.lower = lower
         strict = sp.tril(lower, k=-1)
         self._full = (lower + strict.T).tocsr()
 
@@ -64,8 +64,13 @@ class SparseSymMatrix:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self._full @ x
 
+    @property
+    def lower(self) -> sp.csr_matrix:
+        """The lower triangle, derived from the stored full matrix."""
+        return sp.tril(self._full, format="csr")
+
     def diagonal(self) -> np.ndarray:
-        return self.lower.diagonal()
+        return self._full.diagonal()
 
     def to_dense(self) -> np.ndarray:
         return self._full.toarray()
@@ -74,15 +79,16 @@ class SparseSymMatrix:
         return float(x @ (self._full @ x))
 
     def max_abs(self) -> float:
-        return float(np.abs(self.lower.data).max()) if self.lower.nnz else 0.0
+        return float(np.abs(self._full.data).max()) if self._full.nnz else 0.0
 
     @property
     def nnz_lower(self) -> int:
-        return self.lower.nnz
+        """Stored entries on and below the diagonal."""
+        rows = np.repeat(np.arange(self.n), np.diff(self._full.indptr))
+        return int(np.count_nonzero(self._full.indices <= rows))
 
     def total_sum(self) -> float:
-        strict = sp.tril(self.lower, k=-1)
-        return float(self.lower.sum() + strict.sum())
+        return float(self._full.sum())
 
     def save_matrix_market(self, path) -> None:
         scipy.io.mmwrite(path, self._full.tocoo(), symmetry="symmetric")

@@ -304,10 +304,6 @@ class FundamentalDomain:
         """Spherical diameter of the visualization: twice the center-to-vertex distance."""
         return 2.0 * math.acos(VERTEX_X0)
 
-    def metrics(self) -> dict:
-        return {"diameter": self.diameter(),
-                "vertex_distances": self.vertex_distance_table()}
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:

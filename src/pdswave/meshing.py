@@ -150,6 +150,8 @@ def periodic_pairs(domain: FundamentalDomain, vertices: np.ndarray, tris: np.nda
 
 def layer_radii(layers: int, grading: float = 1.0) -> np.ndarray:
     """Radial scale factors t_k = (k/L)^grading, k = 1..L (t_L = 1)."""
+    if not (math.isfinite(grading) and grading > 0):
+        raise ValueError(f"grading must be finite and positive, got {grading}")
     k = np.arange(1, layers + 1, dtype=float)
     return (k / layers) ** grading
 
@@ -186,7 +188,7 @@ def build_volume_mesh(domain: FundamentalDomain, surface: SurfaceMesh,
         tets.append(np.column_stack([rk, pk1, qk1, rk1]))
     tets, vols = orient_tets(vertices, np.vstack(tets))
     vmin = np.abs(vols).min()
-    if vmin < 1e-16:
+    if not vmin >= 1e-16:
         raise DegenerateTet(f"tet volume {vmin:.2e}")
 
     boundary_offset = 1 + (layers - 1) * s_count

@@ -54,6 +54,8 @@ class MagnitudeSpectrum:
 def dft_magnitude(signal: np.ndarray, dt: float,
                   window: str | None = None) -> MagnitudeSpectrum:
     """Magnitude spectrum of a real signal, zero-padded to a fast length."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"sample spacing dt must be finite and positive, got {dt}")
     signal = np.asarray(signal, dtype=float)
     n = len(signal)
     if n < 16:

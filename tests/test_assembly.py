@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from pdswave.assembly import (DofMap, SparseSymMatrix, assemble, build_dof_map,
@@ -128,6 +129,28 @@ class TestFromTriplets:
         for i in range(mat.n):
             row = mat.lower.indices[mat.lower.indptr[i]:mat.lower.indptr[i + 1]]
             assert np.all(np.diff(row) > 0)
+
+
+class TestSingleStorage:
+    """One CSR per matrix; the lower triangle and its counts derive from it."""
+
+    def check(self, mat):
+        assert sum(sp.issparse(value) for value in vars(mat).values()) == 1
+        assert np.array_equal(mat.lower.toarray(), np.tril(mat.to_dense()))
+        coo = mat._full.tocoo()
+        assert mat.nnz_lower == np.count_nonzero(coo.col <= coo.row)
+
+    def test_from_triplets(self):
+        # the two (1, 1) triplets cancel exactly and leave no stored entry
+        mat = SparseSymMatrix.from_triplets(3, [2, 0, 1, 1, 2], [0, 0, 1, 1, 2],
+                                            [1.0, 4.0, 2.0, -2.0, 5.0])
+        self.check(mat)
+        assert mat.nnz_lower == 3
+
+    @pytest.mark.parametrize("name", ["mass", "stiffness", "radial", "wave"])
+    def test_assembled(self, ops44, name):
+        _, ops = ops44
+        self.check(getattr(ops, name))
 
 
 class TestAssembly:

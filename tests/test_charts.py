@@ -6,8 +6,6 @@ import pytest
 from pdswave import charts
 from pdswave.errors import InvalidSubdivision, OffPlane
 
-SQRT5 = math.sqrt(5.0)
-
 
 def random_plane_points(rng, count):
     # points of the face-1 pentagon plane: -(1/sigma) x - y = 1/(2 sqrt2)
@@ -59,50 +57,6 @@ def test_embedded_points_lie_on_face_one(the_domain):
         q = charts.chart_embed(rng.uniform(-0.1, 0.1, 2))
         res = the_domain.face_residuals(q[1:])
         assert abs(res[0]) < 1e-14
-
-
-class TestClosedForms:
-    def test_components_are_unit(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            f = charts.chart_embedding_components(rng.uniform(-0.2, 0.2, 2))
-            assert abs(f @ f - 1.0) < 1e-12
-
-    def test_frame_offset_relation(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            x, y = rng.uniform(-0.15, 0.15, 2)
-            a = charts.chart_embedding_components((x, y))
-            b = charts.chart_embed((x, y + charts.CHART_FRAME_OFFSET))
-            assert np.abs(a - b).max() < 1e-12
-
-    def test_metric_value_at_origin(self):
-        m = charts.face_chart_metric((0.0, 0.0))
-        expected = 320.0 * (845 + 374 * SQRT5) / (45 + 17 * SQRT5) ** 3
-        assert abs(m[0, 0] - expected) < 1e-14
-
-    def test_metric_against_fd_jacobian(self):
-        # oracle: central finite differences of the closed-form embedding
-        def fd_gram(xy, h=1e-6):
-            x, y = xy
-            fx = (charts.chart_embedding_components((x + h, y))
-                  - charts.chart_embedding_components((x - h, y))) / (2 * h)
-            fy = (charts.chart_embedding_components((x, y + h))
-                  - charts.chart_embedding_components((x, y - h))) / (2 * h)
-            j = np.column_stack([fx, fy])
-            return j.T @ j
-
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            xy = rng.uniform(-0.15, 0.15, 2)
-            assert np.abs(fd_gram(xy) - charts.face_chart_metric(xy)).max() < 1e-6
-
-    def test_metric_spd(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            m = charts.face_chart_metric(rng.uniform(-0.12, 0.12, 2))
-            assert abs(m[0, 1] - m[1, 0]) == 0.0
-            assert np.linalg.eigvalsh(m).min() > 0
 
 
 class TestTriangulation:

@@ -90,6 +90,19 @@ def test_spectrum_without_probe_columns_is_usage_error(tmp_path, capsys):
     assert "probes >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
+def test_bad_spectrum_dt_is_usage_error(tmp_path, dt, capsys):
+    signals = tmp_path / "probes.csv"
+    t = 0.01 * np.arange(64)
+    _write_csv(signals, "step,time,p0", "%d,%.17g,%.17g\n", np.arange(64), t, np.sin(40 * t))
+    out = tmp_path / "s"
+    code = main(["spectrum", "--signals", str(signals), "--out", str(out),
+                 "--dt", dt, "--force-window"])
+    assert code == 1
+    assert "finite and positive" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_validate_command(tmp_path, the_domain):
     mesh = generate_mesh(the_domain, 1, 1)
     write_node_file(tmp_path / "v.node", mesh.vertices)
@@ -220,6 +233,15 @@ def test_bump_outside_unit_ball_exit_code(tmp_path):
 
 def test_zero_subdivision_is_usage_error(tmp_path):
     assert main(["mesh", "--n", "0", "--out", str(tmp_path / "m")]) == 1
+
+
+@pytest.mark.parametrize("grading", ["nan", "0", "-1"])
+def test_bad_grading_is_usage_error(tmp_path, grading, capsys):
+    out = tmp_path / "m"
+    assert main(["mesh", "--n", "1", "--layers", "1", "--grading", grading,
+                 "--out", str(out)]) == 1
+    assert "finite and positive" in capsys.readouterr().err
+    assert not (out / "mesh_report.json").exists()
 
 
 def test_unstable_dt_exit_code(tmp_path):
