@@ -8,13 +8,13 @@ import math
 
 import numpy as np
 
-from pdswave.domain import build_domain, geodesic_point
+from pdswave.domain import DOMAIN_DIAMETER, build_domain, geodesic_point
 
 dom = build_domain()
 
 print(f"vertex first coordinate x0 = {dom.vertices4[0, 0]:.12f}")
 print(f"visual vertex radius |X| = {np.linalg.norm(dom.vertices3[0]):.12f}")
-print(f"spherical diameter of the domain: {dom.diameter():.6f}")
+print(f"spherical diameter of the domain: {DOMAIN_DIAMETER:.6f}")
 
 print("\ncontainment:")
 for X in ([0, 0, 0], 0.99 * dom.vertices3[1], 1.01 * dom.vertices3[1]):

@@ -14,10 +14,9 @@ from .domain import FundamentalDomain, build_domain, geodesic_point, lift
 from .evolve import (discrete_energy, initial_bump, initial_random, leapfrog_run,
                      make_preconditioner, pcg_solve, snap_probes)
 from .icosian import (GroupTable, Quaternion, generate_group, orbit_vertices,
-                      quat_mul, rotation_of, translation_distance)
+                      rotation_of, translation_distance)
 from .mesh_io import export_mesh, import_mesh, write_vtk_mesh
 from .meshing import TetMesh, generate_mesh, validate_mesh, weighted_volume
-from .quadrature import quadrature_rule
 from .spectra import (analyze_probe_signals, dft_magnitude, exact_spectrum,
                       find_peaks, match_eigenvalues)
 
@@ -50,8 +49,6 @@ __all__ = [
     "match_eigenvalues",
     "orbit_vertices",
     "pcg_solve",
-    "quadrature_rule",
-    "quat_mul",
     "rotation_of",
     "snap_probes",
     "translation_distance",

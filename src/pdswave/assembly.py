@@ -25,7 +25,7 @@ the full symmetric matrix in compressed sparse rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +35,10 @@ import scipy.sparse as sp
 from .errors import ClassSizeError, NoConvergence
 from .icosian import merge_classes
 from .meshing import TetMesh
-from .quadrature import QuadratureRule, quadrature_rule, weighted_quadrature
+from .quadrature import QUADRATURE, weighted_quadrature
+
+# power iterations before estimate_spectral_bound gives up
+POWER_MAX_ITER = 10000
 
 
 class SparseSymMatrix:
@@ -111,7 +114,6 @@ class DofMap:
     n_edge_nodes: int                    # boundary nodes in classes of three
     n_face_nodes: int                    # boundary nodes in classes of two
     n_corner_classes: int                # classes of four
-    classes: list = field(repr=False)    # boundary classes as node tuples
 
     @property
     def n_dofs(self) -> int:
@@ -139,24 +141,19 @@ def build_dof_map(mesh: TetMesh) -> DofMap:
     node_to_dof, dof_to_node = merge_classes(n, mesh.periodic[:, [0, 2]])
 
     boundary = mesh.boundary_nodes
-    members = boundary[np.argsort(node_to_dof[boundary], kind="stable")]
-    _, starts, sizes = np.unique(node_to_dof[members], return_index=True,
-                                 return_counts=True)
+    dofs, sizes = np.unique(node_to_dof[boundary], return_counts=True)
     bad = np.flatnonzero((sizes < 2) | (sizes > 4))
     if len(bad):
         k = bad[0]
-        raise ClassSizeError(
-            f"boundary class {members[starts[k]:starts[k] + sizes[k]].tolist()} has size "
-            f"{sizes[k]}, expected 2, 3 or 4")
-    ids, ends = members.tolist(), (starts + sizes).tolist()
-    classes = [tuple(ids[a:b]) for a, b in zip(starts.tolist(), ends)]
+        members = boundary[node_to_dof[boundary] == dofs[k]]
+        raise ClassSizeError(f"boundary class {members.tolist()} has size {sizes[k]}, "
+                             "expected 2, 3 or 4")
 
     dof_map = DofMap(node_to_dof=node_to_dof, dof_to_node=dof_to_node,
                      n_interior=n - len(boundary),
                      n_edge_nodes=int(sizes[sizes == 3].sum()),
                      n_face_nodes=int(sizes[sizes == 2].sum()),
-                     n_corner_classes=int((sizes == 4).sum()),
-                     classes=classes)
+                     n_corner_classes=int((sizes == 4).sum()))
     if dof_map.n_dofs != round(dof_map.formula_count()):
         raise ClassSizeError(
             f"dof count {dof_map.n_dofs} violates the identified-node formula "
@@ -164,14 +161,14 @@ def build_dof_map(mesh: TetMesh) -> DofMap:
     return dof_map
 
 
-def element_matrices(verts: np.ndarray, rule: QuadratureRule):
+def element_matrices(verts: np.ndarray):
     """Mass, stiffness and radial element matrices (T, 4, 4) of the tets `verts`."""
-    det, wq = weighted_quadrature(verts, rule)
+    det, wq = weighted_quadrature(verts)
     grads = np.empty_like(verts)                 # rows: grad lam_0..3
     grads[:, 1:] = np.linalg.inv(verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
 
-    bb = np.einsum("mi,mj->mij", rule.points, rule.points)   # (m, 4, 4)
+    bb = np.einsum("mi,mj->mij", QUADRATURE.points, QUADRATURE.points)   # (m, 4, 4)
     m_loc = (wq @ bb.reshape(-1, 16)).reshape(-1, 4, 4)
     m_loc *= det[:, None, None]
     k_loc = grads @ grads.transpose(0, 2, 1)
@@ -182,18 +179,15 @@ def element_matrices(verts: np.ndarray, rule: QuadratureRule):
     return m_loc, k_loc, d_loc
 
 
-def assemble(mesh: TetMesh, dof_map: DofMap,
-             rule: QuadratureRule | None = None) -> Operators:
+def assemble(mesh: TetMesh, dof_map: DofMap) -> Operators:
     """Assemble mass, stiffness, radial and wave matrices on identified dofs.
 
     The tets are summed in a canonical order (by sorted vertex ids), so the
     round-off does not depend on the order of `mesh.tets`.
     """
-    if rule is None:
-        rule = quadrature_rule(4)
     key = np.sort(mesh.tets, axis=1)
     tets = mesh.tets[np.lexsort(key.T[::-1])]
-    locs = element_matrices(mesh.vertices[tets], rule)
+    locs = element_matrices(mesh.vertices[tets])
     dof = dof_map.node_to_dof[tets]                          # (T, 4)
     rows = np.repeat(dof, 4, axis=1).ravel()
     cols = np.tile(dof, (1, 4)).ravel()
@@ -205,21 +199,22 @@ def assemble(mesh: TetMesh, dof_map: DofMap,
 
 
 def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
-                            tol: float = 1e-4, max_iter: int = 10000,
-                            seed: int = 0, info: dict | None = None) -> tuple[float, float]:
+                            tol: float = 1e-4,
+                            info: dict | None = None) -> tuple[float, float]:
     """Largest generalized eigenvalue of (wave, mass) by power iteration.
 
     Returns (lambda_max, dt_max) with dt_max = 2 / sqrt(lambda_max), the
     stability limit of the explicit scheme.  The iteration stops once the
     Rayleigh quotient changes by at most `tol` relative, tested before the
     next iterate is solved for: k iterations make k - 1 mass solves, each to
-    `tol / 100`, warm-started from the previous solution.  If `info` is a
+    `tol / 100`, warm-started from the previous solution.  The start vector
+    is seeded, so the estimate is reproducible.  If `info` is a
     dict it receives the number of power iterations k under "iterations"
     and the final relative change of lambda under "relative_change".
     """
     from .evolve import make_preconditioner, pcg_solve
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = rng.standard_normal(mass.n)
     x /= np.linalg.norm(x)
     mx = mass @ x
@@ -227,7 +222,7 @@ def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
     solve_info: dict = {}
     lam = 0.0
     y = my = None
-    for k in range(1, max_iter + 1):
+    for k in range(1, POWER_MAX_ITER + 1):
         ax = wave @ x
         lam_new = float(x @ ax) / float(x @ mx)
         change = abs(lam_new - lam) / lam_new if lam_new else math.inf
@@ -240,7 +235,7 @@ def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
         y_norm = np.linalg.norm(y)
         x, mx = y / y_norm, my / y_norm
     else:
-        raise NoConvergence(f"power iteration did not settle in {max_iter} iterations")
+        raise NoConvergence(f"power iteration did not settle in {POWER_MAX_ITER} iterations")
     if info is not None:
         info["iterations"] = k
         info["relative_change"] = change

@@ -23,21 +23,19 @@ from .assembly import assemble, build_dof_map, estimate_spectral_bound
 from .domain import build_domain
 from .errors import (ClassSizeError, DegenerateTet, EnergyBlowup, NoConvergence,
                      NotInDomain, OutsideUnitBall, ParseError, PeriodicityViolation,
-                     SnapFailure, TooShort, UnstableTimeStep, UnsupportedDegree,
-                     WeightSingularity)
+                     SnapFailure, TooShort, UnstableTimeStep, WeightSingularity)
 from .evolve import (DOMAIN_DIAMETER, initial_bump, initial_random, leapfrog_run,
                      make_preconditioner, snap_probes)
 from .icosian import cell_to_json, generate_group, group_to_json, orbit_vertices
 from .mesh_io import _read_table, _write_rows, export_mesh, import_mesh, write_vtk_mesh
 from .meshing import generate_mesh, validate_mesh
-from .quadrature import quadrature_rule
+from .quadrature import QUADRATURE
 from .spectra import analyze_probe_signals
 
 EXIT_OK, EXIT_USAGE, EXIT_MESH, EXIT_EVOLUTION, EXIT_ANALYSIS = 0, 1, 2, 3, 4
 
 _MESH_ERRORS = (ParseError, PeriodicityViolation, SnapFailure, DegenerateTet,
-                ClassSizeError, UnsupportedDegree, WeightSingularity, NotInDomain,
-                OutsideUnitBall)
+                ClassSizeError, WeightSingularity, NotInDomain, OutsideUnitBall)
 _EVOLUTION_ERRORS = (NoConvergence, EnergyBlowup, UnstableTimeStep)
 _ANALYSIS_ERRORS = (TooShort,)
 # the stages of `run` whose wall times manifest.json records, in run order
@@ -120,7 +118,7 @@ def _build_operators(args, domain, stage_s: dict):
         mesh, mesh_report = _get_mesh(args, domain)
     with _timed(stage_s, "assemble"):
         dof_map = build_dof_map(mesh)
-        ops = assemble(mesh, dof_map, quadrature_rule(args.degree))
+        ops = assemble(mesh, dof_map)
     return mesh, mesh_report, dof_map, ops
 
 
@@ -136,7 +134,7 @@ def cmd_assemble(args) -> int:
         "per_edge_count": dof_map.per_edge_count,
         "per_face_count": dof_map.per_face_count,
         "corner_classes": dof_map.n_corner_classes,
-        "quadrature_degree": args.degree,
+        "quadrature_degree": QUADRATURE.degree,
         "mass_nnz_lower": ops.mass.nnz_lower,
         "mass_sum": ops.mass.total_sum(),
     }
@@ -173,6 +171,10 @@ def cmd_run(args) -> int:
     if args.window and not 0 <= args.window[0] <= args.window[1] <= args.steps:
         raise ValueError(f"--window NI NF needs 0 <= NI <= NF <= --steps = {args.steps}, "
                          f"got {args.window[0]} {args.window[1]}")
+    if not (math.isfinite(args.solve_tol) and args.solve_tol > 0):
+        raise ValueError(f"--solve-tol must be finite and positive, got {args.solve_tol}")
+    if not math.isfinite(args.amplitude):
+        raise ValueError(f"--amplitude must be finite, got {args.amplitude}")
     points = _parse_points(args.probes)
     domain = build_domain()
     if (np.einsum("ij,ij->i", points, points) >= 1.0).any() \
@@ -277,16 +279,17 @@ def _read_signals(path):
 
 
 def cmd_spectrum(args) -> int:
-    manifest = None
     signals_path = Path(args.signals)
     if args.dt is None:
         mpath = signals_path.parent / "manifest.json"
         if not mpath.exists():
             raise TooShort("no --dt given and no manifest.json next to the signals")
-        manifest = json.loads(mpath.read_text())
-        dt = float(manifest["dt"])
+        dt = float(json.loads(mpath.read_text())["dt"])
+        source = f"dt in {mpath}"
     else:
-        dt = args.dt
+        dt, source = args.dt, "--dt"
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"{source} must be finite and positive, got {dt}")
     _, steps, _, values = _read_signals(signals_path)
     if args.window:
         keep = (steps >= args.window[0]) & (steps <= args.window[1])
@@ -375,34 +378,6 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _apply_config(argv):
-    """Expand `--config file` into key=value pairs prepended as flags."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        return argv
-    rest = argv[:i] + argv[i + 2:]
-    extra = []
-    for line in Path(path).read_text().splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ParseError(f"config line {body!r} is not key=value")
-        key, value = (s.strip() for s in body.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                extra.append(flag)
-        else:
-            extra.extend([flag] + value.split())
-    # config first so explicit flags win
-    return rest[:1] + extra + rest[1:]
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="pdswave",
                      description="wave computation on the dodecahedral space")
@@ -418,7 +393,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("assemble", help="build the identified-dof operators")
     _add_mesh_source(p)
     p.add_argument("--out", default=_default_out())
-    p.add_argument("--degree", type=int, default=4, choices=(2, 4))
     p.add_argument("--export-matrices", action="store_true",
                    help="write mass/stiffness/radial in Matrix Market format")
     p.set_defaults(func=cmd_assemble)
@@ -426,7 +400,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="evolve an initial condition")
     _add_mesh_source(p)
     p.add_argument("--out", default=_default_out())
-    p.add_argument("--degree", type=int, default=4, choices=(2, 4))
     p.add_argument("--dt", default="auto", help="time step, or 'auto' for 0.95 dt_max")
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--bump", type=float, nargs=4, metavar=("X", "Y", "Z", "R"),
@@ -475,10 +448,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except _MESH_ERRORS as exc:

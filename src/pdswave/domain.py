@@ -20,7 +20,7 @@ import numpy as np
 from . import golden
 from .errors import AntipodalEndpoints, NotInDomain, OutsideUnitBall
 from .golden import SIGMA_FLOAT as SIGMA
-from .icosian import Quaternion, left_matrix, quat_mul
+from .icosian import Quaternion, left_matrix
 
 SQRT2 = math.sqrt(2.0)
 _IS = 1.0 / SIGMA
@@ -29,6 +29,9 @@ _S2 = SIGMA * SIGMA
 # scale of the vertex table and the first coordinate shared by all vertices
 VERTEX_SCALE = 1.0 / (2.0 * SQRT2)
 VERTEX_X0 = _S2 * VERTEX_SCALE
+# spherical diameter of the domain, twice the center-to-vertex distance;
+# probe windows should start after one crossing
+DOMAIN_DIAMETER = 2.0 * math.acos(VERTEX_X0)
 
 # the twenty vertices of the fundamental domain, in R^4 (unit vectors)
 _VERTEX_TABLE = [
@@ -300,10 +303,6 @@ class FundamentalDomain:
         g = np.clip(self.vertices4 @ self.vertices4.T, -1.0, 1.0)
         return np.arccos(g)
 
-    def diameter(self) -> float:
-        """Spherical diameter of the visualization: twice the center-to-vertex distance."""
-        return 2.0 * math.acos(VERTEX_X0)
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
@@ -352,5 +351,5 @@ def _check_construction(dom: FundamentalDomain) -> None:
     for i, images in FACE_VERTEX_IMAGES.items():
         q = dom.face_map(i).quat
         for src, dst in images.items():
-            got = quat_mul(q, Quaternion(*v4[src - 1])).as_array()
+            got = (q * Quaternion(*v4[src - 1])).as_array()
             assert np.abs(got - v4[dst - 1]).max() < 1e-13

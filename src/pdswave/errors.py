@@ -61,10 +61,6 @@ class ClassSizeError(PdsError):
     pass
 
 
-class UnsupportedDegree(PdsError):
-    pass
-
-
 class WeightSingularity(PdsError):
     pass
 

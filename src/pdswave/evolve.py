@@ -30,12 +30,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .assembly import DofMap, SparseSymMatrix
-from .domain import VERTEX_X0, FundamentalDomain, lift_many
+from .domain import DOMAIN_DIAMETER, FundamentalDomain, lift_many
 from .errors import EnergyBlowup, NoConvergence, NotInDomain, UnstableTimeStep
 from .meshing import TetMesh
-
-# spherical diameter of the domain; probe windows should start after one crossing
-DOMAIN_DIAMETER = 2.0 * math.acos(VERTEX_X0)
 
 
 # -- initial data --------------------------------------------------------------
@@ -233,7 +230,6 @@ class LeapfrogResult:
 
 def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
                  u0: np.ndarray, dt: float, steps: int,
-                 v0: np.ndarray | None = None,
                  u_prev: np.ndarray | None = None,
                  probes: ProbeSet | None = None,
                  snapshot_every: int = 0,
@@ -243,11 +239,11 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
                  energy_guard: float = 10.0) -> LeapfrogResult:
     """Run the explicit scheme for `steps` steps.
 
-    The previous level is built from u0 and the initial velocity v0 by a
-    second-order Taylor start (default v0 = 0); passing `u_prev` instead
-    restarts from an explicit level pair, e.g. for time reversal.  Solves
-    warm-start from a linear predictor.  A non-finite energy, or one beyond
-    `energy_guard` times E(dt), raises EnergyBlowup.
+    The previous level is built from u0 at rest by a second-order Taylor
+    start; passing `u_prev` instead restarts from an explicit level pair,
+    e.g. for time reversal.  Solves warm-start from a linear predictor.  A
+    non-finite energy, or one beyond `energy_guard` times E(dt), raises
+    EnergyBlowup.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -261,16 +257,12 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
 
     u_cur = np.asarray(u0, dtype=float).copy()
     if u_prev is not None:
-        if v0 is not None:
-            raise ValueError("give either v0 or u_prev, not both")
         u_prev = np.asarray(u_prev, dtype=float).copy()
     else:
         a0 = wave @ u_cur
         z = pcg_solve(mass, a0, precond, tol=solve_tol, info=info)
         iterations.append(info["iterations"])
         u_prev = u_cur - 0.5 * dt * dt * z
-        if v0 is not None:
-            u_prev -= dt * np.asarray(v0, dtype=float)
 
     m_cur = mass @ u_cur
     m_prev = mass @ u_prev

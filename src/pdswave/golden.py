@@ -52,21 +52,8 @@ class Golden:
                       self.a * other.b + self.b * other.a,
                       self.c * other.c)
 
-    def inverse(self) -> "Golden":
-        # 1 / ((a + b r)/c) = c (a - b r) / (a^2 - 5 b^2)
-        norm = self.a * self.a - 5 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("Golden has no inverse")
-        return Golden(self.c * self.a, -self.c * self.b, norm)
-
-    def __truediv__(self, other: "Golden") -> "Golden":
-        return self * other.inverse()
-
     def __float__(self) -> float:
         return (self.a + self.b * SQRT5) / self.c
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
 
 ZERO = Golden(0, 0)

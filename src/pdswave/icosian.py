@@ -73,20 +73,8 @@ class Quaternion:
     def norm_sq(self) -> float:
         return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
 
-    def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
-        c = self.conjugate()
-        if abs(n - 1.0) < 1e-14:
-            return c
-        return Quaternion(c.w / n, c.x / n, c.y / n, c.z / n)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
-
-
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product a*b."""
-    return a * b
 
 
 IDENTITY = Quaternion.from_exact(golden.ONE, golden.ZERO, golden.ZERO, golden.ZERO)

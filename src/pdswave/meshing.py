@@ -30,7 +30,7 @@ from .domain import FundamentalDomain, geodesic_point
 from .errors import DegenerateTet, PeriodicityViolation, SnapFailure
 from .golden import SIGMA_FLOAT as _S
 from .icosian import merge_classes
-from .quadrature import QuadratureRule, quadrature_rule, weighted_quadrature
+from .quadrature import weighted_quadrature
 
 # rotations carrying face 1 onto faces 2..6 (axes through face centers,
 # angles +-2pi/5); they are symmetries of the dodecahedron
@@ -224,14 +224,14 @@ def orient_tets(vertices: np.ndarray, tets: np.ndarray) -> tuple[np.ndarray, np.
     return tets, vols
 
 
-def weighted_volume(mesh: TetMesh, rule: QuadratureRule | None = None) -> float:
+def weighted_volume(mesh: TetMesh) -> float:
     """Sum over tets of the Riemannian volume integral of w = (1-|X|^2)^(-1/2)."""
-    if rule is None:
-        rule = quadrature_rule(4)
-    det, wq = weighted_quadrature(mesh.vertices[mesh.tets], rule)
+    det, wq = weighted_quadrature(mesh.vertices[mesh.tets])
     return float(det @ wq.sum(axis=1))
 
 EXACT_DOMAIN_VOLUME = math.pi ** 2 / 60.0   # one 120th of vol(S^3) = 2 pi^2
+# largest boundary edge ratio max/min that validate_mesh reports as ok
+EDGE_RATIO_LIMIT = 4.0
 
 
 def boundary_edge_lengths(mesh: TetMesh) -> tuple[float, float]:
@@ -266,7 +266,7 @@ def face_counts(tets: np.ndarray):
 
 
 def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
-                  tol: float = 1e-9, edge_ratio_limit: float = 4.0) -> dict:
+                  tol: float = 1e-9) -> dict:
     """Full geometric and periodicity validation; returns a JSON-able report."""
     report: dict = {}
     inside = domain.contains_many(mesh.vertices, tol=tol)
@@ -310,5 +310,5 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
     report["boundary_edge_min"] = emin
     report["boundary_edge_max"] = emax
     report["boundary_edge_ratio"] = emax / emin
-    report["edge_ratio_ok"] = bool(emax / emin <= edge_ratio_limit)
+    report["edge_ratio_ok"] = bool(emax / emin <= EDGE_RATIO_LIMIT)
     return report

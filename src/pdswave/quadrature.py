@@ -1,12 +1,13 @@
-"""Symmetric quadrature rules on the reference tetrahedron.
+"""The quadrature rule on the reference tetrahedron.
 
-Barycentric points with weights summing to the reference volume 1/6.
-The degree-2 rule is the classical 4-point rule; "degree 4" is served by a
-14-point rule with positive weights that is in fact exact to degree 5.
-`weighted_quadrature` applies a rule to physical tets under the weight
-w(X) = (1 - |X|^2)^(-1/2), the volume density of the lift to the 3-sphere.
-|X|^2 = lam^T (V V^T) lam comes from the Gram matrix of the (4, 3) vertex
-matrix V, so no physical point X = V^T lam is formed.
+`QUADRATURE` is a symmetric 14-point rule with positive weights: its
+barycentric points carry weights summing to the reference volume 1/6, and
+it is exact for polynomials of degree 5 (its `degree` field keeps the
+nominal 4).  Its arrays are read-only.  `weighted_quadrature` applies it to
+physical tets under the weight w(X) = (1 - |X|^2)^(-1/2), the volume
+density of the lift to the 3-sphere.  |X|^2 = lam^T (V V^T) lam comes from
+the Gram matrix of the (4, 3) vertex matrix V, so no physical point
+X = V^T lam is formed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDegree, WeightSingularity
+from .errors import WeightSingularity
 
 
 @dataclass(frozen=True)
@@ -47,23 +48,20 @@ def _perm_2_2(c):
     return pts
 
 
-def quadrature_rule(degree: int) -> QuadratureRule:
-    if degree == 2:
-        a = (5.0 - math.sqrt(5.0)) / 20.0
-        points = np.array(_perm_1_3(a))
-        weights = np.full(4, 1.0 / 24.0)
-    elif degree == 4:
-        a = 0.31088591926330060980
-        b = 0.092735250310891226402
-        c = 0.045503704125649649492
-        wa = 0.11268792571801585080 / 6.0
-        wb = 0.073493043116361949544 / 6.0
-        wc = 0.042546020777081466438 / 6.0
-        points = np.array(_perm_1_3(a) + _perm_1_3(b) + _perm_2_2(c))
-        weights = np.concatenate([np.full(4, wa), np.full(4, wb), np.full(6, wc)])
-    else:
-        raise UnsupportedDegree(f"no rule of degree {degree}; choose 2 or 4")
-    return QuadratureRule(degree=degree, points=points, weights=weights)
+def _fourteen_point_rule() -> QuadratureRule:
+    a = 0.31088591926330060980
+    b = 0.092735250310891226402
+    c = 0.045503704125649649492
+    wa = 0.11268792571801585080 / 6.0
+    wb = 0.073493043116361949544 / 6.0
+    wc = 0.042546020777081466438 / 6.0
+    points = np.array(_perm_1_3(a) + _perm_1_3(b) + _perm_2_2(c))
+    weights = np.concatenate([np.full(4, wa), np.full(4, wb), np.full(6, wc)])
+    points.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(degree=4, points=points, weights=weights)
+
+
+QUADRATURE = _fourteen_point_rule()
 
 
 def reference_monomial_integral(p: int, q: int, r: int) -> float:
@@ -75,17 +73,18 @@ def reference_monomial_integral(p: int, q: int, r: int) -> float:
             / math.factorial(p + q + r + 3))
 
 
-def weighted_quadrature(verts: np.ndarray, rule: QuadratureRule):
+def weighted_quadrature(verts: np.ndarray):
     """det (T,) = 6 * volume and weights times w (T, m).
 
     `verts` is (T, 4, 3); the weighted integral of f over tet t is
-    det[t] * sum_q wq[t, q] f(X_q), X_q = rule.points[q] @ verts[t].
+    det[t] * sum_q wq[t, q] f(X_q), X_q = QUADRATURE.points[q] @ verts[t].
     """
+    pts = QUADRATURE.points
     det = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
     gram = (verts @ verts.transpose(0, 2, 1)).reshape(-1, 16)
-    r2 = gram @ np.einsum("mi,mj->ijm", rule.points, rule.points).reshape(16, -1)
+    r2 = gram @ np.einsum("mi,mj->ijm", pts, pts).reshape(16, -1)
     if r2.max() >= 1.0:
         raise WeightSingularity("quadrature point outside the unit ball")
     wq = 1.0 / np.sqrt(1.0 - r2)
-    wq *= rule.weights
+    wq *= QUADRATURE.weights
     return det, wq

@@ -77,13 +77,14 @@ class Peak:
     magnitude: float
 
 
-def find_peaks(spec: MagnitudeSpectrum, min_prominence: float = 0.01,
-               max_peaks: int | None = None) -> list[Peak]:
+def find_peaks(spec: MagnitudeSpectrum, min_prominence: float = 0.01) -> list[Peak]:
     """Local maxima above min_prominence times the global maximum, bin 0 excluded.
 
     The zero mode contributes an affine-in-time term handled separately,
     so the search starts at bin 1.  Peak positions are refined by a
-    three-point parabola through the log magnitudes.
+    three-point parabola through the log magnitudes.  The peaks come in
+    increasing q: two adjacent bins cannot both be strict local maxima, and
+    the refinement moves a peak by at most half a bin.
     """
     m = spec.magnitude
     if len(m) < 4:
@@ -104,10 +105,6 @@ def find_peaks(spec: MagnitudeSpectrum, min_prominence: float = 0.01,
                 delta = max(-0.5, min(0.5, delta))
         q = float(spec.bin_to_q(j + delta))
         peaks.append(Peak(q=q, q_squared=q * q, bin=j + delta, magnitude=float(m[j])))
-    peaks.sort(key=lambda p: -p.magnitude)
-    if max_peaks is not None:
-        peaks = peaks[:max_peaks]
-    peaks.sort(key=lambda p: p.q)
     return peaks
 
 

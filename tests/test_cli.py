@@ -1,10 +1,13 @@
 import json
+import shlex
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pdswave.cli as cli
-from pdswave.cli import RUN_STAGES, _read_signals, _write_csv, main
+from pdswave.cli import RUN_STAGES, _read_signals, _write_csv, build_parser, main
 from pdswave.mesh_io import write_ele_file, write_node_file
 from pdswave.meshing import generate_mesh
 
@@ -90,16 +93,40 @@ def test_spectrum_without_probe_columns_is_usage_error(tmp_path, capsys):
     assert "probes >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
-def test_bad_spectrum_dt_is_usage_error(tmp_path, dt, capsys):
-    signals = tmp_path / "probes.csv"
+def _write_tone(signals):
     t = 0.01 * np.arange(64)
     _write_csv(signals, "step,time,p0", "%d,%.17g,%.17g\n", np.arange(64), t, np.sin(40 * t))
+
+
+BAD_DTS = ["0", "-0.01", "nan", "inf"]
+
+
+# dt is checked before the early-window guard, so the outcome does not
+# depend on --force-window
+@pytest.mark.parametrize("dt, force_window",
+                         [pytest.param(dt, True, id=dt) for dt in BAD_DTS]
+                         + [pytest.param(dt, False, id=f"{dt}-guarded") for dt in BAD_DTS])
+def test_bad_spectrum_dt_is_usage_error(tmp_path, dt, force_window, capsys):
+    signals = tmp_path / "probes.csv"
+    _write_tone(signals)
     out = tmp_path / "s"
-    code = main(["spectrum", "--signals", str(signals), "--out", str(out),
-                 "--dt", dt, "--force-window"])
+    argv = ["spectrum", "--signals", str(signals), "--out", str(out), "--dt", dt]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--force-window"] * force_window)
     assert code == 1
-    assert "finite and positive" in capsys.readouterr().err
+    assert "--dt must be finite and positive" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_bad_manifest_dt_is_usage_error(tmp_path, capsys):
+    signals = tmp_path / "probes.csv"
+    _write_tone(signals)
+    (tmp_path / "manifest.json").write_text('{"dt": 0.0}\n')
+    out = tmp_path / "s"
+    assert main(["spectrum", "--signals", str(signals), "--out", str(out)]) == 1
+    assert "manifest.json must be finite and positive" in capsys.readouterr().err
     assert not (out / "spectrum.csv").exists()
 
 
@@ -152,6 +179,9 @@ def test_manifest_run_facts(run_dir):
     assert manifest["pcg_iterations"] > 400 * per_step["min"]
     assert manifest["power_iterations"] > 1
     assert 0 <= manifest["power_relative_change"] <= 1e-4
+    rows = (run_dir / "energy.csv").read_text().splitlines()[1:]
+    e = [float(row.split(",")[2]) for row in rows]
+    assert manifest["energy_drift"] == abs(e[-1] - e[1]) / abs(e[1]) < 1e-9
 
 
 def test_csv_writer_matches_reference(tmp_path):
@@ -187,6 +217,12 @@ def test_csv_writer_matches_reference(tmp_path):
     (["--probes", "0,0"], "--probes"),
     (["--probes", "0,0,0;0.1,0"], "--probes"),
     (["--probes", "a,b,c"], "--probes"),
+    (["--solve-tol", "0"], "--solve-tol"),
+    (["--solve-tol=-1e-10"], "--solve-tol"),
+    (["--solve-tol", "nan"], "--solve-tol"),
+    (["--solve-tol", "inf"], "--solve-tol"),
+    (["--amplitude", "nan"], "--amplitude"),
+    (["--amplitude", "inf"], "--amplitude"),
 ])
 def test_run_flags_checked_before_setup(tmp_path, monkeypatch, capsys, flags, named):
     def no_setup(*args, **kwargs):
@@ -199,10 +235,30 @@ def test_run_flags_checked_before_setup(tmp_path, monkeypatch, capsys, flags, na
     assert not (tmp_path / "r").exists()
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--no-such-flag"],
+    # flags that no longer exist: one quadrature rule, no config files
+    ["run", "--degree", "2"],
+    ["assemble", "--degree", "4"],
+    ["run", "--config", "f"],
+], ids=["unknown-flag", "run-degree", "assemble-degree", "run-config"])
+def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["mesh", "--no-such-flag"])
+        main(argv)
     assert exc.value.code == 1
+
+
+def test_readme_cli_block_parses():
+    # every command of the README's CLI quick start parses; none is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (CLI)", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("pdswave ")]
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]
 
 
 def test_broken_import_exit_code(tmp_path, the_domain):
@@ -278,20 +334,6 @@ def test_forced_unstable_run_trips_guard(tmp_path):
     assert code == 3
 
 
-def test_config_file(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 2\nlayers = 2\nsteps = 50\nout = {}\n".format(tmp_path / "c"))
-    assert main(["run", "--config", str(cfg), "--steps", "60"]) == 0
-    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
-    assert manifest["steps"] == 60                 # explicit flag wins
-    assert manifest["mesh"]["tet_count"] == 960    # config n/layers applied
-    assert manifest["pcg_iterations"] > 60         # start solve + 60 step solves
-    rows = (tmp_path / "c" / "energy.csv").read_text().splitlines()[1:]
-    e = [float(row.split(",")[2]) for row in rows]
-    assert manifest["energy_drift"] == abs(e[-1] - e[1]) / abs(e[1])
-    assert manifest["energy_drift"] < 1e-9
-
-
 def test_zero_amplitude_gives_zero_signals(tmp_path):
     out = tmp_path / "z"
     assert main(["run", "--n", "1", "--layers", "1", "--steps", "80",
@@ -305,6 +347,5 @@ def test_zero_amplitude_gives_zero_signals(tmp_path):
 
 def test_out_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PDSWAVE_OUT", str(tmp_path / "envout"))
-    from pdswave.cli import build_parser
     args = build_parser().parse_args(["mesh"])
     assert args.out == str(tmp_path / "envout")

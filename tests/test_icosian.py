@@ -9,7 +9,7 @@ from pdswave import icosian
 from pdswave.errors import GenerationDiverged, NonUnitQuaternion, OrbitCountMismatch
 from pdswave.icosian import (CHI_VALUES, GEN_GAMMA, GEN_S, IDENTITY, GroupTable,
                              Quaternion, SIGMA, generate_group, left_matrix,
-                             merge_classes, orbit_vertices, quat_mul, rotation_of,
+                             merge_classes, orbit_vertices, rotation_of,
                              translation_distance)
 
 I = Quaternion(0, 1, 0, 0)
@@ -51,11 +51,11 @@ def test_basis_products():
 def test_identity_product():
     rng = np.random.default_rng(3)
     q = Quaternion(*rng.normal(size=4))
-    assert np.allclose(quat_mul(IDENTITY, q).as_array(), q.as_array())
+    assert np.allclose((IDENTITY * q).as_array(), q.as_array())
 
 
 def test_s_cubed_is_minus_one():
-    s3 = quat_mul(quat_mul(GEN_S, GEN_S), GEN_S)
+    s3 = GEN_S * GEN_S * GEN_S
     assert np.allclose(s3.as_array(), [-1, 0, 0, 0], atol=1e-15)
     # independent expansion oracle
     acc = GEN_S.as_array()

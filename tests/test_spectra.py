@@ -93,12 +93,6 @@ class TestFindPeaks:
         peaks = find_peaks(dft_magnitude(sig, dt), min_prominence=0.01)
         assert len(peaks) == 1
 
-    def test_max_peaks_keeps_strongest(self):
-        spec = self.synth([10.0, 20.0, 30.0], [1.0, 0.2, 0.6])
-        peaks = find_peaks(spec, max_peaks=2)
-        assert len(peaks) == 2
-        assert abs(peaks[0].q - 10.0) < 0.02 and abs(peaks[1].q - 30.0) < 0.02
-
 
 class TestMatch:
     def peak(self, q2):
