@@ -34,8 +34,8 @@ print(f"  drift = {abs(res.energy[-1] - res.energy[1]) / res.energy[1]:.2e}")
 
 fwd = leapfrog_run(ops.mass, ops.wave, u0, dt=dt, steps=100,
                    dt_max=dt_max, precond=precond, solve_tol=1e-14)
-back = leapfrog_run(ops.mass, ops.wave, fwd.state.u_prev, dt=dt, steps=99,
-                    u_prev=fwd.state.u_cur, dt_max=dt_max, precond=precond,
+back = leapfrog_run(ops.mass, ops.wave, fwd.u_prev, dt=dt, steps=99,
+                    u_prev=fwd.u_cur, dt_max=dt_max, precond=precond,
                     solve_tol=1e-14)
-err = np.linalg.norm(back.state.u_cur - u0) / np.linalg.norm(u0)
+err = np.linalg.norm(back.u_cur - u0) / np.linalg.norm(u0)
 print(f"\n100 steps forward + reversed restart: return error {err:.2e}")

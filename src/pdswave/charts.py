@@ -3,14 +3,15 @@
 The flat pentagon of face-1 vertex barycenters is carried to the plane z=0
 by a translation (edge midpoint of S5 S20 to the origin) followed by an
 explicit rotation.  Composing the inverse chart with the lift to S^3 and
-radial normalization embeds the chart onto the curved face; the structured
-triangulation places its nodes through that embedding.
+radial normalization embeds the chart onto the curved face.  The structured
+triangulation places every face-1 node: interior nodes through that
+embedding, boundary nodes on the edge geodesics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,42 +59,35 @@ def chart_embed(xy) -> np.ndarray:
     return p / np.linalg.norm(p)
 
 
-def chart_project(q4) -> np.ndarray:
-    """Chart coordinates of a point of face 1 on S^3 (inverse of chart_embed)."""
-    q4 = np.asarray(q4, dtype=float)
-    return chart_forward(q4[1:] * (VERTEX_X0 / q4[0]))
-
-
 # -- structured pentagon triangulation ----------------------------------------
 
 @dataclass
 class FaceChart:
-    """Triangulated chart of face 1 with its spherical embedding.
+    """Triangulated face 1, its nodes placed on the curved face.
 
-    Pentagon split into five center fans, each uniformly refined n^2-fold;
-    nodes on the pentagon boundary are placed at equal spherical arc length
-    along the edge geodesics.
+    Pentagon split into five center fans, each uniformly refined n^2-fold.
+    Interior lattice nodes are embedded through the chart and then scaled
+    onto the face-1 ellipsoid, which the embedding meets only up to
+    round-off; nodes on the pentagon boundary are placed at equal spherical
+    arc length along the edge geodesics.
     """
 
-    n: int
-    nodes: np.ndarray                 # (m, 2) chart coordinates
-    triangles: np.ndarray             # (t, 3) indices, CCW in the chart
-    sphere: np.ndarray                # (m, 4) embedded points on face 1
-    boundary_kind: dict = field(repr=False)   # node -> ("corner", k) | ("edge", k, b)
+    triangles: np.ndarray             # (t, 3) node indices, CCW in the chart
+    sphere: np.ndarray                # (m, 3) x1..x3 of each node's point on face 1 of S^3
 
 
 def triangulate_face_chart(domain: FundamentalDomain, n: int) -> FaceChart:
     if n < 1:
         raise InvalidSubdivision(f"subdivision {n} < 1")
-    cycle = domain.face(1).cycle
-    corners4 = domain.vertices4[list(cycle)]
-    corner_xy = np.array([chart_project(c) for c in corners4])
+    cycle = list(domain.face(1).cycle)
+    corners4 = domain.vertices4[cycle]
+    # a vertex's x0 is VERTEX_X0, so chart_forward of its x1..x3 is its chart point
+    corner_xy = np.array([chart_forward(v) for v in domain.vertices3[cycle]])
     center_xy = chart_forward(domain.face_center3(1))
 
     key_to_id: dict = {}
-    nodes_xy: list = []
     sphere: list = []
-    boundary_kind: dict = {}
+    interior: list = []
 
     def canonical(s, a, b):
         if a == 0:
@@ -110,26 +104,19 @@ def triangulate_face_chart(domain: FundamentalDomain, n: int) -> FaceChart:
         key = canonical(s, a, b)
         if key in key_to_id:
             return key_to_id[key]
-        idx = len(nodes_xy)
-        key_to_id[key] = idx
+        key_to_id[key] = len(sphere)
         if key[0] == "spoke" and key[2] == n:          # pentagon corner
-            k = key[1]
-            q = corners4[k]
-            nodes_xy.append(corner_xy[k])
-            boundary_kind[idx] = ("corner", k)
+            q = corners4[key[1]]
         elif key[0] == "edge":                          # pentagon edge interior
-            k, bb = key[1], key[2]
-            q = geodesic_point(corners4[k], corners4[(k + 1) % 5], bb / n)
-            nodes_xy.append(chart_project(q))
-            boundary_kind[idx] = ("edge", k, bb)
+            k = key[1]
+            q = geodesic_point(corners4[k], corners4[(k + 1) % 5], key[2] / n)
         else:                                           # interior lattice point
             fa, fb = a / n, b / n
-            xy = (center_xy + fa * (corner_xy[s] - center_xy)
-                  + fb * (corner_xy[(s + 1) % 5] - corner_xy[s]))
-            q = chart_embed(xy)
-            nodes_xy.append(xy)
-        sphere.append(q)
-        return idx
+            q = chart_embed(center_xy + fa * (corner_xy[s] - center_xy)
+                            + fb * (corner_xy[(s + 1) % 5] - corner_xy[s]))
+            interior.append(len(sphere))
+        sphere.append(q[1:])
+        return key_to_id[key]
 
     tris = []
     for s in range(5):
@@ -141,13 +128,8 @@ def triangulate_face_chart(domain: FundamentalDomain, n: int) -> FaceChart:
                 tris.append((node_id(s, a - 1, b), node_id(s, a, b + 1),
                              node_id(s, a - 1, b + 1)))
 
-    nodes = np.array(nodes_xy)
-    triangles = np.array(tris, dtype=np.int64)
-    # enforce positive orientation in the chart plane
-    p = nodes[triangles]
-    area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    flip = area2 < 0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    return FaceChart(n=n, nodes=nodes, triangles=triangles,
-                     sphere=np.array(sphere), boundary_kind=boundary_kind)
+    pts = np.array(sphere)
+    inner = pts[interior]
+    q1 = domain.face(1).ellipsoid
+    pts[interior] = inner / np.sqrt(np.einsum("ij,jk,ik->i", inner, q1, inner))[:, None]
+    return FaceChart(triangles=np.array(tris, dtype=np.int64), sphere=pts)

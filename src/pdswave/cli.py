@@ -162,6 +162,17 @@ def _parse_points(text):
     return pts
 
 
+def _parse_dt(text):
+    """The finite positive float of a `run --dt` value other than "auto", else ValueError."""
+    try:
+        dt = float(text)
+    except ValueError:
+        dt = math.nan
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"--dt must be 'auto' or finite and positive, got {text!r}")
+    return dt
+
+
 def cmd_run(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
@@ -175,6 +186,9 @@ def cmd_run(args) -> int:
         raise ValueError(f"--solve-tol must be finite and positive, got {args.solve_tol}")
     if not math.isfinite(args.amplitude):
         raise ValueError(f"--amplitude must be finite, got {args.amplitude}")
+    if not (math.isfinite(args.bump[3]) and args.bump[3] > 0):
+        raise ValueError(f"--bump radius must be finite and positive, got {args.bump[3]}")
+    dt = None if args.dt == "auto" else _parse_dt(args.dt)
     points = _parse_points(args.probes)
     domain = build_domain()
     if (np.einsum("ij,ij->i", points, points) >= 1.0).any() \
@@ -187,12 +201,8 @@ def cmd_run(args) -> int:
     power: dict = {}
     with _timed(stage_s, "spectral_bound"):
         lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave, info=power)
-    if args.dt == "auto":
+    if dt is None:
         dt = 0.95 * dt_max
-    else:
-        dt = float(args.dt)
-        if not dt > 0:
-            raise ValueError(f"--dt must be positive, got {args.dt}")
     if args.random is not None:
         u0 = initial_random(args.random, args.amplitude, dof_map.n_dofs)
         initial = {"kind": "random", "seed": args.random, "amplitude": args.amplitude}
@@ -246,7 +256,7 @@ def cmd_run(args) -> int:
         "steps": args.steps,
         "initial": initial,
         "solve_tol": args.solve_tol,
-        "preconditioner": precond.kind,
+        "preconditioner": "jacobi",
         "pcg_iterations": int(result.solve_iterations.sum()),
         "pcg_per_step": {"min": int(per_step.min()), "mean": float(per_step.mean()),
                          "max": int(per_step.max())},
@@ -279,6 +289,12 @@ def _read_signals(path):
 
 
 def cmd_spectrum(args) -> int:
+    if not (math.isfinite(args.prominence) and args.prominence >= 0):
+        raise ValueError(f"--prominence must be finite and >= 0, got {args.prominence}")
+    if not (math.isfinite(args.match_tol) and args.match_tol > 0):
+        raise ValueError(f"--match-tol must be finite and positive, got {args.match_tol}")
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     signals_path = Path(args.signals)
     if args.dt is None:
         mpath = signals_path.parent / "manifest.json"

@@ -138,8 +138,7 @@ class FaceMap:
 
 @dataclass(frozen=True)
 class EquivalenceClass:
-    representative: np.ndarray = field(compare=False)
-    members: np.ndarray = field(compare=False)   # (k, 3), k in {1,2,3,4}
+    members: np.ndarray = field(compare=False)   # (k, 3), k in {1,2,3,4}; X first
     faces: tuple = ()                            # 1-based indices of containing faces
 
 
@@ -295,7 +294,7 @@ class FundamentalDomain:
         for m in members[1:]:
             if not self.contains(m, 10 * tol):
                 raise NotInDomain(f"image {m} escaped the domain; inconsistent tolerance")
-        return EquivalenceClass(representative=X, members=np.array(members), faces=on)
+        return EquivalenceClass(members=np.array(members), faces=on)
 
     # -- metric data ------------------------------------------------------
 

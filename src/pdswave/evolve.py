@@ -47,8 +47,8 @@ def bump_profile(domain: FundamentalDomain, points: np.ndarray,
     center = np.asarray(center, dtype=float)
     if not domain.contains(center, tol=1e-9):
         raise NotInDomain(f"bump center {center} is outside the domain")
-    if radius <= 0:
-        raise ValueError("bump radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"bump radius must be finite and positive, got {radius}")
     q0 = lift_many(center[None, :])[0]
     q = lift_many(np.asarray(points, dtype=float))
     d = np.arccos(np.clip(q @ q0, -1.0, 1.0))
@@ -74,20 +74,8 @@ def initial_random(seed: int, amplitude: float, n_dofs: int) -> np.ndarray:
 
 # -- preconditioners ------------------------------------------------------------
 
-class Preconditioner:
-    """Jacobi preconditioner: multiplication by the inverse mass diagonal."""
-
-    kind = "jacobi"
-
-    def __init__(self, inv_diag: np.ndarray):
-        self.inv_diag = inv_diag
-
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.multiply(self.inv_diag, r, out=out)
-
-
-def make_preconditioner(mass: SparseSymMatrix, kind: str = "jacobi") -> Preconditioner:
-    """Diagonal (Jacobi) preconditioner of the mass matrix.
+def make_preconditioner(mass: SparseSymMatrix, kind: str = "jacobi") -> np.ndarray:
+    """Diagonal (Jacobi) preconditioner of the mass matrix: its inverse diagonal.
 
     The weighted P1 mass matrix is spectrally equivalent to its diagonal, so
     the diagonal is the only preconditioner.  The kind "ic0" is a deprecated
@@ -98,25 +86,27 @@ def make_preconditioner(mass: SparseSymMatrix, kind: str = "jacobi") -> Precondi
                       DeprecationWarning, stacklevel=2)
     elif kind != "jacobi":
         raise ValueError(f"unknown preconditioner kind {kind!r}")
-    return Preconditioner(1.0 / mass.diagonal())
+    return 1.0 / mass.diagonal()
 
 
 # -- linear solver ---------------------------------------------------------------
 
 def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
-              precond: Preconditioner | None = None, tol: float = 1e-12,
+              precond: np.ndarray | None = None, tol: float = 1e-12,
               max_iter: int | None = None, x0: np.ndarray | None = None,
               info: dict | None = None,
               mass_x0: np.ndarray | None = None) -> np.ndarray:
     """Preconditioned conjugate gradients to relative residual tol.
 
-    `mass_x0` is `mass @ x0` when the caller already holds it; without it
-    the start costs one product (none for a cold start, x0 = None).  If
-    `info` is a dict it receives the iteration count under "iterations" and
-    `mass @ x` under "mass_x", the product of the final residual check
-    (`mass_x0` on an immediate return, zeros for b = 0).  A right-hand side
-    that is not finite, or a search direction along which the operator is
-    not positive (breakdown), raises NoConvergence at once.
+    `precond` is the inverse mass diagonal of `make_preconditioner`, made
+    here when not given.  `mass_x0` is `mass @ x0` when the caller already
+    holds it; without it the start costs one product (none for a cold
+    start, x0 = None).  If `info` is a dict it receives the iteration count
+    under "iterations" and `mass @ x` under "mass_x", the product of the
+    final residual check (`mass_x0` on an immediate return, zeros for
+    b = 0).  A right-hand side that is not finite, or a search direction
+    along which the operator is not positive (breakdown), raises
+    NoConvergence at once.
     """
     n = len(b)
     if max_iter is None:
@@ -144,7 +134,7 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
     target = tol * b_norm
     if np.linalg.norm(r) <= target:
         return done(x, mass_x, 0)
-    z = precond.apply(r)
+    z = precond * r
     p = z.copy()
     step = np.empty(n)
     rz = float(r @ z)
@@ -162,11 +152,11 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
             if np.linalg.norm(r) <= 2 * target:
                 return done(x, mass_x, it + 1)
             # drift safeguard: restart from the true residual
-            precond.apply(r, out=z)
+            np.multiply(precond, r, out=z)
             p[:] = z
             rz = float(r @ z)
             continue
-        precond.apply(r, out=z)
+        np.multiply(precond, r, out=z)
         rz_new = float(r @ z)
         p *= rz_new / rz
         p += z
@@ -177,14 +167,6 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
 
 
 # -- states, probes, energy ------------------------------------------------------
-
-@dataclass
-class WaveState:
-    u_cur: np.ndarray
-    u_prev: np.ndarray
-    step: int
-    dt: float
-
 
 @dataclass
 class ProbeSet:
@@ -219,7 +201,8 @@ def discrete_energy(mass: SparseSymMatrix, wave: SparseSymMatrix,
 
 @dataclass
 class LeapfrogResult:
-    state: WaveState
+    u_cur: np.ndarray                    # level at the last step
+    u_prev: np.ndarray                   # level one step before it
     energy: np.ndarray                   # energy at steps 0..n (0 = initial pair)
     probe_signals: np.ndarray | None     # (samples, n_probes)
     # PCG iterations of each solve: the start solve first (none when the run
@@ -235,7 +218,7 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
                  snapshot_every: int = 0,
                  dt_max: float | None = None, force: bool = False,
                  solve_tol: float = 1e-13,
-                 precond: Preconditioner | None = None,
+                 precond: np.ndarray | None = None,
                  energy_guard: float = 10.0) -> LeapfrogResult:
     """Run the explicit scheme for `steps` steps.
 
@@ -315,8 +298,6 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
 
     if signals is not None:
         signals = signals[:sample_count]
-    return LeapfrogResult(state=WaveState(u_cur=u_cur, u_prev=u_prev,
-                                          step=steps, dt=dt),
-                          energy=energy, probe_signals=signals,
-                          snapshots=snapshots,
+    return LeapfrogResult(u_cur=u_cur, u_prev=u_prev, energy=energy,
+                          probe_signals=signals, snapshots=snapshots,
                           solve_iterations=np.array(iterations, dtype=np.int64))

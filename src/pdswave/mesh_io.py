@@ -160,8 +160,7 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
         raise PeriodicityViolation(
             f"boundary triangle {bad} lies on no face (residual {tri_res.min(axis=1)[bad]:.2e})")
 
-    mesh = TetMesh(vertices=vertices, tets=tets,
-                   boundary_tris=boundary_tris, boundary_faces=boundary_faces,
+    mesh = TetMesh(vertices=vertices, tets=tets, boundary_tris=boundary_tris,
                    periodic=periodic_pairs(domain, vertices, boundary_tris,
                                            boundary_faces, tol))
     report = validate_mesh(domain, mesh, tol=tol)

@@ -1,8 +1,9 @@
 """Periodic tetrahedral meshes of the fundamental dodecahedron.
 
-Boundary first: the chart triangulation of face 1 is embedded on the
-sphere, carried to faces 2..6 by dodecahedron rotations and to faces 7..12
-by the face-identification maps, so the triangulations of opposite faces
+Boundary first: the chart triangulation of face 1, whose nodes the chart
+places on the curved face, is checked against the face-1 ellipsoid and
+carried to faces 2..6 by dodecahedron rotations and to faces 7..12 by the
+face-identification maps, so the triangulations of opposite faces
 correspond under the identifications by construction.  The volume is then
 filled using star-shapedness about the origin: scaled copies of the surface
 nodes on L radial layers, prisms between layers split into three tets each
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .charts import FaceChart, triangulate_face_chart
-from .domain import FundamentalDomain, geodesic_point
+from .domain import FundamentalDomain
 from .errors import DegenerateTet, PeriodicityViolation, SnapFailure
 from .golden import SIGMA_FLOAT as _S
 from .icosian import merge_classes
@@ -58,7 +59,6 @@ class TetMesh:
     vertices: np.ndarray                    # (N, 3)
     tets: np.ndarray                        # (M, 4), positively oriented
     boundary_tris: np.ndarray               # (T, 3) global vertex indices
-    boundary_faces: np.ndarray              # (T,) face tags 1..12
     periodic: np.ndarray                    # (P, 3) (node, face, partner)
 
     @property
@@ -72,33 +72,20 @@ class TetMesh:
         return h.hexdigest()
 
 
-def _snap_face1_nodes(domain: FundamentalDomain, chart: FaceChart,
-                      tol: float = 1e-6) -> np.ndarray:
-    """Control and correct face-1 nodes: ellipsoid for all, geodesics for edges."""
-    pts = chart.sphere[:, 1:].copy()
+def _check_face1_nodes(domain: FundamentalDomain, nodes: np.ndarray,
+                       tol: float = 1e-6) -> None:
+    """Raise SnapFailure unless every face-1 node is within tol of the face-1 ellipsoid."""
     q1 = domain.face(1).ellipsoid
-    form = np.einsum("ij,jk,ik->i", pts, q1, pts)
-    drift = np.abs(1.0 - 1.0 / np.sqrt(form)) * np.linalg.norm(pts, axis=1)
+    form = np.einsum("ij,jk,ik->i", nodes, q1, nodes)
+    drift = np.abs(1.0 - 1.0 / np.sqrt(form)) * np.linalg.norm(nodes, axis=1)
     if drift.max() > tol:
         raise SnapFailure(f"face node {drift.argmax()} is {drift.max():.2e} off the ellipsoid")
-    pts /= np.sqrt(form)[:, None]
-    cycle = domain.face(1).cycle
-    corners4 = domain.vertices4[list(cycle)]
-    for idx, kind in chart.boundary_kind.items():
-        if kind[0] == "corner":
-            target = corners4[kind[1]][1:]
-        else:
-            _, k, b = kind
-            target = geodesic_point(corners4[k], corners4[(k + 1) % 5], b / chart.n)[1:]
-        if np.abs(pts[idx] - target).max() > tol:
-            raise SnapFailure(f"edge node {idx} is off its geodesic")
-        pts[idx] = target
-    return pts
 
 
 def build_boundary_mesh(domain: FundamentalDomain, chart: FaceChart) -> SurfaceMesh:
     """Replicate the face-1 triangulation to all twelve faces and merge."""
-    face1 = _snap_face1_nodes(domain, chart)
+    face1 = chart.sphere
+    _check_face1_nodes(domain, face1)
     blocks = {1: face1}
     for i in range(2, 7):
         blocks[i] = face1 @ REPLICATION_ROTATIONS[i].T
@@ -194,7 +181,6 @@ def build_volume_mesh(domain: FundamentalDomain, surface: SurfaceMesh,
     boundary_offset = 1 + (layers - 1) * s_count
     return TetMesh(vertices=vertices, tets=tets,
                    boundary_tris=surface.tris + boundary_offset,
-                   boundary_faces=surface.tri_face.copy(),
                    periodic=surface.periodic + [boundary_offset, 0, boundary_offset])
 
 

@@ -51,21 +51,29 @@ class MagnitudeSpectrum:
         return 2.0 * math.pi / (self.n_signal * self.dt)
 
 
-def dft_magnitude(signal: np.ndarray, dt: float,
+def dft_magnitude(signals: np.ndarray, dt: float,
                   window: str | None = None) -> MagnitudeSpectrum:
-    """Magnitude spectrum of a real signal, zero-padded to a fast length."""
+    """Probe-averaged magnitude spectrum of real signals, zero-padded to a fast length.
+
+    `signals` is (samples, probes), probes >= 1; a 1-D array is one probe.
+    The incoherent average over probes suppresses per-probe nodal-line misses.
+    """
+    signals = np.asarray(signals, dtype=float)
+    if signals.ndim == 1:
+        signals = signals[:, None]
+    elif signals.ndim != 2 or signals.shape[1] == 0:
+        raise ValueError(f"signals must be (samples, probes >= 1), got shape {signals.shape}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"sample spacing dt must be finite and positive, got {dt}")
-    signal = np.asarray(signal, dtype=float)
-    n = len(signal)
+    n = len(signals)
     if n < 16:
         raise TooShort(f"signal has {n} samples, need at least 16")
     if window == "hann":
-        signal = signal * np.hanning(n)
+        signals = signals * np.hanning(n)[:, None]
     elif window is not None:
         raise ValueError(f"unknown window {window!r}")
     n_fft = scipy.fft.next_fast_len(n)
-    mag = np.abs(scipy.fft.rfft(signal, n=n_fft))
+    mag = np.abs(scipy.fft.rfft(signals.T, n=n_fft)).mean(axis=0)
     return MagnitudeSpectrum(magnitude=mag, n_signal=n, n_fft=n_fft, dt=dt)
 
 
@@ -108,17 +116,6 @@ def find_peaks(spec: MagnitudeSpectrum, min_prominence: float = 0.01) -> list[Pe
     return peaks
 
 
-def average_spectra(spectra: list[MagnitudeSpectrum]) -> MagnitudeSpectrum:
-    """Incoherent average over probes; suppresses per-probe nodal-line misses."""
-    ref = spectra[0]
-    for s in spectra[1:]:
-        if s.n_fft != ref.n_fft or s.dt != ref.dt:
-            raise ValueError("spectra to average must share window and step")
-    mag = np.mean([s.magnitude for s in spectra], axis=0)
-    return MagnitudeSpectrum(magnitude=mag, n_signal=ref.n_signal,
-                             n_fft=ref.n_fft, dt=ref.dt)
-
-
 @dataclass
 class Match:
     beta: float
@@ -133,10 +130,10 @@ class SpectrumReport:
     matches: list                     # Match per exact value found
     missing: list                     # (beta, exact q^2) rows with no peak
     resolution: float                 # frequency resolution in q
-    match_tolerance: float = 0.05
-    meta: dict = field(default_factory=dict)
+    match_tolerance: float
+    meta: dict
     # probe-averaged magnitudes the peaks were taken from; not part of to_json
-    spectrum: MagnitudeSpectrum | None = field(default=None, repr=False)
+    spectrum: MagnitudeSpectrum = field(repr=False)
 
     def to_json(self) -> str:
         out = {
@@ -164,15 +161,14 @@ class SpectrumReport:
         return "\n".join(lines)
 
 
-def match_eigenvalues(peaks: list, exact: np.ndarray, tol: float = 0.05, *,
-                      resolution: float = 0.0) -> SpectrumReport:
+def match_eigenvalues(peaks: list, exact: np.ndarray,
+                      tol: float = 0.05) -> tuple[list, list]:
     """Greedy nearest matching of detected q against exact sqrt(beta^2 - 1).
 
     Matching happens in q with relative tolerance `tol`; reported errors are
-    on q^2.  Exact values with no surviving peak are listed as missing
-    (probes can sit on nodal lines; use several probes to mitigate).
-    `resolution` is the frequency resolution in q of the spectrum the peaks
-    came from, stored in the report (0.0 when unknown).
+    on q^2.  Returns the Match of each exact value found and the (beta,
+    exact q^2) rows with no surviving peak (probes can sit on nodal lines;
+    use several probes to mitigate).
     """
     peaks = sorted(peaks, key=lambda p: p.q)
     qs = np.array([p.q for p in peaks])
@@ -196,29 +192,21 @@ def match_eigenvalues(peaks: list, exact: np.ndarray, tol: float = 0.05, *,
         matches.append(Match(beta=float(beta), exact_q2=float(q2),
                              detected_q2=det,
                              relative_error=abs(det - q2) / q2))
-    return SpectrumReport(peaks=peaks, matches=matches, missing=missing,
-                          resolution=resolution, match_tolerance=tol)
+    return matches, missing
 
 
 def analyze_probe_signals(signals: np.ndarray, dt: float, count: int = 10,
                           min_prominence: float = 0.01, tol: float = 0.05,
                           window: str | None = None) -> SpectrumReport:
-    """DFT each probe column, average magnitudes, detect and match peaks.
+    """DFT the probe columns, average magnitudes, detect and match peaks.
 
     `signals` is (samples, probes), probes >= 1; a 1-D array is one probe.
     """
-    signals = np.asarray(signals, dtype=float)
-    if signals.ndim == 1:
-        signals = signals[:, None]
-    elif signals.ndim != 2 or signals.shape[1] == 0:
-        raise ValueError(f"signals must be (samples, probes >= 1), got shape {signals.shape}")
-    spectra = [dft_magnitude(signals[:, k], dt, window=window)
-               for k in range(signals.shape[1])]
-    avg = average_spectra(spectra)
-    peaks = find_peaks(avg, min_prominence=min_prominence)
-    report = match_eigenvalues(peaks, exact_spectrum(count), tol=tol,
-                               resolution=avg.resolution)
-    report.spectrum = avg
-    report.meta = {"n_signal": avg.n_signal, "n_fft": avg.n_fft,
-                   "dt": dt, "probes": signals.shape[1]}
-    return report
+    spec = dft_magnitude(signals, dt, window=window)
+    peaks = find_peaks(spec, min_prominence=min_prominence)
+    matches, missing = match_eigenvalues(peaks, exact_spectrum(count), tol=tol)
+    meta = {"n_signal": spec.n_signal, "n_fft": spec.n_fft, "dt": dt,
+            "probes": 1 if np.ndim(signals) == 1 else np.shape(signals)[1]}
+    return SpectrumReport(peaks=peaks, matches=matches, missing=missing,
+                          resolution=spec.resolution, match_tolerance=tol,
+                          meta=meta, spectrum=spec)

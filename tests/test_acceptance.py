@@ -239,9 +239,9 @@ def test_criterion_8_reversibility(the_domain, system2):
     dt = 0.95 * dt_max
     fwd = leapfrog_run(ops.mass, ops.wave, u0, dt=dt, steps=100,
                        dt_max=dt_max, solve_tol=1e-14)
-    back = leapfrog_run(ops.mass, ops.wave, fwd.state.u_prev, dt=dt, steps=99,
-                        u_prev=fwd.state.u_cur, dt_max=dt_max, solve_tol=1e-14)
-    err = np.linalg.norm(back.state.u_cur - u0) / np.linalg.norm(u0)
+    back = leapfrog_run(ops.mass, ops.wave, fwd.u_prev, dt=dt, steps=99,
+                        u_prev=fwd.u_cur, dt_max=dt_max, solve_tol=1e-14)
+    err = np.linalg.norm(back.u_cur - u0) / np.linalg.norm(u0)
     ok = err <= 1e-8
     assert announce(8, "reversibility", ok,
                     f"return error {err:.2e}, {time.time() - t0:.1f}s")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdswave import charts
+from pdswave.domain import VERTEX_X0, lift_many
 from pdswave.errors import InvalidSubdivision, OffPlane
 
 
@@ -48,7 +49,8 @@ def test_embed_project_round_trip():
         xy = rng.uniform(-0.15, 0.15, 2)
         q = charts.chart_embed(xy)
         assert abs(q @ q - 1.0) < 1e-14
-        assert np.abs(charts.chart_project(q) - xy).max() < 1e-12
+        # back to the barycenter plane along the ray through the origin
+        assert np.abs(charts.chart_forward(q[1:] * (VERTEX_X0 / q[0])) - xy).max() < 1e-12
 
 
 def test_embedded_points_lie_on_face_one(the_domain):
@@ -63,7 +65,7 @@ class TestTriangulation:
     @pytest.mark.parametrize("n,verts,tris", [(1, 6, 5), (2, 16, 20), (3, 31, 45)])
     def test_counts(self, the_domain, n, verts, tris):
         ch = charts.triangulate_face_chart(the_domain, n)
-        assert len(ch.nodes) == verts
+        assert len(ch.sphere) == verts
         assert len(ch.triangles) == tris
 
     def test_invalid_subdivision(self, the_domain):
@@ -71,29 +73,35 @@ class TestTriangulation:
             charts.triangulate_face_chart(the_domain, 0)
 
     def test_positive_orientation(self, the_domain):
+        # counterclockwise in the chart: each normal points out of face 1
         ch = charts.triangulate_face_chart(the_domain, 3)
-        p = ch.nodes[ch.triangles]
-        area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                 - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-        assert area2.min() > 0
+        p = ch.sphere[ch.triangles]
+        normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        assert (normals @ the_domain.face_center3(1)).min() > 0
 
     def test_boundary_nodes_equally_spaced_in_arc(self, the_domain):
         n = 5
         ch = charts.triangulate_face_chart(the_domain, n)
+        nodes4 = lift_many(ch.sphere)
         cycle = the_domain.face(1).cycle
         corners4 = the_domain.vertices4[list(cycle)]
         for k in range(5):
-            pts = [corners4[k]]
-            edge = sorted(((kind[2], idx) for idx, kind in ch.boundary_kind.items()
-                           if kind[0] == "edge" and kind[1] == k))
-            pts += [ch.sphere[idx] for _, idx in edge]
-            pts.append(corners4[(k + 1) % 5])
-            arcs = [math.acos(np.clip(a @ b, -1, 1)) for a, b in zip(pts, pts[1:])]
+            a, b = corners4[k], corners4[(k + 1) % 5]
+            # the nodes on the great circle through the edge's two corners
+            basis = np.linalg.qr(np.column_stack([a, b]))[0]
+            off = np.linalg.norm(nodes4 - (nodes4 @ basis) @ basis.T, axis=1)
+            edge = nodes4[off < 1e-12]
+            assert len(edge) == n + 1
+            pts = edge[np.argsort(-(edge @ a))]
+            arcs = [math.acos(np.clip(u @ v, -1, 1)) for u, v in zip(pts, pts[1:])]
             assert max(arcs) - min(arcs) < 1e-10
 
     def test_sphere_points_unit_and_on_face(self, the_domain):
+        # the x1..x3 points lie in the unit ball and lift onto face 1 of S^3
         ch = charts.triangulate_face_chart(the_domain, 4)
-        norms = np.einsum("ij,ij->i", ch.sphere, ch.sphere)
-        assert np.abs(norms - 1).max() < 1e-14
-        res = np.array([the_domain.face_residuals(q[1:])[0] for q in ch.sphere])
+        assert np.einsum("ij,ij->i", ch.sphere, ch.sphere).max() < 1
+        res = np.array([the_domain.face_residuals(x)[0] for x in ch.sphere])
         assert np.abs(res).max() < 1e-13
+        q1 = the_domain.face(1).ellipsoid
+        form = np.einsum("ij,jk,ik->i", ch.sphere, q1, ch.sphere)
+        assert np.abs(form - 1).max() < 1e-14

@@ -93,6 +93,27 @@ def test_spectrum_without_probe_columns_is_usage_error(tmp_path, capsys):
     assert "probes >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--prominence", "nan"], "--prominence"),
+    (["--prominence", "inf"], "--prominence"),
+    (["--prominence", "-0.01"], "--prominence"),
+    (["--match-tol", "nan"], "--match-tol"),
+    (["--match-tol", "inf"], "--match-tol"),
+    (["--match-tol", "-1"], "--match-tol"),
+    (["--match-tol", "0"], "--match-tol"),
+    (["--count", "0"], "--count"),
+])
+def test_spectrum_flags_checked_before_reading(tmp_path, capsys, flags, named):
+    # the signals file does not exist: a flag error must come first
+    out = tmp_path / "s"
+    code = main(["spectrum", "--signals", str(tmp_path / "missing.csv"),
+                 "--out", str(out), "--dt", "0.01"] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err and "missing.csv" not in err
+    assert not out.exists()
+
+
 def _write_tone(signals):
     t = 0.01 * np.arange(64)
     _write_csv(signals, "step,time,p0", "%d,%.17g,%.17g\n", np.arange(64), t, np.sin(40 * t))
@@ -223,6 +244,13 @@ def test_csv_writer_matches_reference(tmp_path):
     (["--solve-tol", "inf"], "--solve-tol"),
     (["--amplitude", "nan"], "--amplitude"),
     (["--amplitude", "inf"], "--amplitude"),
+    (["--dt", "abc"], "--dt"),
+    (["--dt", "-1"], "--dt"),
+    (["--dt", "nan"], "--dt"),
+    (["--dt", "inf", "--force"], "--dt"),
+    (["--bump", "0", "0", "0", "nan"], "--bump"),
+    (["--bump", "0", "0", "0", "inf"], "--bump"),
+    (["--bump", "0", "0", "0", "0"], "--bump"),
 ])
 def test_run_flags_checked_before_setup(tmp_path, monkeypatch, capsys, flags, named):
     def no_setup(*args, **kwargs):

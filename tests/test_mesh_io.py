@@ -212,8 +212,7 @@ def test_node_and_ele_writers_match_reference(mesh22, odd_values, tmp_path):
 def test_vtk_writer_matches_reference(mesh22, odd_values, tmp_path):
     vertices, u = odd_values
     mesh = TetMesh(vertices=vertices, tets=mesh22.tets,
-                   boundary_tris=mesh22.boundary_tris,
-                   boundary_faces=mesh22.boundary_faces, periodic=mesh22.periodic)
+                   boundary_tris=mesh22.boundary_tris, periodic=mesh22.periodic)
     write_vtk_mesh(tmp_path / "m.vtk", mesh, {"u": u})
     assert (tmp_path / "m.vtk").read_text() == _ref_vtk(vertices, mesh22.tets, u)
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pdswave.errors import TooShort
-from pdswave.spectra import (MagnitudeSpectrum, Peak, analyze_probe_signals,
-                             average_spectra, dft_magnitude, exact_spectrum,
+from pdswave.spectra import (MagnitudeSpectrum, Peak, SpectrumReport,
+                             analyze_probe_signals, dft_magnitude, exact_spectrum,
                              find_peaks, match_eigenvalues)
 
 
@@ -101,38 +101,37 @@ class TestMatch:
     def test_paper_style_error_value(self):
         # 167.6126 is a 4-decimal rounding of the underlying detection, so the
         # reference error 2.3060753e-3 is reproduced to that rounding level
-        rep = match_eigenvalues([self.peak(167.6126)], exact_spectrum(2))
-        assert len(rep.matches) == 1
-        assert rep.matches[0].relative_error == pytest.approx(2.3060753e-3, rel=1e-4)
+        matches, _ = match_eigenvalues([self.peak(167.6126)], exact_spectrum(2))
+        assert len(matches) == 1
+        assert matches[0].relative_error == pytest.approx(2.3060753e-3, rel=1e-4)
 
     def test_exact_match_zero_error(self):
-        rep = match_eigenvalues([self.peak(168.0)], exact_spectrum(2))
-        assert rep.matches[0].relative_error == 0.0
+        matches, _ = match_eigenvalues([self.peak(168.0)], exact_spectrum(2))
+        assert matches[0].relative_error == 0.0
 
     def test_empty_peaks_all_missing(self):
-        rep = match_eigenvalues([], exact_spectrum(5))
-        assert rep.matches == []
-        assert len(rep.missing) == 4      # beta = 1 (zero mode) is skipped
+        matches, missing = match_eigenvalues([], exact_spectrum(5))
+        assert matches == []
+        assert len(missing) == 4          # beta = 1 (zero mode) is skipped
 
     def test_never_pairs_beyond_tolerance(self):
         q = math.sqrt(168.0)
         stray = Peak(q=q * 1.2, q_squared=(q * 1.2) ** 2, bin=0.0, magnitude=1.0)
-        rep = match_eigenvalues([stray], exact_spectrum(2), tol=0.05)
-        assert rep.matches == []
-        assert (13.0, 168.0) in [(b, e) for b, e in rep.missing]
+        matches, missing = match_eigenvalues([stray], exact_spectrum(2), tol=0.05)
+        assert matches == []
+        assert (13.0, 168.0) in [(b, e) for b, e in missing]
 
     def test_each_exact_matched_at_most_once(self):
         peaks = [self.peak(168.0), self.peak(168.5)]
-        rep = match_eigenvalues(peaks, exact_spectrum(2), tol=0.05)
-        assert len(rep.matches) == 1
-
-    def test_report_carries_given_resolution(self):
-        rep = match_eigenvalues([self.peak(168.0)], exact_spectrum(2), resolution=0.25)
-        assert rep.resolution == 0.25
-        assert json.loads(rep.to_json())["resolution"] == 0.25
+        matches, _ = match_eigenvalues(peaks, exact_spectrum(2), tol=0.05)
+        assert len(matches) == 1
 
     def test_table_renders(self):
-        rep = match_eigenvalues([self.peak(167.6126)], exact_spectrum(3))
+        peaks = [self.peak(167.6126)]
+        matches, missing = match_eigenvalues(peaks, exact_spectrum(3))
+        rep = SpectrumReport(peaks=peaks, matches=matches, missing=missing,
+                             resolution=0.25, match_tolerance=0.05, meta={},
+                             spectrum=None)
         text = rep.table()
         assert "167.6126" in text and "missing" in text
 
@@ -152,12 +151,6 @@ class TestEndToEnd:
         assert rep.missing == []
         for m in rep.matches:
             assert abs(math.sqrt(m.detected_q2) - math.sqrt(m.exact_q2)) < rep.resolution
-
-    def test_average_spectra_requires_same_window(self):
-        a = dft_magnitude(np.zeros(64) + 1, dt=0.1)
-        b = dft_magnitude(np.zeros(128) + 1, dt=0.1)
-        with pytest.raises(ValueError):
-            average_spectra([a, b])
 
     def test_analyze_accepts_multiple_probes(self):
         dt = 1e-3
@@ -189,9 +182,14 @@ class TestEndToEnd:
             analyze_probe_signals(np.zeros((64, 0)), 0.1)
 
     def test_report_carries_averaged_spectrum(self):
-        sig = np.random.default_rng(1).standard_normal((64, 3))
-        rep = analyze_probe_signals(sig, 0.1, count=3, window="hann")
-        avg = average_spectra([dft_magnitude(sig[:, k], 0.1, window="hann")
-                               for k in range(3)])
-        assert np.array_equal(rep.spectrum.magnitude, avg.magnitude)
-        assert "spectrum" not in rep.to_json()
+        # one transform of all probes gives the per-probe mean bit for bit
+        for probes in (1, 2, 3, 7, 30):
+            sig = np.random.default_rng(probes).standard_normal((64, probes))
+            rep = analyze_probe_signals(sig, 0.1, count=3, window="hann")
+            avg = np.mean([dft_magnitude(sig[:, k], 0.1, window="hann").magnitude
+                           for k in range(probes)], axis=0)
+            assert np.array_equal(rep.spectrum.magnitude, avg)
+        assert rep.resolution == rep.spectrum.resolution == 2 * math.pi / (64 * 0.1)
+        out = json.loads(rep.to_json())
+        assert out["resolution"] == rep.resolution
+        assert "spectrum" not in out
