@@ -126,6 +126,15 @@ class TestMatch:
         matches, _ = match_eigenvalues(peaks, exact_spectrum(2), tol=0.05)
         assert len(matches) == 1
 
+    def test_report_carries_given_resolution(self):
+        peaks = [self.peak(168.0)]
+        matches, missing = match_eigenvalues(peaks, exact_spectrum(2))
+        rep = SpectrumReport(peaks=peaks, matches=matches, missing=missing,
+                             resolution=0.25, match_tolerance=0.05, meta={},
+                             spectrum=None)
+        assert rep.resolution == 0.25
+        assert json.loads(rep.to_json())["resolution"] == 0.25
+
     def test_table_renders(self):
         peaks = [self.peak(167.6126)]
         matches, missing = match_eigenvalues(peaks, exact_spectrum(3))
