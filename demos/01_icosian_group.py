@@ -1,8 +1,10 @@
 """The binary icosahedral group and the 120-cell vertex orbit.
 
-Generates the 120 unit quaternions from the two classical generators,
-tabulates the Clifford translation distances, and carries the twenty
-fundamental-domain vertices around the whole orbit.
+Builds the 120 unit icosians in closed form (the units, the sixteen
+(+-1 +-i +-j +-k)/2 and the even permutations of
+(0, +-1/2, +-1/(2 sigma), +-sigma/2)), which the two classical generators
+are checked to generate, tabulates the Clifford translation distances,
+and carries the twenty fundamental-domain vertices around the whole orbit.
 """
 
 import math

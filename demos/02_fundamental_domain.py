@@ -17,9 +17,9 @@ print(f"visual vertex radius |X| = {np.linalg.norm(dom.vertices3[0]):.12f}")
 print(f"spherical diameter of the domain: {DOMAIN_DIAMETER:.6f}")
 
 print("\ncontainment:")
-for X in ([0, 0, 0], 0.99 * dom.vertices3[1], 1.01 * dom.vertices3[1]):
-    X = np.asarray(X, dtype=float)
-    print(f"  {np.round(X, 4)} -> {dom.contains(X, tol=1e-9)}")
+points = np.array([np.zeros(3), 0.99 * dom.vertices3[1], 1.01 * dom.vertices3[1]])
+for X, inside in zip(points, dom.contains(points, tol=1e-9)):
+    print(f"  {np.round(X, 4)} -> {inside}")
 
 print("\nequivalence classes (members, faces):")
 samples = {

@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import VERTEX_X0, FundamentalDomain, geodesic_point
 from .errors import InvalidSubdivision, OffPlane
-from .golden import SIGMA_FLOAT as SIGMA
+from .icosian import SIGMA
 
 SQRT2 = math.sqrt(2.0)
 _T = 3.0 - SIGMA                      # |(1/sigma, 1, 0)|^2

@@ -192,8 +192,10 @@ def cmd_run(args) -> int:
     points = _parse_points(args.probes)
     domain = build_domain()
     if (np.einsum("ij,ij->i", points, points) >= 1.0).any() \
-            or not domain.contains_many(points, tol=1e-9).all():
+            or not domain.contains(points, tol=1e-9).all():
         raise NotInDomain(f"probe points {args.probes!r} are not all in the domain")
+    if not domain.contains(args.bump[:3], tol=1e-9):
+        raise NotInDomain(f"--bump center {args.bump[:3]} is outside the domain")
     stage_s: dict = {}
     mesh, mesh_report, dof_map, ops = _build_operators(args, domain, stage_s)
     precond = make_preconditioner(ops.mass)

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import golden
 from .errors import AntipodalEndpoints, NotInDomain, OutsideUnitBall
-from .golden import SIGMA_FLOAT as SIGMA
-from .icosian import Quaternion, left_matrix
+from .icosian import INV_TWO_SIGMA, SIGMA, SIGMA_HALF, Quaternion, left_matrix
 
 SQRT2 = math.sqrt(2.0)
 _IS = 1.0 / SIGMA
@@ -101,15 +99,14 @@ FACE_VERTEX_IMAGES = {
     6: {16: 19, 13: 2, 1: 6, 12: 10, 18: 14},
 }
 
-_G = golden.Golden
-_FACE_QUATS_EXACT = [
+_FACE_QUATS = [
     # sigma/2 scalar part; vector parts from {0, +-1/2, +-1/(2 sigma)}
-    (golden.SIGMA_HALF, golden.INV_TWO_SIGMA, golden.HALF, golden.ZERO),      # g1
-    (golden.SIGMA_HALF, golden.HALF, golden.ZERO, -golden.INV_TWO_SIGMA),     # g2
-    (golden.SIGMA_HALF, golden.ZERO, golden.INV_TWO_SIGMA, -golden.HALF),     # g3
-    (golden.SIGMA_HALF, -golden.INV_TWO_SIGMA, golden.HALF, golden.ZERO),     # g4
-    (golden.SIGMA_HALF, golden.ZERO, golden.INV_TWO_SIGMA, golden.HALF),      # g5
-    (golden.SIGMA_HALF, golden.HALF, golden.ZERO, golden.INV_TWO_SIGMA),      # g6
+    (SIGMA_HALF, INV_TWO_SIGMA, 0.5, 0.0),      # g1
+    (SIGMA_HALF, 0.5, 0.0, -INV_TWO_SIGMA),     # g2
+    (SIGMA_HALF, 0.0, INV_TWO_SIGMA, -0.5),     # g3
+    (SIGMA_HALF, -INV_TWO_SIGMA, 0.5, 0.0),     # g4
+    (SIGMA_HALF, 0.0, INV_TWO_SIGMA, 0.5),      # g5
+    (SIGMA_HALF, 0.5, 0.0, INV_TWO_SIGMA),      # g6
 ]
 
 
@@ -143,21 +140,14 @@ class EquivalenceClass:
 
 
 def lift(X) -> np.ndarray:
-    """Lift a point of the open unit ball to the upper hemisphere of S^3."""
+    """Lift points of the open unit ball, shape (..., 3), to the upper
+    hemisphere of S^3, shape (..., 4)."""
     X = np.asarray(X, dtype=float)
-    r2 = float(X @ X)
-    if r2 >= 1.0:
-        raise OutsideUnitBall(f"|X|^2 = {r2} >= 1")
-    return np.concatenate(([math.sqrt(1.0 - r2)], X))
-
-
-def lift_many(X: np.ndarray) -> np.ndarray:
-    """Vectorized lift of an (n, 3) array."""
-    X = np.asarray(X, dtype=float)
-    r2 = np.einsum("ij,ij->i", X, X)
+    flat = X.reshape(-1, 3)
+    r2 = np.einsum("ij,ij->i", flat, flat)
     if np.any(r2 >= 1.0):
         raise OutsideUnitBall("points outside the unit ball")
-    return np.column_stack([np.sqrt(1.0 - r2), X])
+    return np.column_stack([np.sqrt(1.0 - r2), flat]).reshape(X.shape[:-1] + (4,))
 
 
 def geodesic_point(si, sj, t: float) -> np.ndarray:
@@ -201,10 +191,10 @@ class FundamentalDomain:
             cyc = tuple(v - 1 for v in _FACE_CYCLES[i])
             faces.append(FaceGeometry(index=i + 1, normal=n, ellipsoid=ell, cycle=cyc))
             if i < 6:
-                q = Quaternion.from_exact(*_FACE_QUATS_EXACT[i])
+                q = Quaternion(*_FACE_QUATS[i])
                 inv = i + 7
             else:
-                q = Quaternion.from_exact(*_FACE_QUATS_EXACT[i - 6]).conjugate()
+                q = Quaternion(*_FACE_QUATS[i - 6]).conjugate()
                 inv = i - 5
             maps.append(FaceMap(index=i + 1, quat=q,
                                 matrix3=_face_visual_matrix(q, n),
@@ -231,20 +221,16 @@ class FundamentalDomain:
 
     def face_residuals(self, X) -> np.ndarray:
         """a_i x + b_i y + c_i z - x0/sigma^2 for the twelve faces (<= 0 inside):
-        shape (12,) for one point, (n, 12) for an (n, 3) array of points."""
+        shape (..., 12) for points of shape (..., 3)."""
         X = np.asarray(X, dtype=float)
-        q = lift_many(X.reshape(-1, 3))
+        q = lift(X.reshape(-1, 3))
         res = q[:, 1:] @ self._normals.T - q[:, :1] / _S2
         return res.reshape(X.shape[:-1] + (12,))
 
-    def contains(self, X, tol: float = 1e-12) -> bool:
-        X = np.asarray(X, dtype=float)
-        if X @ X >= 1.0:
-            raise OutsideUnitBall("point outside the unit ball")
-        return bool(np.all(self.face_residuals(X) <= tol))
-
-    def contains_many(self, X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        return np.all(self.face_residuals(X) <= tol, axis=1)
+    def contains(self, X, tol: float = 1e-12):
+        """Whether each point of X, shape (..., 3), lies in the domain; the
+        result has shape (...)."""
+        return np.all(self.face_residuals(X) <= tol, axis=-1)
 
     def outward_normal(self, i: int, X) -> np.ndarray:
         """Unit outgoing normal of the visualization at X on face i (ellipsoid gradient)."""

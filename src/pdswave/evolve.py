@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .assembly import DofMap, SparseSymMatrix
-from .domain import DOMAIN_DIAMETER, FundamentalDomain, lift_many
+from .domain import DOMAIN_DIAMETER, FundamentalDomain, lift
 from .errors import EnergyBlowup, NoConvergence, NotInDomain, UnstableTimeStep
 from .meshing import TetMesh
 
@@ -49,8 +49,8 @@ def bump_profile(domain: FundamentalDomain, points: np.ndarray,
         raise NotInDomain(f"bump center {center} is outside the domain")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"bump radius must be finite and positive, got {radius}")
-    q0 = lift_many(center[None, :])[0]
-    q = lift_many(np.asarray(points, dtype=float))
+    q0 = lift(center)
+    q = lift(points)
     d = np.arccos(np.clip(q @ q0, -1.0, 1.0))
     out = np.zeros(len(d))
     inside = d < radius

@@ -1,15 +1,20 @@
 """Unit quaternions and the binary icosahedral group.
 
-The group of order 120 is generated in exact Q(sqrt5) arithmetic from the
-two classical generators.  Every element is a right-handed Clifford
-translation of the 3-sphere; its translation distance is the arccos of the
-real part.  The orbit of the twenty fundamental-domain vertices under the
-group is the 600-vertex skeleton of the regular 120-cell.
+The 120 elements are the unit icosians, written down in closed form
+(Conway & Smith, On Quaternions and Octonions, 2003, sec. 5): the 8 units
++-1, +-i, +-j, +-k, the 16 points (+-1 +-i +-j +-k)/2, and the 96 even
+permutations of (0, +-1/2, +-1/(2 sigma), +-sigma/2).  The product table
+confirms that they are closed and that the two classical generators
+generate them.  Every element is a right-handed Clifford translation of
+the 3-sphere; its translation distance is the arccos of the real part.
+The orbit of the twenty fundamental-domain vertices under the group is the
+600-vertex skeleton of the regular 120-cell.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,10 +24,12 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from . import golden
 from .errors import GenerationDiverged, NonUnitQuaternion, OrbitCountMismatch
-from .golden import SIGMA_FLOAT as SIGMA
-from .golden import SQRT5, Golden
+
+SQRT5 = math.sqrt(5.0)
+SIGMA = (1.0 + SQRT5) / 2             # the golden ratio
+SIGMA_HALF = (1.0 + SQRT5) / 4        # sigma / 2
+INV_TWO_SIGMA = (SQRT5 - 1.0) / 4     # 1 / (2 sigma)
 
 # translation distances occurring in the group
 CHI_VALUES = (0.0, math.pi / 5, math.pi / 3, 2 * math.pi / 5, math.pi / 2,
@@ -31,44 +38,25 @@ CHI_VALUES = (0.0, math.pi / 5, math.pi / 3, 2 * math.pi / 5, math.pi / 2,
 
 @dataclass(frozen=True)
 class Quaternion:
-    """Quaternion w + x i + y j + z k, optionally with exact Q(sqrt5) coefficients."""
+    """Quaternion w + x i + y j + z k."""
 
     w: float
     x: float
     y: float
     z: float
-    exact: tuple | None = field(default=None, compare=False, repr=False)
-
-    @classmethod
-    def from_exact(cls, ew: Golden, ex: Golden, ey: Golden, ez: Golden) -> "Quaternion":
-        return cls(float(ew), float(ex), float(ey), float(ez), exact=(ew, ex, ey, ez))
 
     def __mul__(self, o: "Quaternion") -> "Quaternion":
         w = self.w * o.w - self.x * o.x - self.y * o.y - self.z * o.z
         x = self.w * o.x + self.x * o.w + self.y * o.z - self.z * o.y
         y = self.w * o.y - self.x * o.z + self.y * o.w + self.z * o.x
         z = self.w * o.z + self.x * o.y - self.y * o.x + self.z * o.w
-        exact = None
-        if self.exact is not None and o.exact is not None:
-            a, b = self.exact, o.exact
-            exact = (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
-                     a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
-                     a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
-                     a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0])
-            return Quaternion(float(exact[0]), float(exact[1]),
-                              float(exact[2]), float(exact[3]), exact=exact)
         return Quaternion(w, x, y, z)
 
     def __neg__(self) -> "Quaternion":
-        exact = None if self.exact is None else tuple(-e for e in self.exact)
-        return Quaternion(-self.w, -self.x, -self.y, -self.z, exact=exact)
+        return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
     def conjugate(self) -> "Quaternion":
-        exact = None
-        if self.exact is not None:
-            e = self.exact
-            exact = (e[0], -e[1], -e[2], -e[3])
-        return Quaternion(self.w, -self.x, -self.y, -self.z, exact=exact)
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm_sq(self) -> float:
         return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
@@ -77,12 +65,11 @@ class Quaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
 
-IDENTITY = Quaternion.from_exact(golden.ONE, golden.ZERO, golden.ZERO, golden.ZERO)
+IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
 
 # generators: s = (1+i+j+k)/2 and the distance-pi/5 screw with axis in the j-k plane
-GEN_S = Quaternion.from_exact(golden.HALF, golden.HALF, golden.HALF, golden.HALF)
-GEN_GAMMA = Quaternion.from_exact(golden.SIGMA_HALF, golden.ZERO,
-                                  golden.INV_TWO_SIGMA, -golden.HALF)
+GEN_S = Quaternion(0.5, 0.5, 0.5, 0.5)
+GEN_GAMMA = Quaternion(SIGMA_HALF, 0.0, INV_TWO_SIGMA, -0.5)
 
 
 def left_matrix(q: Quaternion) -> np.ndarray:
@@ -147,34 +134,45 @@ class GroupTable:
         return len(self.elements)
 
 
-def _exact_key(q: Quaternion) -> tuple:
-    return tuple((e.a, e.b, e.c) for e in q.exact)
+def _unit_icosians() -> list[Quaternion]:
+    """The 120 unit icosians in closed form; every zero is +0.0."""
+    signs = (1.0, -1.0)
+    units = [tuple(s if i == k else 0.0 for i in range(4))
+             for k in range(4) for s in signs]
+    halves = list(itertools.product((0.5, -0.5), repeat=4))
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4)) % 2 == 0]
+    mixed = []
+    for sa, sb, sc in itertools.product(signs, repeat=3):
+        values = (0.0, sa * 0.5, sb * INV_TWO_SIGMA, sc * SIGMA_HALF)
+        for p in even:
+            c = [0.0] * 4
+            for m, v in zip(p, values):
+                c[m] = v
+            mixed.append(tuple(c))
+    return [Quaternion(*c) for c in units + halves + mixed]
 
 
 @functools.lru_cache(maxsize=1)
 def generate_group() -> GroupTable:
-    """Close {s, gamma} under multiplication; exactly 120 elements result."""
-    gens = (GEN_S, GEN_GAMMA)
-    seen: dict[tuple, Quaternion] = {_exact_key(g): g for g in gens}
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for q in frontier:
-            for g in gens:
-                p = q * g
-                k = _exact_key(p)
-                if k not in seen:
-                    seen[k] = p
-                    new.append(p)
-        if len(seen) > 200:
-            raise GenerationDiverged(f"closure reached {len(seen)} elements")
-        frontier = new
-    elems = sorted(seen.values(),
-                   key=lambda q: (-q.w, -q.x, -q.y, -q.z))
+    """The 120 unit icosians, checked to be closed and generated by {s, gamma}."""
+    elems = sorted(_unit_icosians(), key=lambda q: (-q.w, -q.x, -q.y, -q.z))
     table = GroupTable([GroupElement(q, left_matrix(q), translation_distance(q))
                         for q in elems])
     if len(table) != 120:
-        raise GenerationDiverged(f"closure has {len(table)} elements, expected 120")
+        raise GenerationDiverged(f"the group has {len(table)} elements, expected 120")
+    coeffs = np.array([q.as_array() for q in elems])
+    gens = np.array([GEN_S.as_array(), GEN_GAMMA.as_array()])
+    dist = np.abs(coeffs[:, None, :] - gens).max(axis=2)
+    if dist.min(axis=0).max() > 1e-12:
+        raise GenerationDiverged("a generator is not an element of the group")
+    # the right Cayley graph of {s, gamma} is connected iff they generate the group
+    labels = merge_classes(len(table), [(i, table.product[i, g])
+                                        for g in dist.argmin(axis=0)
+                                        for i in range(len(table))])[0]
+    if labels.max() != 0:
+        raise GenerationDiverged(f"s and gamma generate a subgroup of order "
+                                 f"{np.count_nonzero(labels == 0)}, not the group")
     return table
 
 

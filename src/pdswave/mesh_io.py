@@ -140,7 +140,7 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
 
     if np.einsum("ij,ij->i", vertices, vertices).max() >= 1.0:
         raise PeriodicityViolation("mesh has vertices outside the unit ball")
-    if not domain.contains_many(vertices, tol=10 * tol).all():
+    if not domain.contains(vertices, tol=10 * tol).all():
         raise PeriodicityViolation("mesh has vertices outside the fundamental domain")
 
     tets, vols = orient_tets(vertices, tets)

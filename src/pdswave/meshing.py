@@ -29,8 +29,7 @@ from scipy.spatial import cKDTree
 from .charts import FaceChart, triangulate_face_chart
 from .domain import FundamentalDomain
 from .errors import DegenerateTet, PeriodicityViolation, SnapFailure
-from .golden import SIGMA_FLOAT as _S
-from .icosian import merge_classes
+from .icosian import SIGMA as _S, merge_classes
 from .quadrature import weighted_quadrature
 
 # rotations carrying face 1 onto faces 2..6 (axes through face centers,
@@ -255,7 +254,7 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
                   tol: float = 1e-9) -> dict:
     """Full geometric and periodicity validation; returns a JSON-able report."""
     report: dict = {}
-    inside = domain.contains_many(mesh.vertices, tol=tol)
+    inside = domain.contains(mesh.vertices, tol=tol)
     report["vertices_inside"] = bool(inside.all())
 
     node, face, partner = mesh.periodic.T

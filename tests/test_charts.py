@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdswave import charts
-from pdswave.domain import VERTEX_X0, lift_many
+from pdswave.domain import VERTEX_X0, lift
 from pdswave.errors import InvalidSubdivision, OffPlane
 
 
@@ -82,7 +82,7 @@ class TestTriangulation:
     def test_boundary_nodes_equally_spaced_in_arc(self, the_domain):
         n = 5
         ch = charts.triangulate_face_chart(the_domain, n)
-        nodes4 = lift_many(ch.sphere)
+        nodes4 = lift(ch.sphere)
         cycle = the_domain.face(1).cycle
         corners4 = the_domain.vertices4[list(cycle)]
         for k in range(5):

@@ -309,6 +309,18 @@ def test_probe_outside_domain_exit_code(tmp_path, probes, capsys):
     assert "not all in the domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("center", [["0.9", "0", "0"], ["2", "0", "0"]],
+                         ids=["outside-domain", "outside-unit-ball"])
+def test_bump_center_checked_before_setup(tmp_path, monkeypatch, center):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("setup ran before the bump center was checked")
+    monkeypatch.setattr(cli, "generate_mesh", no_setup)
+    code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
+                 "--bump", *center, "0.3", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert not (tmp_path / "r").exists()
+
+
 def test_bump_outside_unit_ball_exit_code(tmp_path):
     code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
                  "--bump", "2", "0", "0", "0.3", "--out", str(tmp_path / "r")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdswave.domain import (DOMAIN_DIAMETER, FACE_VERTEX_IMAGES, SIGMA, VERTEX_X0,
-                            geodesic_point, lift, lift_many)
+                            geodesic_point, lift)
 from pdswave.errors import AntipodalEndpoints, NotInDomain, OutsideUnitBall
 from pdswave.icosian import Quaternion
 
@@ -94,9 +94,17 @@ class TestLift:
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(-0.5, 0.5, size=(40, 3))
-        q = lift_many(X)
+        q = lift(X)
         assert np.abs(q[:, 1:] - X).max() == 0.0
         assert np.abs(np.einsum("ij,ij->i", q, q) - 1).max() < 1e-14
+
+    def test_batch_shape_and_rows(self):
+        rng = np.random.default_rng(2)
+        X = rng.uniform(-0.5, 0.5, size=(2, 5, 3))
+        q = lift(X)
+        assert q.shape == (2, 5, 4)
+        assert np.array_equal(q.reshape(-1, 4), lift(X.reshape(-1, 3)))
+        assert np.array_equal(q[1, 3], lift(X[1, 3]))
 
     def test_lift_of_s2_visual(self, the_domain):
         X = np.array([1.0, 1.0 / S2, 0.0]) * SCALE
@@ -105,6 +113,8 @@ class TestLift:
     def test_outside_ball(self):
         with pytest.raises(OutsideUnitBall):
             lift([1.1, 0, 0])
+        with pytest.raises(OutsideUnitBall):
+            lift([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 class TestContains:
@@ -123,6 +133,20 @@ class TestContains:
         X = c / math.sqrt(c @ q @ c)
         assert the_domain.contains(X, tol=1e-9)
         assert abs(the_domain.face_residuals(X)[0]) < 1e-14
+
+    def test_array_input_gives_one_answer_per_point(self, the_domain):
+        X = np.array([[0.0, 0.0, 0.0], 0.99 * the_domain.vertices3[1],
+                      1.01 * the_domain.vertices3[1]])
+        inside = the_domain.contains(X)
+        assert inside.shape == (3,)
+        assert inside.tolist() == [True, True, False]
+        assert [bool(the_domain.contains(x)) for x in X] == inside.tolist()
+        assert the_domain.contains(X.reshape(1, 3, 3)).shape == (1, 3)
+
+    @pytest.mark.parametrize("X", [[1.0, 0.0, 0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]])
+    def test_outside_ball_raises(self, the_domain, X):
+        with pytest.raises(OutsideUnitBall):
+            the_domain.contains(X)
 
 
 class TestGeodesic:

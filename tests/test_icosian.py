@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial import cKDTree
 
 from pdswave import icosian
 from pdswave.errors import GenerationDiverged, NonUnitQuaternion, OrbitCountMismatch
@@ -33,6 +34,25 @@ def rodrigues(axis, angle):
                    [axis[2], 0, -axis[0]],
                    [-axis[1], axis[0], 0]])
     return np.eye(3) + math.sin(angle) * kx + (1 - math.cos(angle)) * kx @ kx
+
+
+def float_closure(gens, tol=1e-9):
+    """Independent oracle: breadth-first closure of `gens` under right
+    multiplication in floating point.  A product is new when it lies farther
+    than `tol` from every row found so far (group elements lie >= 0.3 apart)."""
+    rows = np.array([g.as_array() for g in gens])
+    frontier = rows
+    while len(frontier):
+        cand = np.array([oracle_mul(Quaternion(*q), g) for q in frontier for g in gens])
+        cand = cand[cKDTree(rows).query(cand)[0] > tol]
+        if len(cand):
+            # keep the first of each set of coincident candidates
+            pairs = cKDTree(cand).query_pairs(tol, output_type="ndarray")
+            cand = np.delete(cand, np.unique(pairs[:, 1]), axis=0)
+        rows = np.vstack([rows, cand])
+        frontier = cand
+        assert len(rows) <= 200
+    return rows
 
 
 unit_quats = st.builds(
@@ -195,6 +215,30 @@ class TestGroup:
             prod = table.elements[i].quat * table.elements[j].quat
             assert np.abs(coeffs[table.product[i, j]] - prod.as_array()).max() < 1e-12
 
+    def test_matches_float_closure_of_generators(self):
+        coeffs = np.array([e.quat.as_array() for e in generate_group().elements])
+        rows = float_closure((GEN_S, GEN_GAMMA))
+        assert len(rows) == 120
+        dist, idx = cKDTree(coeffs).query(rows)
+        assert dist.max() < 1e-12
+        assert sorted(idx) == list(range(120))
+
+    def test_zeros_are_positive(self):
+        # the dumped coefficients carry no -0.0
+        coeffs = np.array([e.quat.as_array() for e in generate_group().elements])
+        assert not np.signbit(coeffs[coeffs == 0.0]).any()
+
+    @pytest.mark.parametrize("gamma", [GEN_S, Quaternion(0.6, 0.8, 0.0, 0.0)],
+                             ids=["subgroup", "not-an-element"])
+    def test_generators_checked(self, monkeypatch, gamma):
+        generate_group.cache_clear()
+        monkeypatch.setattr(icosian, "GEN_GAMMA", gamma)
+        try:
+            with pytest.raises(GenerationDiverged):
+                generate_group()
+        finally:
+            generate_group.cache_clear()
+
     def test_table_of_unclosed_set_diverges(self):
         # without one element some products and one inverse have no match
         elements = list(generate_group().elements)
@@ -267,5 +311,3 @@ def test_group_elements_unit_norm():
     table = generate_group()
     for e in table.elements:
         assert abs(e.quat.norm_sq() - 1.0) < 1e-14
-        # exact representation carried through generation
-        assert e.quat.exact is not None
