@@ -19,7 +19,12 @@ of lam, V the vertices, both (4, 3)): the radial element matrix is
 only the weights, which take |X|^2 from the vertex Gram matrix V V^T.
 
 Each matrix is built from its summed lower triangle and stored once, as
-the full symmetric matrix in compressed sparse rows.
+the full symmetric matrix in compressed sparse rows.  The element matrices
+are computed over the blocks of `meshing.tet_blocks`, and only their
+entries on or below the diagonal are written into preallocated triplet
+arrays, in the order a whole-mesh pass gives them; the triplets are then
+summed in that order, so the round-off is unchanged and the setup memory
+grows with the kept triplets, not with (T, 4, 4) arrays per tet.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ import scipy.sparse as sp
 
 from .errors import ClassSizeError, NoConvergence
 from .icosian import merge_classes
-from .meshing import TetMesh
-from .quadrature import QUADRATURE, weighted_quadrature
+from .meshing import TetMesh, tet_blocks
+from .quadrature import QUADRATURE, rows_times, weighted_quadrature
 
 # power iterations before estimate_spectral_bound gives up
 POWER_MAX_ITER = 10000
@@ -60,8 +65,9 @@ class SparseSymMatrix:
         rows, cols = np.asarray(rows), np.asarray(cols)
         vals = np.asarray(vals, dtype=float)
         keep = rows >= cols
-        lower = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                              shape=(n, n)).tocsr()
+        if not keep.all():
+            vals, rows, cols = vals[keep], rows[keep], cols[keep]
+        lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         return cls(lower)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -169,7 +175,7 @@ def element_matrices(verts: np.ndarray):
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
 
     bb = np.einsum("mi,mj->mij", QUADRATURE.points, QUADRATURE.points)   # (m, 4, 4)
-    m_loc = (wq @ bb.reshape(-1, 16)).reshape(-1, 4, 4)
+    m_loc = rows_times(wq, bb.reshape(-1, 16)).reshape(-1, 4, 4)
     m_loc *= det[:, None, None]
     k_loc = grads @ grads.transpose(0, 2, 1)
     k_loc *= (wq.sum(axis=1) * det)[:, None, None]
@@ -187,13 +193,22 @@ def assemble(mesh: TetMesh, dof_map: DofMap) -> Operators:
     """
     key = np.sort(mesh.tets, axis=1)
     tets = mesh.tets[np.lexsort(key.T[::-1])]
-    locs = element_matrices(mesh.vertices[tets])
-    dof = dof_map.node_to_dof[tets]                          # (T, 4)
-    rows = np.repeat(dof, 4, axis=1).ravel()
-    cols = np.tile(dof, (1, 4)).ravel()
     n = dof_map.n_dofs
-    mass, stiffness, radial = (SparseSymMatrix.from_triplets(n, rows, cols, loc.ravel())
-                               for loc in locs)
+    dof = dof_map.node_to_dof[tets].astype(np.int32)         # (T, 4)
+    # entry (a, b) of tet t is the triplet (dof[t, a], dof[t, b]); those on or
+    # below the diagonal are kept, in (t, a, b) order
+    lower = dof[:, :, None] >= dof[:, None, :]                # (T, 4, 4)
+    rows = np.broadcast_to(dof[:, :, None], lower.shape)[lower]
+    cols = np.broadcast_to(dof[:, None, :], lower.shape)[lower]
+    vals = np.empty((3, len(rows)))                          # mass, stiffness, radial
+    end = 0
+    for blk in tet_blocks(len(tets)):
+        keep = lower[blk]
+        start, end = end, end + np.count_nonzero(keep)
+        for val, loc in zip(vals, element_matrices(mesh.vertices[tets[blk]])):
+            val[start:end] = loc[keep]
+    mass, stiffness, radial = (SparseSymMatrix.from_triplets(n, rows, cols, val)
+                               for val in vals)
     wave = SparseSymMatrix((stiffness.lower + radial.lower).tocsr())
     return Operators(mass, stiffness, radial, wave)
 

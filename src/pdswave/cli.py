@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -268,6 +269,8 @@ def cmd_run(args) -> int:
         "probe_nodes": [int(v) for v in probes.nodes],
         "window": [first, last],
         "stage_s": stage_s,
+        # the process's largest resident set so far, in MB (ru_maxrss is KiB on Linux)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     _write_json(out / "manifest.json", manifest)
     print(f"dt = {dt:.6e} (dt_max {dt_max:.6e}, lambda_max {lam:.6e})")
@@ -382,6 +385,8 @@ def cmd_report(args) -> int:
         if stage_s:
             print("stage wall times: " + ", ".join(
                 f"{name} {stage_s[name]:.3f} s" for name in RUN_STAGES if name in stage_s))
+        if "peak_rss_mb" in manifest:
+            print(f"peak RSS after the write stage: {manifest['peak_rss_mb']:.1f} MB")
         rpath = run_dir / "spectrum_report.json"
         if rpath.exists():
             rep = json.loads(rpath.read_text())

@@ -15,6 +15,15 @@ The face identifications reach the solver as one int64 array `periodic` of
 on, where partner is the node at the image of v under the face-i map.  The
 rows are sorted by (node, face); `periodic_pairs` derives them, for
 generated and imported meshes alike.
+
+Every per-tet geometry pass (signed volumes, and so orientation, and the
+weighted volume) runs over consecutive blocks of at most `TET_BLOCK` tets
+from `tet_blocks`, writing each block's values into arrays over all tets;
+`assembly` runs its element matrices over the same blocks.  Each value is
+computed as in one whole-mesh pass, and sums over tets are still taken over
+the full arrays, so the summation order and every output are unchanged.
+`validate_mesh` takes the signed volumes and the weighted volume from one
+determinant per tet.
 """
 
 from __future__ import annotations
@@ -30,7 +39,11 @@ from .charts import FaceChart, triangulate_face_chart
 from .domain import FundamentalDomain
 from .errors import DegenerateTet, PeriodicityViolation, SnapFailure
 from .icosian import SIGMA as _S, merge_classes
-from .quadrature import weighted_quadrature
+from .quadrature import quadrature_weights
+
+# tets per block of every per-tet geometry pass (here and in assembly): the
+# temporaries of a pass grow with the block, not with the mesh
+TET_BLOCK = 4096
 
 # rotations carrying face 1 onto faces 2..6 (axes through face centers,
 # angles +-2pi/5); they are symmetries of the dodecahedron
@@ -193,10 +206,29 @@ def generate_mesh(domain: FundamentalDomain, subdivision: int, layers: int,
 
 # -- geometric queries and validation -----------------------------------------
 
+def tet_blocks(count: int):
+    """Consecutive slices of at most TET_BLOCK tets that cover range(count)."""
+    for start in range(0, count, TET_BLOCK):
+        yield slice(start, min(start + TET_BLOCK, count))
+
+
+def _tet_dets(vertices: np.ndarray, tets: np.ndarray, weighted: bool):
+    """det (T,), six times each tet's signed volume, and with `weighted` each
+    tet's row sum (T,) of `quadrature_weights`, else None."""
+    det = np.empty(len(tets))
+    wsum = np.empty(len(tets)) if weighted else None
+    for blk in tet_blocks(len(tets)):
+        v = vertices[tets[blk]]
+        det[blk] = np.linalg.det(v[:, 1:] - v[:, :1])
+        if weighted:
+            wsum[blk] = quadrature_weights(v).sum(axis=1)
+    return det, wsum
+
+
 def signed_tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    v = vertices[tets]
-    e = v[:, 1:] - v[:, :1]
-    return np.linalg.det(e) / 6.0
+    det, _ = _tet_dets(vertices, tets, weighted=False)
+    det /= 6.0
+    return det
 
 
 def orient_tets(vertices: np.ndarray, tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,10 +241,14 @@ def orient_tets(vertices: np.ndarray, tets: np.ndarray) -> tuple[np.ndarray, np.
     return tets, vols
 
 
+def _weighted_volume(det: np.ndarray, wsum: np.ndarray) -> float:
+    # one dot product over all tets: block partial sums would change the round-off
+    return float(np.abs(det) @ wsum)
+
+
 def weighted_volume(mesh: TetMesh) -> float:
     """Sum over tets of the Riemannian volume integral of w = (1-|X|^2)^(-1/2)."""
-    det, wq = weighted_quadrature(mesh.vertices[mesh.tets])
-    return float(det @ wq.sum(axis=1))
+    return _weighted_volume(*_tet_dets(mesh.vertices, mesh.tets, weighted=True))
 
 EXACT_DOMAIN_VOLUME = math.pi ** 2 / 60.0   # one 120th of vol(S^3) = 2 pi^2
 # largest boundary edge ratio max/min that validate_mesh reports as ok
@@ -263,7 +299,8 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
     ell_res = np.einsum("ki,kij,kj->k", X, ells[face - 1], X) - 1.0
     report["max_ellipsoid_residual"] = float(np.abs(ell_res).max(initial=0.0))
 
-    vols = signed_tet_volumes(mesh.vertices, mesh.tets)
+    det, wsum = _tet_dets(mesh.vertices, mesh.tets, weighted=True)
+    vols = det / 6.0
     report["tet_count"] = int(len(mesh.tets))
     report["node_count"] = int(len(mesh.vertices))
     report["min_tet_volume"] = float(vols.min())
@@ -286,7 +323,7 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
     report["partner_involution"] = bool(np.array_equal(
         np.unique(mesh.periodic, axis=0), np.unique(back, axis=0)))
 
-    vol = weighted_volume(mesh)
+    vol = _weighted_volume(det, wsum)
     report["volume_sum"] = vol
     report["volume_exact"] = EXACT_DOMAIN_VOLUME
     report["volume_relative_error"] = abs(vol - EXACT_DOMAIN_VOLUME) / EXACT_DOMAIN_VOLUME

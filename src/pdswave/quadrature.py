@@ -7,7 +7,10 @@ nominal 4).  Its arrays are read-only.  `weighted_quadrature` applies it to
 physical tets under the weight w(X) = (1 - |X|^2)^(-1/2), the volume
 density of the lift to the 3-sphere.  |X|^2 = lam^T (V V^T) lam comes from
 the Gram matrix of the (4, 3) vertex matrix V, so no physical point
-X = V^T lam is formed.
+X = V^T lam is formed.  `quadrature_weights` gives the weighted weights
+alone, for callers that already hold each tet's determinant.  Products with
+the rule's constant matrices go through `rows_times`, so a tet's values do
+not depend on how many tets are computed with it.
 """
 
 from __future__ import annotations
@@ -73,18 +76,34 @@ def reference_monomial_integral(p: int, q: int, r: int) -> float:
             / math.factorial(p + q + r + 3))
 
 
+def rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D `a`, each row summed in the same order whatever len(a).
+
+    numpy sends a one-row product to gemv, which sums in another order than
+    gemm, so a one-row `a` is multiplied as two copies of itself.
+    """
+    if len(a) == 1:
+        return (np.vstack([a, a]) @ b)[:1]
+    return a @ b
+
+
+def quadrature_weights(verts: np.ndarray) -> np.ndarray:
+    """Weights times w (T, m) at the quadrature points of the tets `verts` (T, 4, 3)."""
+    pts = QUADRATURE.points
+    gram = (verts @ verts.transpose(0, 2, 1)).reshape(-1, 16)
+    r2 = rows_times(gram, np.einsum("mi,mj->ijm", pts, pts).reshape(16, -1))
+    if r2.max() >= 1.0:
+        raise WeightSingularity("quadrature point outside the unit ball")
+    wq = 1.0 / np.sqrt(1.0 - r2)
+    wq *= QUADRATURE.weights
+    return wq
+
+
 def weighted_quadrature(verts: np.ndarray):
     """det (T,) = 6 * volume and weights times w (T, m).
 
     `verts` is (T, 4, 3); the weighted integral of f over tet t is
     det[t] * sum_q wq[t, q] f(X_q), X_q = QUADRATURE.points[q] @ verts[t].
     """
-    pts = QUADRATURE.points
     det = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
-    gram = (verts @ verts.transpose(0, 2, 1)).reshape(-1, 16)
-    r2 = gram @ np.einsum("mi,mj->ijm", pts, pts).reshape(16, -1)
-    if r2.max() >= 1.0:
-        raise WeightSingularity("quadrature point outside the unit ball")
-    wq = 1.0 / np.sqrt(1.0 - r2)
-    wq *= QUADRATURE.weights
-    return det, wq
+    return det, quadrature_weights(verts)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from pdswave.assembly import (DofMap, SparseSymMatrix, assemble, build_dof_map,
                               estimate_spectral_bound)
+import pdswave.meshing as meshing
 from pdswave.errors import ClassSizeError
-from pdswave.meshing import EXACT_DOMAIN_VOLUME, generate_mesh
+from pdswave.meshing import (EXACT_DOMAIN_VOLUME, generate_mesh, orient_tets,
+                             signed_tet_volumes, validate_mesh, weighted_volume)
 from pdswave.quadrature import QUADRATURE
 
 
@@ -235,11 +238,57 @@ class TestAssembly:
             tracemalloc.stop()
         assert peak <= 10 * len(mesh44.tets) * 128
 
+    @pytest.mark.parametrize("name,bound", [("assemble", 800), ("validate_mesh", 400)])
+    def test_peak_memory_per_tet_above_one_block(self, the_domain, name, bound):
+        # 84,480 tets are over twenty blocks: the traced peak grows with the
+        # kept triplets and face keys, not with a (T, 4, 4) array per pass
+        mesh = generate_mesh(the_domain, 8, 8)
+        dof_map = build_dof_map(mesh)
+        assert len(mesh.tets) > 20 * meshing.TET_BLOCK
+        run = {"assemble": lambda: assemble(mesh, dof_map),
+               "validate_mesh": lambda: validate_mesh(the_domain, mesh)}[name]
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(mesh.tets)
+
     def test_matrix_market_round_trip(self, ops11, tmp_path):
         _, ops = ops11
         ops.mass.save_matrix_market(tmp_path / "mass.mtx")
         back = scipy.io.mmread(tmp_path / "mass.mtx").toarray()
         assert np.abs(back - ops.mass.to_dense()).max() < 1e-15
+
+
+def block_pass_outputs(domain, mesh):
+    """Every output of a per-tet block pass on `mesh`, as arrays, and the
+    validate_mesh report as JSON."""
+    dof_map = build_dof_map(mesh)
+    arrays = [getattr(mat._full, part) for mat in assemble(mesh, dof_map)
+              for part in ("indptr", "indices", "data")]
+    flipped = mesh.tets[:, [0, 1, 3, 2]]
+    arrays += [signed_tet_volumes(mesh.vertices, flipped),
+               *orient_tets(mesh.vertices, flipped), np.array(weighted_volume(mesh))]
+    return arrays, json.dumps(validate_mesh(domain, mesh), sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_block_boundaries_change_nothing(the_domain, n, monkeypatch):
+    # one block over all tets is the unblocked pass; blocks of 1 and 7 tets
+    # split it everywhere, and 7 leaves a one-tet last block at n = 2
+    mesh = generate_mesh(the_domain, n, n)
+    default = meshing.TET_BLOCK
+    monkeypatch.setattr(meshing, "TET_BLOCK", len(mesh.tets))
+    ref_arrays, ref_report = block_pass_outputs(the_domain, mesh)
+    for block in (1, 7, default):
+        monkeypatch.setattr(meshing, "TET_BLOCK", block)
+        arrays, report = block_pass_outputs(the_domain, mesh)
+        assert report == ref_report
+        for a, ref in zip(arrays, ref_arrays, strict=True):
+            assert a.dtype == ref.dtype and a.shape == ref.shape
+            assert a.tobytes() == ref.tobytes()
 
 
 class TestSpectralBound:

@@ -1,4 +1,5 @@
 import json
+import resource
 import shlex
 import warnings
 from pathlib import Path
@@ -190,6 +191,17 @@ def test_report_run_dir(run_dir, capsys):
             f"({manifest['pcg_iterations']} in all)") in out
     assert (f"spectral bound: {manifest['power_iterations']} power iterations, final "
             f"relative change {manifest['power_relative_change']:.3e}") in out
+    assert f"peak RSS after the write stage: {manifest['peak_rss_mb']:.1f} MB" in out
+
+
+def test_report_of_manifest_without_peak_rss(run_dir, tmp_path, capsys):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    del manifest["peak_rss_mb"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--run-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "stage wall times: " in out
+    assert "peak RSS" not in out
 
 
 def test_manifest_run_facts(run_dir):
@@ -203,6 +215,9 @@ def test_manifest_run_facts(run_dir):
     rows = (run_dir / "energy.csv").read_text().splitlines()[1:]
     e = [float(row.split(",")[2]) for row in rows]
     assert manifest["energy_drift"] == abs(e[-1] - e[1]) / abs(e[1]) < 1e-9
+    # the run's peak RSS, read after its write stage, is a peak of this process
+    peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert 0 < manifest["peak_rss_mb"] <= peak_now
 
 
 def test_csv_writer_matches_reference(tmp_path):
