@@ -12,19 +12,28 @@ w(X) = (1 - |X|^2)^(-1/2):
 
 plus the wave operator, stiffness + radial.
 
-Each tet gives three 4x4 element matrices.  Barycentric coordinates lam
-are affine, so X . grad lam_i = (B lam)_i with B = G V^T (G the gradients
-of lam, V the vertices, both (4, 3)): the radial element matrix is
+Each tet gives three 4x4 element matrices.  The gradients G of the
+barycentric coordinates lam are closed-form: with the edges e_i = v_i - v_0,
+grad lam_1..3 are e_2 x e_3, e_3 x e_1 and e_1 x e_2 over the determinant
+e_1 . (e_2 x e_3), and grad lam_0 is minus their sum.  lam is affine, so
+X . grad lam_i = (B lam)_i with B = G V^T (V the vertices, G and V both
+(4, 3)): the radial element matrix is
 -B M_loc B^T with M_loc the mass element matrix, and the quadrature needs
 only the weights, which take |X|^2 from the vertex Gram matrix V V^T.
 
 Each matrix is built from its summed lower triangle and stored once, as
-the full symmetric matrix in compressed sparse rows.  The element matrices
-are computed over the blocks of `meshing.tet_blocks`, and only their
-entries on or below the diagonal are written into preallocated triplet
-arrays, in the order a whole-mesh pass gives them; the triplets are then
-summed in that order, so the round-off is unchanged and the setup memory
-grows with the kept triplets, not with (T, 4, 4) arrays per tet.
+the full symmetric matrix in compressed sparse rows.  The lower pattern is
+built first, as tril(E^T E) of the (T, n_dofs) tet-dof incidence E, and
+each entry is keyed row * n_dofs + col, so the keys are sorted.  The
+element matrices are computed over the blocks of `meshing.tet_blocks`; one
+`np.searchsorted` per block finds the slots of their entries on or below
+the diagonal, and `np.add.at` adds them into one value array per matrix.
+It adds in the (t, a, b) order of a whole-mesh pass over the canonically
+ordered tets, so every entry is that ordered sum from 0.0, whatever the
+block size, and the setup memory grows with the pattern, not with the
+triplets or (T, 4, 4) arrays.  The wave values are the stiffness plus the
+radial values on the same slots.  All four matrices are then built by
+`SparseSymMatrix.from_triplets` from the pattern's entries, each once.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import scipy.sparse as sp
 from .errors import ClassSizeError, NoConvergence
 from .icosian import merge_classes
 from .meshing import TetMesh, tet_blocks
-from .quadrature import QUADRATURE, rows_times, weighted_quadrature
+from .quadrature import QUADRATURE, edge_cofactors, quadrature_weights, rows_times
 
 # power iterations before estimate_spectral_bound gives up
 POWER_MAX_ITER = 10000
@@ -60,7 +69,8 @@ class SparseSymMatrix:
     def from_triplets(cls, n: int, rows, cols, vals) -> "SparseSymMatrix":
         """Sum the triplets on and below the diagonal and drop the rest.
 
-        The round-off of the sums follows the order of the triplets.
+        Duplicates are summed in scipy's order, which is not the order of the
+        triplets; entries whose sum is zero are not stored.
         """
         rows, cols = np.asarray(rows), np.asarray(cols)
         vals = np.asarray(vals, dtype=float)
@@ -169,10 +179,12 @@ def build_dof_map(mesh: TetMesh) -> DofMap:
 
 def element_matrices(verts: np.ndarray):
     """Mass, stiffness and radial element matrices (T, 4, 4) of the tets `verts`."""
-    det, wq = weighted_quadrature(verts)
+    cof, det = edge_cofactors(verts)
+    wq = quadrature_weights(verts)
     grads = np.empty_like(verts)                 # rows: grad lam_0..3
-    grads[:, 1:] = np.linalg.inv(verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
+    grads[:, 1:] = cof / det[:, None, None]
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    det = np.abs(det)
 
     bb = np.einsum("mi,mj->mij", QUADRATURE.points, QUADRATURE.points)   # (m, 4, 4)
     m_loc = rows_times(wq, bb.reshape(-1, 16)).reshape(-1, 4, 4)
@@ -195,21 +207,27 @@ def assemble(mesh: TetMesh, dof_map: DofMap) -> Operators:
     tets = mesh.tets[np.lexsort(key.T[::-1])]
     n = dof_map.n_dofs
     dof = dof_map.node_to_dof[tets].astype(np.int32)         # (T, 4)
-    # entry (a, b) of tet t is the triplet (dof[t, a], dof[t, b]); those on or
-    # below the diagonal are kept, in (t, a, b) order
-    lower = dof[:, :, None] >= dof[:, None, :]                # (T, 4, 4)
-    rows = np.broadcast_to(dof[:, :, None], lower.shape)[lower]
-    cols = np.broadcast_to(dof[:, None, :], lower.shape)[lower]
-    vals = np.empty((3, len(rows)))                          # mass, stiffness, radial
-    end = 0
+    # the lower pattern tril(E^T E) of the tet-dof incidence E, one sorted
+    # key row * n + col per entry
+    incidence = sp.csr_matrix((np.ones(dof.size, dtype=bool), dof.ravel(),
+                               np.arange(0, dof.size + 1, 4)), shape=(len(dof), n))
+    pattern = sp.tril(incidence.T @ incidence, format="csr")
+    pattern.sort_indices()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
+    cols = pattern.indices
+    keys = rows * n + cols
+    vals = np.zeros((3, len(keys)))                          # mass, stiffness, radial
     for blk in tet_blocks(len(tets)):
-        keep = lower[blk]
-        start, end = end, end + np.count_nonzero(keep)
+        # entry (a, b) of tet t goes to (dof[t, a], dof[t, b]); those on or
+        # below the diagonal are added, in (t, a, b) order
+        d = dof[blk].astype(np.int64)
+        lower = d[:, :, None] >= d[:, None, :]
+        slots = np.searchsorted(keys, (d[:, :, None] * n + d[:, None, :])[lower])
         for val, loc in zip(vals, element_matrices(mesh.vertices[tets[blk]])):
-            val[start:end] = loc[keep]
+            np.add.at(val, slots, loc[lower])
     mass, stiffness, radial = (SparseSymMatrix.from_triplets(n, rows, cols, val)
                                for val in vals)
-    wave = SparseSymMatrix((stiffness.lower + radial.lower).tocsr())
+    wave = SparseSymMatrix.from_triplets(n, rows, cols, vals[1] + vals[2])
     return Operators(mass, stiffness, radial, wave)
 
 

@@ -8,9 +8,11 @@ physical tets under the weight w(X) = (1 - |X|^2)^(-1/2), the volume
 density of the lift to the 3-sphere.  |X|^2 = lam^T (V V^T) lam comes from
 the Gram matrix of the (4, 3) vertex matrix V, so no physical point
 X = V^T lam is formed.  `quadrature_weights` gives the weighted weights
-alone, for callers that already hold each tet's determinant.  Products with
-the rule's constant matrices go through `rows_times`, so a tet's values do
-not depend on how many tets are computed with it.
+alone, for callers that already hold each tet's determinant.  The
+determinants and the barycentric gradients come in closed form from the
+edge cross products of `edge_cofactors`, not from a batched LU.  Products
+with the rule's constant matrices go through `rows_times`, so a tet's
+values do not depend on how many tets are computed with it.
 """
 
 from __future__ import annotations
@@ -99,11 +101,24 @@ def quadrature_weights(verts: np.ndarray) -> np.ndarray:
     return wq
 
 
+def edge_cofactors(verts: np.ndarray):
+    """Cofactors (T, 3, 3) and signed determinants (T,) of the tets `verts` (T, 4, 3).
+
+    With the edges e_i = v_i - v_0, the cofactor rows are e_2 x e_3,
+    e_3 x e_1 and e_1 x e_2, and det = e_1 . (e_2 x e_3) is six times the
+    signed volume; row i - 1 of the cofactors over det is grad lam_i.
+    """
+    e = verts[:, 1:] - verts[:, :1]
+    cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])
+    e1, c1 = e[:, 0], cof[:, 0]
+    det = e1[:, 0] * c1[:, 0] + e1[:, 1] * c1[:, 1] + e1[:, 2] * c1[:, 2]
+    return cof, det
+
+
 def weighted_quadrature(verts: np.ndarray):
     """det (T,) = 6 * volume and weights times w (T, m).
 
     `verts` is (T, 4, 3); the weighted integral of f over tet t is
     det[t] * sum_q wq[t, q] f(X_q), X_q = QUADRATURE.points[q] @ verts[t].
     """
-    det = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
-    return det, quadrature_weights(verts)
+    return np.abs(edge_cofactors(verts)[1]), quadrature_weights(verts)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from pdswave.assembly import (DofMap, SparseSymMatrix, assemble, build_dof_map,
-                              estimate_spectral_bound)
+                              element_matrices, estimate_spectral_bound)
 import pdswave.meshing as meshing
 from pdswave.errors import ClassSizeError
 from pdswave.meshing import (EXACT_DOMAIN_VOLUME, generate_mesh, orient_tets,
@@ -37,6 +37,11 @@ def mesh44(the_domain):
 def ops44(mesh44):
     dof_map = build_dof_map(mesh44)
     return dof_map, assemble(mesh44, dof_map)
+
+
+@pytest.fixture(scope="module")
+def mesh88(the_domain):
+    return generate_mesh(the_domain, 8, 8)
 
 
 class TestDofMap:
@@ -120,6 +125,19 @@ def dense_reference_assembly(mesh, dof_map):
     return mass, stiff, radial
 
 
+def lower_triplets(mesh, dof_map):
+    """Rows, cols and the mass, stiffness and radial values of every element
+    entry (t, a, b) on or below the diagonal, in (t, a, b) order over the
+    tets sorted by their sorted vertex ids."""
+    key = np.sort(mesh.tets, axis=1)
+    tets = mesh.tets[np.lexsort(key.T[::-1])]
+    dof = dof_map.node_to_dof[tets]
+    lower = dof[:, :, None] >= dof[:, None, :]
+    rows = np.broadcast_to(dof[:, :, None], lower.shape)[lower]
+    cols = np.broadcast_to(dof[:, None, :], lower.shape)[lower]
+    return rows, cols, [loc[lower] for loc in element_matrices(mesh.vertices[tets])]
+
+
 class TestFromTriplets:
     def test_sums_duplicates_and_drops_upper_triangle(self):
         rows = [2, 0, 2, 1, 0, 2, 1]
@@ -173,6 +191,35 @@ class TestAssembly:
             assert np.abs(ops.mass.to_dense() - ref_m).max() < 1e-14 * max(1, scale)
             assert np.abs(ops.stiffness.to_dense() - ref_k).max() < 1e-14 * np.abs(ref_k).max()
             assert np.abs(ops.radial.to_dense() - ref_d).max() < 1e-14 * np.abs(ref_d).max()
+
+    def test_sums_each_entry_in_tet_order(self, mesh22):
+        # every stored value is the sum from 0.0 of its element entries in
+        # (t, a, b) order, bit for bit
+        dof_map = build_dof_map(mesh22)
+        ops = assemble(mesh22, dof_map)
+        rows, cols, vals = lower_triplets(mesh22, dof_map)
+        for mat, val in zip(ops[:3], vals, strict=True):
+            ref = np.zeros((dof_map.n_dofs, dof_map.n_dofs))
+            np.add.at(ref, (rows, cols), val)
+            lower = mat.lower.tocoo()
+            assert lower.nnz == np.count_nonzero(ref)
+            assert np.array_equal(lower.data, ref[lower.row, lower.col])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_triplet_path(self, the_domain, n):
+        # all (t, a, b) triplets summed by from_triplets give the same CSR
+        # pattern and the same values up to round-off
+        mesh = generate_mesh(the_domain, n, n)
+        dof_map = build_dof_map(mesh)
+        rows, cols, vals = lower_triplets(mesh, dof_map)
+        ref = [SparseSymMatrix.from_triplets(dof_map.n_dofs, rows, cols, val)
+               for val in vals]
+        ref.append(SparseSymMatrix((ref[1].lower + ref[2].lower).tocsr()))
+        for mat, want in zip(assemble(mesh, dof_map), ref, strict=True):
+            assert np.array_equal(mat._full.indptr, want._full.indptr)
+            assert np.array_equal(mat._full.indices, want._full.indices)
+            scale = np.abs(want._full.data).max()
+            assert np.abs(mat._full.data - want._full.data).max() <= 1e-14 * scale
 
     def test_wave_is_built_once(self, ops44):
         _, ops = ops44
@@ -230,36 +277,41 @@ class TestAssembly:
         # no (tet, point, coordinate) or (tet, point, basis) array: the
         # traced peak stays within ten (T, 4, 4) float arrays
         dof_map, _ = ops44
-        tracemalloc.start()
-        try:
-            assemble(mesh44, dof_map)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * len(mesh44.tets) * 128
+        assert traced_peak(lambda: assemble(mesh44, dof_map)) <= 10 * len(mesh44.tets) * 128
 
     @pytest.mark.parametrize("name,bound", [("assemble", 800), ("validate_mesh", 400)])
-    def test_peak_memory_per_tet_above_one_block(self, the_domain, name, bound):
+    def test_peak_memory_per_tet_above_one_block(self, the_domain, mesh88, name, bound):
         # 84,480 tets are over twenty blocks: the traced peak grows with the
-        # kept triplets and face keys, not with a (T, 4, 4) array per pass
-        mesh = generate_mesh(the_domain, 8, 8)
-        dof_map = build_dof_map(mesh)
-        assert len(mesh.tets) > 20 * meshing.TET_BLOCK
-        run = {"assemble": lambda: assemble(mesh, dof_map),
-               "validate_mesh": lambda: validate_mesh(the_domain, mesh)}[name]
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * len(mesh.tets)
+        # matrix pattern and face keys, not with a (T, 4, 4) array per pass
+        dof_map = build_dof_map(mesh88)
+        assert len(mesh88.tets) > 20 * meshing.TET_BLOCK
+        run = {"assemble": lambda: assemble(mesh88, dof_map),
+               "validate_mesh": lambda: validate_mesh(the_domain, mesh88)}[name]
+        assert traced_peak(run) <= bound * len(mesh88.tets)
+
+    def test_assemble_holds_no_triplet_arrays(self, mesh88):
+        # the lower triplets, about ten per tet as int32 rows and cols and
+        # three float values, would take 320 B/tet on top of the rest; the
+        # pattern-first assembly holds the sorted tets, their dofs and the
+        # pattern's keys and values
+        dof_map = build_dof_map(mesh88)
+        assert traced_peak(lambda: assemble(mesh88, dof_map)) <= 450 * len(mesh88.tets)
 
     def test_matrix_market_round_trip(self, ops11, tmp_path):
         _, ops = ops11
         ops.mass.save_matrix_market(tmp_path / "mass.mtx")
         back = scipy.io.mmread(tmp_path / "mass.mtx").toarray()
         assert np.abs(back - ops.mass.to_dense()).max() < 1e-15
+
+
+def traced_peak(run):
+    """Peak traced allocation in bytes while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def block_pass_outputs(domain, mesh):

@@ -336,12 +336,6 @@ def test_bump_center_checked_before_setup(tmp_path, monkeypatch, center):
     assert not (tmp_path / "r").exists()
 
 
-def test_bump_outside_unit_ball_exit_code(tmp_path):
-    code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
-                 "--bump", "2", "0", "0", "0.3", "--out", str(tmp_path / "r")])
-    assert code == 2
-
-
 def test_zero_subdivision_is_usage_error(tmp_path):
     assert main(["mesh", "--n", "0", "--out", str(tmp_path / "m")]) == 1
 
