@@ -3,8 +3,9 @@
 Builds the 120 unit icosians in closed form (the units, the sixteen
 (+-1 +-i +-j +-k)/2 and the even permutations of
 (0, +-1/2, +-1/(2 sigma), +-sigma/2)), which the two classical generators
-are checked to generate, tabulates the Clifford translation distances,
-and carries the twenty fundamental-domain vertices around the whole orbit.
+are checked to generate, tabulates the Clifford translation distances and
+the exact spectrum their characters fix, and carries the twenty
+fundamental-domain vertices around the whole orbit.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from pdswave.domain import build_domain
 from pdswave.icosian import (GEN_GAMMA, GEN_S, family_description, generate_group,
                              orbit_vertices, rotation_of, translation_distance)
+from pdswave.spectra import exact_spectrum, invariant_counts
 
 table = generate_group()
 print(f"group order: {len(table)}")
@@ -23,6 +25,13 @@ census = Counter(round(e.chi / math.pi, 6) for e in table.elements)
 print("translation distances (multiples of pi):")
 for frac, count in sorted(census.items()):
     print(f"  chi = {frac:>8.6f} pi : {count:3d} elements")
+
+# d_k invariants of degree k give the eigenvalue q^2 = beta^2 - 1, beta = k + 1,
+# with multiplicity beta * d_k
+d = invariant_counts(61)
+print("\nexact spectrum from the characters (beta, q^2, multiplicity):")
+for beta, q2 in exact_spectrum(np.count_nonzero(d)):
+    print(f"  beta = {beta:2.0f} : q^2 = {q2:4.0f}, multiplicity {beta * d[int(beta) - 1]:3.0f}")
 
 print(f"\ngenerator s   = {GEN_S.as_array()}  (chi = {translation_distance(GEN_S) / math.pi:.4f} pi)")
 print(f"generator g   = {GEN_GAMMA.as_array()}  (chi = {translation_distance(GEN_GAMMA) / math.pi:.4f} pi)")

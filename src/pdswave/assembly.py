@@ -94,9 +94,6 @@ class SparseSymMatrix:
     def to_dense(self) -> np.ndarray:
         return self._full.toarray()
 
-    def quad_form(self, x: np.ndarray) -> float:
-        return float(x @ (self._full @ x))
-
     def max_abs(self) -> float:
         return float(np.abs(self._full.data).max()) if self._full.nnz else 0.0
 

@@ -3,12 +3,12 @@
 `QUADRATURE` is a symmetric 14-point rule with positive weights: its
 barycentric points carry weights summing to the reference volume 1/6, and
 it is exact for polynomials of degree 5 (its `degree` field keeps the
-nominal 4).  Its arrays are read-only.  `weighted_quadrature` applies it to
+nominal 4).  Its arrays are read-only.  `quadrature_weights` applies it to
 physical tets under the weight w(X) = (1 - |X|^2)^(-1/2), the volume
 density of the lift to the 3-sphere.  |X|^2 = lam^T (V V^T) lam comes from
 the Gram matrix of the (4, 3) vertex matrix V, so no physical point
-X = V^T lam is formed.  `quadrature_weights` gives the weighted weights
-alone, for callers that already hold each tet's determinant.  The
+X = V^T lam is formed.  The weighted integral of f over a tet is
+|det| * sum_q wq[q] f(X_q), X_q = QUADRATURE.points[q] @ verts.  The
 determinants and the barycentric gradients come in closed form from the
 edge cross products of `edge_cofactors`, not from a batched LU.  Products
 with the rule's constant matrices go through `rows_times`, so a tet's
@@ -113,12 +113,3 @@ def edge_cofactors(verts: np.ndarray):
     e1, c1 = e[:, 0], cof[:, 0]
     det = e1[:, 0] * c1[:, 0] + e1[:, 1] * c1[:, 1] + e1[:, 2] * c1[:, 2]
     return cof, det
-
-
-def weighted_quadrature(verts: np.ndarray):
-    """det (T,) = 6 * volume and weights times w (T, m).
-
-    `verts` is (T, 4, 3); the weighted integral of f over tet t is
-    det[t] * sum_q wq[t, q] f(X_q), X_q = QUADRATURE.points[q] @ verts[t].
-    """
-    return np.abs(edge_cofactors(verts)[1]), quadrature_weights(verts)

@@ -3,8 +3,11 @@
 A probe signal of a free wave is a superposition of cos(q t) tones at the
 square roots of the Laplace-Beltrami eigenvalues (plus an affine-in-t part
 from the zero mode).  Peaks of the DFT magnitude give the q's, refined by
-parabolic interpolation, and are matched against the exactly known
-spectrum q^2 = beta^2 - 1 of the dodecahedral space.
+parabolic interpolation, and are matched against the exact spectrum
+q^2 = beta^2 - 1 of the dodecahedral space.  The admissible beta and
+their multiplicities come from the characters of the 120 icosians: the
+eigenvalue with beta = k + 1 has multiplicity beta * d_k, where d_k counts
+the invariants of degree k (Ikeda 1980; Lachieze-Rey & Caillerie 2005).
 """
 
 from __future__ import annotations
@@ -16,22 +19,35 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .errors import TooShort
+from .errors import GenerationDiverged, TooShort
+from .icosian import generate_group
 
-# admissible beta: the sporadic low values, then every odd integer >= 61
-_BETA_BASE = (1, 13, 21, 25, 31, 33, 37, 41, 43, 45, 49, 51, 53, 55, 57)
+
+def invariant_counts(kmax: int) -> np.ndarray:
+    """d_k, k < kmax: (1/120) sum_g sin((k+1) chi_g) / sin chi_g over the 120 icosians.
+
+    The sum runs once per distinct chi, times its class size; at chi in
+    {0, pi} the term is its limit (k+1) cos(k chi).
+    """
+    chis = np.array([e.chi for e in generate_group().elements])
+    _, first, sizes = np.unique(np.round(chis, 9), return_index=True, return_counts=True)
+    chi, k = chis[first, None], np.arange(kmax)
+    pole = np.abs(np.sin(chi)) < 1e-9
+    d = sizes @ np.where(pole, (k + 1) * np.cos(k * chi),
+                         np.sin((k + 1) * chi) / np.sin(np.where(pole, 1.0, chi))) / len(chis)
+    if np.abs(d - np.rint(d)).max(initial=0.0) > 1e-9:
+        raise GenerationDiverged("a character sum over the group is not an integer")
+    return np.rint(d).astype(np.int64)
 
 
 def exact_spectrum(count: int) -> np.ndarray:
     """First `count` rows of (beta, q^2 = beta^2 - 1), increasing in q^2."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    betas = list(_BETA_BASE)
-    b = 61
-    while len(betas) < count:
-        betas.append(b)
-        b += 2
-    betas = np.array(betas[:count], dtype=float)
+    kmax = count
+    while len(betas := np.flatnonzero(invariant_counts(kmax)) + 1) < count:
+        kmax *= 2
+    betas = betas[:count].astype(float)
     return np.column_stack([betas, betas ** 2 - 1.0])
 
 
@@ -148,16 +164,10 @@ class SpectrumReport:
 
     def table(self) -> str:
         lines = [f"{'beta':>6} {'exact q^2':>12} {'numerical':>14} {'relative error':>15}"]
-        found = {m.beta: m for m in self.matches}
-        rows = sorted([(m.beta, m) for m in self.matches]
-                      + [(b, None) for b, _ in self.missing])
-        for beta, m in rows:
-            if m is None:
-                q2 = beta ** 2 - 1
-                lines.append(f"{beta:>6.0f} {q2:>12.0f} {'missing':>14} {'-':>15}")
-            else:
-                lines.append(f"{beta:>6.0f} {m.exact_q2:>12.0f} "
-                             f"{m.detected_q2:>14.4f} {m.relative_error:>15.7e}")
+        rows = sorted([(m.beta, m.exact_q2, f"{m.detected_q2:>14.4f} {m.relative_error:>15.7e}")
+                       for m in self.matches]
+                      + [(b, q2, f"{'missing':>14} {'-':>15}") for b, q2 in self.missing])
+        lines += [f"{beta:>6.0f} {q2:>12.0f} {rest}" for beta, q2, rest in rows]
         return "\n".join(lines)
 
 

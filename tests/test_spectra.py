@@ -7,7 +7,21 @@ import pytest
 from pdswave.errors import TooShort
 from pdswave.spectra import (MagnitudeSpectrum, Peak, SpectrumReport,
                              analyze_probe_signals, dft_magnitude, exact_spectrum,
-                             find_peaks, match_eigenvalues)
+                             find_peaks, invariant_counts, match_eigenvalues)
+
+# the admissible beta as a table: the sporadic low values, then every odd
+# integer >= 61; the reference for the values derived from the group
+BETA_TABLE = (1, 13, 21, 25, 31, 33, 37, 41, 43, 45, 49, 51, 53, 55, 57)
+
+
+def tabulated_spectrum(count):
+    betas = list(BETA_TABLE)
+    b = 61
+    while len(betas) < count:
+        betas.append(b)
+        b += 2
+    betas = np.array(betas[:count], dtype=float)
+    return np.column_stack([betas, betas ** 2 - 1.0])
 
 
 class TestExactSpectrum:
@@ -31,6 +45,30 @@ class TestExactSpectrum:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             exact_spectrum(0)
+
+    def test_invariant_counts_are_the_molien_series(self):
+        # (1 + t^30) / ((1 - t^12)(1 - t^20)), the Molien series of the group
+        kmax = 400
+        series = np.zeros(kmax, dtype=np.int64)
+        for a in range(0, kmax, 12):
+            for b in range(0, kmax - a, 20):
+                series[a + b] += 1
+        series[30:] += series[:-30].copy()
+        assert np.array_equal(invariant_counts(kmax), series)
+
+    def test_derived_betas_are_the_table(self):
+        d = invariant_counts(57)
+        assert tuple(int(k) + 1 for k in np.flatnonzero(d)) == BETA_TABLE
+
+    def test_multiplicities_below_79(self):
+        d = invariant_counts(78)
+        betas = np.flatnonzero(d) + 1
+        assert set(d[betas - 1]) == {1, 2}
+        assert {int(b): int(b * d[b - 1]) for b in betas if d[b - 1] == 2} == {61: 122, 73: 146}
+
+    def test_bytes_match_the_table(self):
+        for count in range(1, 400):
+            assert exact_spectrum(count).tobytes() == tabulated_spectrum(count).tobytes(), count
 
 
 class TestDft:
@@ -143,6 +181,24 @@ class TestMatch:
                              spectrum=None)
         text = rep.table()
         assert "167.6126" in text and "missing" in text
+
+    def test_table_text_is_pinned(self):
+        peaks = [self.peak(167.6126), self.peak(1400.0)]
+        matches, missing = match_eigenvalues(peaks, exact_spectrum(7))
+        rep = SpectrumReport(peaks=peaks, matches=matches, missing=missing,
+                             resolution=0.25, match_tolerance=0.05, meta={},
+                             spectrum=None)
+        assert rep.table() == "\n".join([
+            "  beta    exact q^2      numerical  relative error",
+            "    13          168       167.6126   2.3059524e-03",
+            "    21          440        missing               -",
+            "    25          624        missing               -",
+            "    31          960        missing               -",
+            "    33         1088        missing               -",
+            "    37         1368      1400.0000   2.3391813e-02"])
+        # a missing row prints the q^2 it carries
+        rep.missing = [(21.0, 441.0)]
+        assert "    21          441        missing               -" in rep.table()
 
 
 class TestEndToEnd:
