@@ -57,7 +57,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_mesh_source(p):
     p.add_argument("--n", type=int, default=4, help="edge subdivisions per pentagon edge")
     p.add_argument("--layers", type=int, default=4, help="radial layers")
-    p.add_argument("--grading", type=float, default=1.0, help="radial grading exponent")
     p.add_argument("--import-node", help="read mesh vertices from a .node file")
     p.add_argument("--import-ele", help="read mesh tets from an .ele file")
     p.add_argument("--tol", type=float, default=1e-6,
@@ -71,7 +70,7 @@ def _get_mesh(args, domain):
         mesh, report = import_mesh(domain, args.import_node, args.import_ele,
                                    tol=args.tol)
     else:
-        mesh = generate_mesh(domain, args.n, args.layers, args.grading)
+        mesh = generate_mesh(domain, args.n, args.layers)
         report = validate_mesh(domain, mesh)
     return mesh, report
 
@@ -300,6 +299,9 @@ def cmd_spectrum(args) -> int:
         raise ValueError(f"--match-tol must be finite and positive, got {args.match_tol}")
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.window and not 0 <= args.window[0] <= args.window[1]:
+        raise ValueError(f"--window NI NF needs 0 <= NI <= NF, "
+                         f"got {args.window[0]} {args.window[1]}")
     signals_path = Path(args.signals)
     if args.dt is None:
         mpath = signals_path.parent / "manifest.json"
@@ -323,8 +325,7 @@ def cmd_spectrum(args) -> int:
 
     report = analyze_probe_signals(values, dt, count=args.count,
                                    min_prominence=args.prominence,
-                                   tol=args.match_tol,
-                                   window="hann" if args.hann else None)
+                                   tol=args.match_tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     avg = report.spectrum
@@ -450,7 +451,6 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=10, help="exact eigenvalues to match")
     p.add_argument("--prominence", type=float, default=0.01)
     p.add_argument("--match-tol", type=float, default=0.05)
-    p.add_argument("--hann", action="store_true", help="apply a Hann window")
     p.add_argument("--force-window", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 

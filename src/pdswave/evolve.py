@@ -228,8 +228,8 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     non-finite energy, or one beyond `energy_guard` times E(dt), raises
     EnergyBlowup.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if dt_max is not None and not force and dt > 0.95 * dt_max * (1 + 1e-12):
         raise UnstableTimeStep(f"dt {dt} exceeds 0.95 * dt_max = {0.95 * dt_max}; "
                                "pass force=True to override")

@@ -5,10 +5,10 @@ places on the curved face, is checked against the face-1 ellipsoid and
 carried to faces 2..6 by dodecahedron rotations and to faces 7..12 by the
 face-identification maps, so the triangulations of opposite faces
 correspond under the identifications by construction.  The volume is then
-filled using star-shapedness about the origin: scaled copies of the surface
-nodes on L radial layers, prisms between layers split into three tets each
-by a global-vertex-index diagonal rule, and an innermost layer coned to the
-origin.  No node is added on the boundary itself.
+filled using star-shapedness about the origin: copies of the surface nodes
+scaled by t_k = k/L on L uniform radial layers, prisms between layers split
+into three tets each by a global-vertex-index diagonal rule, and an
+innermost layer coned to the origin.  No node is added on the boundary.
 
 The face identifications reach the solver as one int64 array `periodic` of
 (node, face, partner) rows, one per boundary node v and face i that v lies
@@ -63,7 +63,6 @@ class SurfaceMesh:
 
     nodes: np.ndarray                       # (S, 3)
     tris: np.ndarray                        # (T, 3)
-    tri_face: np.ndarray                    # (T,) face tag 1..12
     periodic: np.ndarray                    # (P, 3) (node, face, partner)
 
 
@@ -117,7 +116,7 @@ def build_boundary_mesh(domain: FundamentalDomain, chart: FaceChart) -> SurfaceM
     tris = global_id[chart.triangles + offsets[:, None, None]].reshape(-1, 3)
     tri_face = np.repeat(np.arange(1, 13), len(chart.triangles))
     periodic = periodic_pairs(domain, nodes, tris, tri_face, 1e-9)
-    return SurfaceMesh(nodes=nodes, tris=tris, tri_face=tri_face, periodic=periodic)
+    return SurfaceMesh(nodes=nodes, tris=tris, periodic=periodic)
 
 
 def _face_images(domain: FundamentalDomain, points: np.ndarray,
@@ -148,21 +147,18 @@ def periodic_pairs(domain: FundamentalDomain, vertices: np.ndarray, tris: np.nda
     return np.column_stack([node, face, boundary[j]]).astype(np.int64)
 
 
-def layer_radii(layers: int, grading: float = 1.0) -> np.ndarray:
-    """Radial scale factors t_k = (k/L)^grading, k = 1..L (t_L = 1)."""
-    if not (math.isfinite(grading) and grading > 0):
-        raise ValueError(f"grading must be finite and positive, got {grading}")
-    k = np.arange(1, layers + 1, dtype=float)
-    return (k / layers) ** grading
+def layer_radii(layers: int) -> np.ndarray:
+    """Uniform radial scale factors t_k = k/L, k = 1..L (t_L = 1)."""
+    return np.arange(1, layers + 1, dtype=float) / layers
 
 
 def build_volume_mesh(domain: FundamentalDomain, surface: SurfaceMesh,
-                      layers: int, grading: float = 1.0) -> TetMesh:
+                      layers: int) -> TetMesh:
     """Fill the volume with prisms between scaled surface layers plus a cone."""
     if layers < 1:
         raise ValueError(f"layers {layers} < 1")
     s_count = len(surface.nodes)
-    radii = layer_radii(layers, grading)
+    radii = layer_radii(layers)
     vertices = np.vstack([np.zeros((1, 3))]
                          + [t * surface.nodes for t in radii])
 
@@ -197,12 +193,11 @@ def build_volume_mesh(domain: FundamentalDomain, surface: SurfaceMesh,
                    periodic=surface.periodic + [boundary_offset, 0, boundary_offset])
 
 
-def generate_mesh(domain: FundamentalDomain, subdivision: int, layers: int,
-                  grading: float = 1.0) -> TetMesh:
+def generate_mesh(domain: FundamentalDomain, subdivision: int, layers: int) -> TetMesh:
     """Chart, boundary and volume in one call."""
     chart = triangulate_face_chart(domain, subdivision)
     surface = build_boundary_mesh(domain, chart)
-    return build_volume_mesh(domain, surface, layers, grading)
+    return build_volume_mesh(domain, surface, layers)
 
 
 # -- geometric queries and validation -----------------------------------------

@@ -2,9 +2,9 @@
 
 A probe signal of a free wave is a superposition of cos(q t) tones at the
 square roots of the Laplace-Beltrami eigenvalues (plus an affine-in-t part
-from the zero mode).  Peaks of the DFT magnitude give the q's, refined by
-parabolic interpolation, and are matched against the exact spectrum
-q^2 = beta^2 - 1 of the dodecahedral space.  The admissible beta and
+from the zero mode).  Peaks of the unwindowed DFT magnitude give the q's,
+refined by parabolic interpolation, and are matched against the exact
+spectrum q^2 = beta^2 - 1 of the dodecahedral space.  The admissible beta and
 their multiplicities come from the characters of the 120 icosians: the
 eigenvalue with beta = k + 1 has multiplicity beta * d_k, where d_k counts
 the invariants of degree k (Ikeda 1980; Lachieze-Rey & Caillerie 2005).
@@ -23,21 +23,29 @@ from .errors import GenerationDiverged, TooShort
 from .icosian import generate_group
 
 
+# degrees per block of the character sums, whose temporaries then do not grow with kmax
+K_BLOCK = 4096
+
+
 def invariant_counts(kmax: int) -> np.ndarray:
     """d_k, k < kmax: (1/120) sum_g sin((k+1) chi_g) / sin chi_g over the 120 icosians.
 
-    The sum runs once per distinct chi, times its class size; at chi in
-    {0, pi} the term is its limit (k+1) cos(k chi).
+    The sum runs once per distinct chi, times its class size, in blocks of
+    K_BLOCK degrees; at chi in {0, pi} the term is its limit (k+1) cos(k chi).
     """
     chis = np.array([e.chi for e in generate_group().elements])
     _, first, sizes = np.unique(np.round(chis, 9), return_index=True, return_counts=True)
-    chi, k = chis[first, None], np.arange(kmax)
+    chi = chis[first, None]
     pole = np.abs(np.sin(chi)) < 1e-9
-    d = sizes @ np.where(pole, (k + 1) * np.cos(k * chi),
-                         np.sin((k + 1) * chi) / np.sin(np.where(pole, 1.0, chi))) / len(chis)
-    if np.abs(d - np.rint(d)).max(initial=0.0) > 1e-9:
-        raise GenerationDiverged("a character sum over the group is not an integer")
-    return np.rint(d).astype(np.int64)
+    d = np.empty(kmax, dtype=np.int64)
+    for start in range(0, kmax, K_BLOCK):
+        k = np.arange(start, min(start + K_BLOCK, kmax))
+        s = sizes @ np.where(pole, (k + 1) * np.cos(k * chi),
+                             np.sin((k + 1) * chi) / np.sin(np.where(pole, 1.0, chi))) / len(chis)
+        if np.abs(s - np.rint(s)).max(initial=0.0) > 1e-9:
+            raise GenerationDiverged("a character sum over the group is not an integer")
+        d[k] = np.rint(s)
+    return d
 
 
 def exact_spectrum(count: int) -> np.ndarray:
@@ -67,9 +75,8 @@ class MagnitudeSpectrum:
         return 2.0 * math.pi / (self.n_signal * self.dt)
 
 
-def dft_magnitude(signals: np.ndarray, dt: float,
-                  window: str | None = None) -> MagnitudeSpectrum:
-    """Probe-averaged magnitude spectrum of real signals, zero-padded to a fast length.
+def dft_magnitude(signals: np.ndarray, dt: float) -> MagnitudeSpectrum:
+    """Probe-averaged unwindowed magnitude spectrum, zero-padded to a fast length.
 
     `signals` is (samples, probes), probes >= 1; a 1-D array is one probe.
     The incoherent average over probes suppresses per-probe nodal-line misses.
@@ -84,10 +91,6 @@ def dft_magnitude(signals: np.ndarray, dt: float,
     n = len(signals)
     if n < 16:
         raise TooShort(f"signal has {n} samples, need at least 16")
-    if window == "hann":
-        signals = signals * np.hanning(n)[:, None]
-    elif window is not None:
-        raise ValueError(f"unknown window {window!r}")
     n_fft = scipy.fft.next_fast_len(n)
     mag = np.abs(scipy.fft.rfft(signals.T, n=n_fft)).mean(axis=0)
     return MagnitudeSpectrum(magnitude=mag, n_signal=n, n_fft=n_fft, dt=dt)
@@ -206,13 +209,12 @@ def match_eigenvalues(peaks: list, exact: np.ndarray,
 
 
 def analyze_probe_signals(signals: np.ndarray, dt: float, count: int = 10,
-                          min_prominence: float = 0.01, tol: float = 0.05,
-                          window: str | None = None) -> SpectrumReport:
-    """DFT the probe columns, average magnitudes, detect and match peaks.
+                          min_prominence: float = 0.01, tol: float = 0.05) -> SpectrumReport:
+    """DFT the probe columns (unwindowed), average magnitudes, detect and match peaks.
 
     `signals` is (samples, probes), probes >= 1; a 1-D array is one probe.
     """
-    spec = dft_magnitude(signals, dt, window=window)
+    spec = dft_magnitude(signals, dt)
     peaks = find_peaks(spec, min_prominence=min_prominence)
     matches, missing = match_eigenvalues(peaks, exact_spectrum(count), tol=tol)
     meta = {"n_signal": spec.n_signal, "n_fft": spec.n_fft, "dt": dt,

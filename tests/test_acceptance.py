@@ -146,13 +146,13 @@ def test_criterion_5_operator_properties(the_domain, system8):
     dm1 = build_dof_map(mesh1)
     ops1 = assemble(mesh1, dm1)
     ref = test_assembly.dense_reference_assembly(mesh1, dm1)
-    oracle_defect = max(
-        np.abs(o.to_dense() - r).max() / max(np.abs(r).max(), 1e-300)
-        for o, r in zip(ops1, ref))
-    ok &= oracle_defect < 1e-14
+    defects = [np.abs(o.to_dense() - r).max() / max(np.abs(r).max(), 1e-300)
+               for o, r in zip(ops1, ref)]
+    ok &= max(defects) < 1e-14
     assert announce(5, "operator properties", ok,
                     f"kernel {kernel:.1e}, min quad form {neg:.1e}, "
-                    f"mass sum rel {mass_rel:.1e}, oracle defect {oracle_defect:.1e}, "
+                    f"mass sum rel {mass_rel:.1e}, oracle defect mass {defects[0]:.3e} / "
+                    f"stiffness {defects[1]:.3e} / radial {defects[2]:.3e}, "
                     f"{time.time() - t0:.1f}s")
 
 

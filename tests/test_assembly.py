@@ -67,13 +67,12 @@ class TestDofMap:
         assert np.array_equal(dm.node_to_dof[node], dm.node_to_dof[partner])
 
     @settings(max_examples=20, deadline=None)
-    @given(n=st.integers(1, 3), layers=st.integers(1, 3),
-           grading=st.floats(0.5, 2.0))
-    @example(n=2, layers=1, grading=1.0)
-    @example(n=2, layers=2, grading=1.0)
-    @example(n=3, layers=2, grading=1.0)
-    def test_formula_holds_on_generated_meshes(self, the_domain, n, layers, grading):
-        mesh = generate_mesh(the_domain, n, layers, grading)
+    @given(n=st.integers(1, 3), layers=st.integers(1, 3))
+    @example(n=2, layers=1)
+    @example(n=2, layers=2)
+    @example(n=3, layers=2)
+    def test_formula_holds_on_generated_meshes(self, the_domain, n, layers):
+        mesh = generate_mesh(the_domain, n, layers)
         dm = build_dof_map(mesh)
         surface = len(mesh.boundary_nodes)
         assert dm.per_edge_count == n - 1

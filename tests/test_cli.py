@@ -103,6 +103,8 @@ def test_spectrum_without_probe_columns_is_usage_error(tmp_path, capsys):
     (["--match-tol", "-1"], "--match-tol"),
     (["--match-tol", "0"], "--match-tol"),
     (["--count", "0"], "--count"),
+    (["--window", "30", "10"], "--window"),
+    (["--window", "-5", "10"], "--window"),
 ])
 def test_spectrum_flags_checked_before_reading(tmp_path, capsys, flags, named):
     # the signals file does not exist: a flag error must come first
@@ -284,7 +286,11 @@ def test_run_flags_checked_before_setup(tmp_path, monkeypatch, capsys, flags, na
     ["run", "--degree", "2"],
     ["assemble", "--degree", "4"],
     ["run", "--config", "f"],
-], ids=["unknown-flag", "run-degree", "assemble-degree", "run-config"])
+    # uniform radial layers and an unwindowed DFT only
+    ["mesh", "--grading", "2"],
+    ["spectrum", "--signals", "s.csv", "--hann"],
+], ids=["unknown-flag", "run-degree", "assemble-degree", "run-config", "mesh-grading",
+        "spectrum-hann"])
 def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -341,11 +347,13 @@ def test_zero_subdivision_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("grading", ["nan", "0", "-1"])
-def test_bad_grading_is_usage_error(tmp_path, grading, capsys):
+def test_bad_grading_is_usage_error(tmp_path, grading):
+    # the layers are uniform: the parser rejects --grading before any setup
     out = tmp_path / "m"
-    assert main(["mesh", "--n", "1", "--layers", "1", "--grading", grading,
-                 "--out", str(out)]) == 1
-    assert "finite and positive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "--n", "1", "--layers", "1", "--grading", grading,
+              "--out", str(out)])
+    assert exc.value.code == 1
     assert not (out / "mesh_report.json").exists()
 
 

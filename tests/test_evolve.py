@@ -243,6 +243,17 @@ class TestLeapfrog:
             leapfrog_run(ops.mass, ops.wave, np.zeros(dof_map.n_dofs),
                          dt=1.05 * dt_max, steps=10, dt_max=dt_max)
 
+    @pytest.mark.parametrize("dt, bounded, force",
+                             [(math.nan, False, False), (math.nan, True, False),
+                              (math.inf, True, True)],
+                             ids=["nan", "nan-bounded", "inf-forced"])
+    def test_non_finite_dt_rejected(self, small_system, dt, bounded, force):
+        # rejected before the first solve, as dt <= 0 is
+        _, dof_map, ops, dt_max = small_system
+        with pytest.raises(ValueError, match="finite and positive"):
+            leapfrog_run(ops.mass, ops.wave, np.ones(dof_map.n_dofs), dt=dt, steps=10,
+                         dt_max=dt_max if bounded else None, force=force)
+
     def test_determinism(self, small_system):
         mesh, dof_map, ops, dt_max = small_system
         u0 = initial_random(11, 1.0, dof_map.n_dofs)

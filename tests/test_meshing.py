@@ -38,8 +38,10 @@ class TestBoundary:
         n = 3
         surface = build_boundary_mesh(the_domain, triangulate_face_chart(the_domain, n))
         assert len(surface.tris) == 60 * n * n
-        counts = np.bincount(surface.tri_face)[1:]
-        assert np.all(counts == 5 * n * n)
+        # twelve blocks of 5 n^2 triangles, block i spanning the nodes of face i
+        node, face, _ = surface.periodic.T
+        for i, block in enumerate(surface.tris.reshape(12, 5 * n * n, 3), start=1):
+            assert np.array_equal(np.unique(block), node[face == i])
         assert len(surface.nodes) == 30 * n * n + 2
 
     def test_face1_nodes_on_printed_ellipsoid(self, the_domain):
@@ -103,10 +105,8 @@ class TestVolume:
         assert report22["boundary_edge_ratio"] <= 4.0
 
     def test_grading(self):
-        r = layer_radii(4, grading=0.5)
-        assert abs(r[-1] - 1.0) < 1e-15
-        assert np.all(np.diff(r) > 0)
-        assert abs(r[0] - 0.5) < 1e-15   # (1/4)^0.5
+        # uniform layers: t_k = k / L
+        assert layer_radii(4).tolist() == [0.25, 0.5, 0.75, 1.0]
 
     def test_volume_convergence_second_order(self, the_domain):
         errs = []
