@@ -21,7 +21,7 @@ from pdswave.spectra import exact_spectrum, invariant_counts
 table = generate_group()
 print(f"group order: {len(table)}")
 
-census = Counter(round(e.chi / math.pi, 6) for e in table.elements)
+census = Counter(round(chi / math.pi, 6) for chi in table.chi.tolist())
 print("translation distances (multiples of pi):")
 for frac, count in sorted(census.items()):
     print(f"  chi = {frac:>8.6f} pi : {count:3d} elements")
@@ -33,8 +33,8 @@ print("\nexact spectrum from the characters (beta, q^2, multiplicity):")
 for beta, q2 in exact_spectrum(np.count_nonzero(d)):
     print(f"  beta = {beta:2.0f} : q^2 = {q2:4.0f}, multiplicity {beta * d[int(beta) - 1]:3.0f}")
 
-print(f"\ngenerator s   = {GEN_S.as_array()}  (chi = {translation_distance(GEN_S) / math.pi:.4f} pi)")
-print(f"generator g   = {GEN_GAMMA.as_array()}  (chi = {translation_distance(GEN_GAMMA) / math.pi:.4f} pi)")
+print(f"\ngenerator s   = {GEN_S}  (chi = {translation_distance(GEN_S) / math.pi:.4f} pi)")
+print(f"generator g   = {GEN_GAMMA}  (chi = {translation_distance(GEN_GAMMA) / math.pi:.4f} pi)")
 rot = rotation_of(GEN_S)
 angle = math.acos((np.trace(rot) - 1) / 2)
 print(f"rotation angle of s on R^3: {angle / math.pi:.4f} pi (axis (1,1,1)/sqrt3)")

@@ -13,8 +13,8 @@ from .assembly import (Operators, SparseSymMatrix, assemble, build_dof_map,
 from .domain import FundamentalDomain, build_domain, geodesic_point, lift
 from .evolve import (discrete_energy, initial_bump, initial_random, leapfrog_run,
                      make_preconditioner, pcg_solve, snap_probes)
-from .icosian import (GroupTable, Quaternion, generate_group, orbit_vertices,
-                      rotation_of, translation_distance)
+from .icosian import (GroupTable, generate_group, orbit_vertices, rotation_of,
+                      translation_distance)
 from .mesh_io import export_mesh, import_mesh, write_vtk_mesh
 from .meshing import TetMesh, generate_mesh, validate_mesh, weighted_volume
 from .spectra import (analyze_probe_signals, dft_magnitude, exact_spectrum,
@@ -24,7 +24,6 @@ __all__ = [
     "FundamentalDomain",
     "GroupTable",
     "Operators",
-    "Quaternion",
     "SparseSymMatrix",
     "TetMesh",
     "analyze_probe_signals",

@@ -54,12 +54,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _tolerance(text: str) -> float:
+    """The finite positive float of a `--tol` value, else a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return tol
+
+
 def _add_mesh_source(p):
     p.add_argument("--n", type=int, default=4, help="edge subdivisions per pentagon edge")
     p.add_argument("--layers", type=int, default=4, help="radial layers")
     p.add_argument("--import-node", help="read mesh vertices from a .node file")
     p.add_argument("--import-ele", help="read mesh tets from an .ele file")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=_tolerance, default=1e-6,
                    help="geometric tolerance for imported meshes")
 
 
@@ -457,7 +468,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("validate", help="validate an imported mesh")
     p.add_argument("--import-node", required=True)
     p.add_argument("--import-ele", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("report", help="summarize a run; dump group/domain JSON")

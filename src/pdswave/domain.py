@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntipodalEndpoints, NotInDomain, OutsideUnitBall
-from .icosian import INV_TWO_SIGMA, SIGMA, SIGMA_HALF, Quaternion, left_matrix
+from .icosian import INV_TWO_SIGMA, SIGMA, SIGMA_HALF, left_matrix
 
 SQRT2 = math.sqrt(2.0)
 _IS = 1.0 / SIGMA
@@ -128,7 +128,7 @@ class FaceMap:
     """Clifford translation identifying face `index` with face `inverse_index`."""
 
     index: int
-    quat: Quaternion = field(compare=False)
+    quat: np.ndarray = field(compare=False)      # (w, x, y, z)
     matrix3: np.ndarray = field(compare=False)   # induced linear map on the face
     inverse_index: int
 
@@ -166,7 +166,7 @@ def geodesic_point(si, sj, t: float) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def _face_visual_matrix(q: Quaternion, normal: np.ndarray) -> np.ndarray:
+def _face_visual_matrix(q: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """Linear map induced on the visualization by left multiplication.
 
     On face i the lifted first coordinate is x0 = sigma^2 (n . X), so the
@@ -191,10 +191,10 @@ class FundamentalDomain:
             cyc = tuple(v - 1 for v in _FACE_CYCLES[i])
             faces.append(FaceGeometry(index=i + 1, normal=n, ellipsoid=ell, cycle=cyc))
             if i < 6:
-                q = Quaternion(*_FACE_QUATS[i])
+                q = np.array(_FACE_QUATS[i])
                 inv = i + 7
             else:
-                q = Quaternion(*_FACE_QUATS[i - 6]).conjugate()
+                q = np.array(_FACE_QUATS[i - 6]) * [1.0, -1.0, -1.0, -1.0]  # conjugate
                 inv = i - 5
             maps.append(FaceMap(index=i + 1, quat=q,
                                 matrix3=_face_visual_matrix(q, n),
@@ -302,7 +302,7 @@ class FundamentalDomain:
             } for f in self.faces],
             "maps": [{
                 "index": m.index,
-                "quaternion": m.quat.as_array().tolist(),
+                "quaternion": m.quat.tolist(),
                 "matrix3": m.matrix3.tolist(),
                 "inverse_index": m.inverse_index,
             } for m in self.maps],
@@ -334,7 +334,6 @@ def _check_construction(dom: FundamentalDomain) -> None:
         # the induced face-to-face maps reverse orientation (normals flip)
         assert abs(np.linalg.det(r) + 1.0) < 1e-13
     for i, images in FACE_VERTEX_IMAGES.items():
-        q = dom.face_map(i).quat
-        for src, dst in images.items():
-            got = (q * Quaternion(*v4[src - 1])).as_array()
-            assert np.abs(got - v4[dst - 1]).max() < 1e-13
+        src, dst = np.array(list(images.items())).T - 1
+        got = v4[src] @ left_matrix(dom.face_map(i).quat).T
+        assert np.abs(got - v4[dst]).max() < 1e-13

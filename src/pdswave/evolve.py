@@ -220,7 +220,7 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
                  solve_tol: float = 1e-13,
                  precond: np.ndarray | None = None,
                  energy_guard: float = 10.0) -> LeapfrogResult:
-    """Run the explicit scheme for `steps` steps.
+    """Run the explicit scheme for `steps` >= 0 steps.
 
     The previous level is built from u0 at rest by a second-order Taylor
     start; passing `u_prev` instead restarts from an explicit level pair,
@@ -230,6 +230,8 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if dt_max is not None and not force and dt > 0.95 * dt_max * (1 + 1e-12):
         raise UnstableTimeStep(f"dt {dt} exceeds 0.95 * dt_max = {0.95 * dt_max}; "
                                "pass force=True to override")

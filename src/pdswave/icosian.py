@@ -1,5 +1,9 @@
 """Unit quaternions and the binary icosahedral group.
 
+A quaternion w + x i + y j + z k is the row (w, x, y, z), the last axis of
+a (..., 4) float array, and `left_matrix(a) @ b` is the Hamilton product
+a b, the only one in the package.
+
 The 120 elements are the unit icosians, written down in closed form
 (Conway & Smith, On Quaternions and Octonions, 2003, sec. 5): the 8 units
 +-1, +-i, +-j, +-k, the 16 points (+-1 +-i +-j +-k)/2, and the 96 even
@@ -17,7 +21,6 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,90 +39,64 @@ CHI_VALUES = (0.0, math.pi / 5, math.pi / 3, 2 * math.pi / 5, math.pi / 2,
               3 * math.pi / 5, 2 * math.pi / 3, 4 * math.pi / 5, math.pi)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Quaternion w + x i + y j + z k."""
+def _read_only(coeffs) -> np.ndarray:
+    a = np.array(coeffs, dtype=float)
+    a.flags.writeable = False
+    return a
 
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __mul__(self, o: "Quaternion") -> "Quaternion":
-        w = self.w * o.w - self.x * o.x - self.y * o.y - self.z * o.z
-        x = self.w * o.x + self.x * o.w + self.y * o.z - self.z * o.y
-        y = self.w * o.y - self.x * o.z + self.y * o.w + self.z * o.x
-        z = self.w * o.z + self.x * o.y - self.y * o.x + self.z * o.w
-        return Quaternion(w, x, y, z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> float:
-        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-
-IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
 
 # generators: s = (1+i+j+k)/2 and the distance-pi/5 screw with axis in the j-k plane
-GEN_S = Quaternion(0.5, 0.5, 0.5, 0.5)
-GEN_GAMMA = Quaternion(SIGMA_HALF, 0.0, INV_TWO_SIGMA, -0.5)
+GEN_S = _read_only([0.5, 0.5, 0.5, 0.5])
+GEN_GAMMA = _read_only([SIGMA_HALF, 0.0, INV_TWO_SIGMA, -0.5])
 
 
-def left_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 matrix of left multiplication p -> q*p on R^4."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([[w, -x, -y, -z],
-                     [x, w, -z, y],
-                     [y, z, w, -x],
-                     [z, -y, x, w]])
+def left_matrix(q) -> np.ndarray:
+    """Matrices of left multiplication p -> q p on R^4: (..., 4) -> (..., 4, 4).
+
+    `left_matrix(a) @ b` is the Hamilton product a b.
+    """
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([w, -x, -y, -z,
+                     x, w, -z, y,
+                     y, z, w, -x,
+                     z, -y, x, w], axis=-1).reshape(w.shape + (4, 4))
 
 
-def rotation_of(q: Quaternion) -> np.ndarray:
-    """SO(3) matrix of p -> q p q^-1 restricted to the pure-imaginary span.
+def rotation_of(q) -> np.ndarray:
+    """SO(3) matrices of p -> q p q^-1 on the pure-imaginary span:
+    (..., 4) -> (..., 3, 3).
 
     Two-to-one: q and -q give the same rotation.
     """
-    n = q.norm_sq()
-    if abs(n - 1.0) > 1e-9:
-        raise NonUnitQuaternion(f"|q|^2 = {n!r} is not 1")
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    n = w ** 2 + x ** 2 + y ** 2 + z ** 2
+    bad = n[np.abs(n - 1.0) > 1e-9]
+    if bad.size:
+        raise NonUnitQuaternion(f"|q|^2 = {float(bad[0])!r} is not 1")
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(w.shape + (3, 3))
 
 
-def translation_distance(q: Quaternion) -> float:
-    """Clifford translation distance: d(p, q*p) for every unit p."""
-    return math.acos(max(-1.0, min(1.0, q.w)))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    quat: Quaternion
-    matrix4: np.ndarray = field(compare=False)
-    chi: float
+def translation_distance(q) -> float:
+    """Clifford translation distance of one quaternion: d(p, q p) for every unit p."""
+    return math.acos(max(-1.0, min(1.0, float(q[0]))))
 
 
 class GroupTable:
     """The 120 group elements with product and inverse index tables.
 
-    Immutable after construction; all lookups are pure.
+    `coeffs` (n, 4) holds the quaternions, `matrices` (n, 4, 4) their left
+    multiplications, `chi` (n,) their translation distances.  Every array is
+    read-only; all lookups are pure.
     """
 
-    def __init__(self, elements: list[GroupElement]):
-        self.elements = tuple(elements)
-        coeffs = np.array([e.quat.as_array() for e in elements])
-        mats = np.array([e.matrix4 for e in elements])
-        n = len(elements)
+    def __init__(self, coeffs):
+        coeffs = _read_only(coeffs)
+        mats = left_matrix(coeffs)
+        n = len(coeffs)
         # the nearest element of every product (row-major) and every inverse
         queries = np.vstack([np.einsum("iab,jb->ija", mats, coeffs).reshape(-1, 4),
                              coeffs * [1.0, -1.0, -1.0, -1.0]])      # conjugates
@@ -127,15 +104,22 @@ class GroupTable:
         if dist.max() > 1e-6:                   # elements lie >= 0.3 apart
             raise GenerationDiverged(f"a product or inverse lies {dist.max():.3g} "
                                      "from every element: the set is not closed")
+        self.coeffs = coeffs
+        self.matrices = mats
+        # math.acos per element: np.arccos differs from it in the last bit on
+        # some chi, and group.json prints chi
+        self.chi = np.array([translation_distance(q) for q in coeffs])
         self.product = idx[:n * n].reshape(n, n).astype(np.int32)
         self.inverse = idx[n * n:].astype(np.int32)
+        for a in (self.matrices, self.chi, self.product, self.inverse):
+            a.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.coeffs)
 
 
-def _unit_icosians() -> list[Quaternion]:
-    """The 120 unit icosians in closed form; every zero is +0.0."""
+def _unit_icosians() -> np.ndarray:
+    """The 120 unit icosians in closed form, (120, 4); every zero is +0.0."""
     signs = (1.0, -1.0)
     units = [tuple(s if i == k else 0.0 for i in range(4))
              for k in range(4) for s in signs]
@@ -150,20 +134,21 @@ def _unit_icosians() -> list[Quaternion]:
             for m, v in zip(p, values):
                 c[m] = v
             mixed.append(tuple(c))
-    return [Quaternion(*c) for c in units + halves + mixed]
+    return np.array(units + halves + mixed)
 
 
 @functools.lru_cache(maxsize=1)
 def generate_group() -> GroupTable:
-    """The 120 unit icosians, checked to be closed and generated by {s, gamma}."""
-    elems = sorted(_unit_icosians(), key=lambda q: (-q.w, -q.x, -q.y, -q.z))
-    table = GroupTable([GroupElement(q, left_matrix(q), translation_distance(q))
-                        for q in elems])
+    """The 120 unit icosians, checked to be closed and generated by {s, gamma}.
+
+    They are sorted by decreasing w, then x, y, z, so element 0 is 1.
+    """
+    coeffs = _unit_icosians()
+    table = GroupTable(coeffs[np.lexsort(-coeffs.T[::-1])])
     if len(table) != 120:
         raise GenerationDiverged(f"the group has {len(table)} elements, expected 120")
-    coeffs = np.array([q.as_array() for q in elems])
-    gens = np.array([GEN_S.as_array(), GEN_GAMMA.as_array()])
-    dist = np.abs(coeffs[:, None, :] - gens).max(axis=2)
+    gens = np.array([GEN_S, GEN_GAMMA])
+    dist = np.abs(table.coeffs[:, None, :] - gens).max(axis=2)
     if dist.min(axis=0).max() > 1e-12:
         raise GenerationDiverged("a generator is not an element of the group")
     # the right Cayley graph of {s, gamma} is connected iff they generate the group
@@ -222,8 +207,7 @@ def orbit_vertices(table: GroupTable, seeds: np.ndarray) -> tuple[np.ndarray, np
     coordinate family (counts 24/64/64/64/96/96/192).
     """
     seeds = np.asarray(seeds, dtype=float)
-    mats = np.array([e.matrix4 for e in table.elements])
-    pts = np.einsum("gab,sb->gsa", mats, seeds).reshape(-1, 4)
+    pts = np.einsum("gab,sb->gsa", table.matrices, seeds).reshape(-1, 4)
     # merge duplicates; distinct 120-cell vertices are >= 0.27 apart
     pairs = cKDTree(pts).query_pairs(1e-9, output_type="ndarray")
     points = pts[merge_classes(len(pts), pairs)[1]]
@@ -252,10 +236,10 @@ def family_description(label: int) -> str:
 def group_to_json(table: GroupTable) -> str:
     """JSON dump of the 120 elements (coefficients, chi, inverse index)."""
     out = [{"index": i,
-            "coefficients": list(e.quat.as_array()),
-            "chi": e.chi,
-            "inverse": int(table.inverse[i])}
-           for i, e in enumerate(table.elements)]
+            "coefficients": q.tolist(),
+            "chi": float(chi),
+            "inverse": int(inv)}
+           for i, (q, chi, inv) in enumerate(zip(table.coeffs, table.chi, table.inverse))]
     return json.dumps(out, indent=1)
 
 

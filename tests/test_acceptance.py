@@ -58,13 +58,12 @@ def test_criterion_1_group_construction(the_domain):
     t0 = time.time()
     table = generate_group()
     ok = len(table) == 120
-    worst_chi = max(min(abs(e.chi - c) for c in CHI_SET) for e in table.elements)
+    worst_chi = max(min(abs(chi - c) for c in CHI_SET) for chi in table.chi)
     ok &= worst_chi < 1e-12
-    fifth = [e.quat.as_array() for e in table.elements
-             if abs(e.chi - math.pi / 5) < 1e-12]
+    fifth = table.coeffs[np.abs(table.chi - math.pi / 5) < 1e-12]
     ok &= len(fifth) == 12
     # every distance-pi/5 element coincides with one of the twelve listed maps
-    listed = np.array([the_domain.face_map(i).quat.as_array() for i in range(1, 13)])
+    listed = np.array([the_domain.face_map(i).quat for i in range(1, 13)])
     worst_match = max(np.abs(listed - g).max(axis=1).min() for g in fifth)
     ok &= worst_match < 1e-12
     assert announce(1, "group construction", ok,

@@ -357,6 +357,23 @@ def test_bad_grading_is_usage_error(tmp_path, grading):
     assert not (out / "mesh_report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["mesh", "assemble", "run", "validate"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_bad_tol_is_usage_error(tmp_path, capsys, command, tol):
+    # the node file does not exist, so only a flag check made first names --tol
+    argv = [command, "--import-node", str(tmp_path / "missing.node"),
+            "--import-ele", str(tmp_path / "missing.ele"), "--tol", tol]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "o")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unstable_dt_exit_code(tmp_path):
     code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
                  "--dt", "1.0", "--out", str(tmp_path / "r")])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pdswave import evolve
 from pdswave.assembly import SparseSymMatrix, assemble, build_dof_map, estimate_spectral_bound
 from pdswave.errors import EnergyBlowup, NoConvergence, NotInDomain, UnstableTimeStep
 from pdswave.evolve import (DOMAIN_DIAMETER, ProbeSet, bump_profile, discrete_energy,
@@ -253,6 +254,41 @@ class TestLeapfrog:
         with pytest.raises(ValueError, match="finite and positive"):
             leapfrog_run(ops.mass, ops.wave, np.ones(dof_map.n_dofs), dt=dt, steps=10,
                          dt_max=dt_max if bounded else None, force=force)
+
+    @pytest.mark.parametrize("steps", [-1, -2])
+    def test_negative_steps_rejected(self, small_system, monkeypatch, steps):
+        # rejected before the Taylor start's solve, as a bad dt is
+        _, dof_map, ops, dt_max = small_system
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before steps was checked")
+        monkeypatch.setattr(evolve, "pcg_solve", no_solve)
+        with pytest.raises(ValueError, match="steps"):
+            leapfrog_run(ops.mass, ops.wave, np.ones(dof_map.n_dofs), dt=0.5 * dt_max,
+                         steps=steps, dt_max=dt_max)
+
+    def test_zero_steps_gives_one_energy(self, small_system):
+        mesh, dof_map, ops, dt_max = small_system
+        u0 = initial_bump(mesh, dof_map, the_domain_of(mesh))
+        res = leapfrog_run(ops.mass, ops.wave, u0, dt=0.5 * dt_max, steps=0,
+                           dt_max=dt_max)
+        assert res.energy.shape == (1,) and res.energy[0] > 0
+        assert np.array_equal(res.u_cur, u0)
+
+    def test_reported_energy_is_discrete_energy(self, small_system):
+        # the loop's E_n from the mass levels is the conserved form of
+        # discrete_energy on (U^n, U^{n-1}); measured spread <= 1.9e-15 |E_1|
+        mesh, dof_map, ops, dt_max = small_system
+        dt = 0.95 * dt_max
+        for u0 in (initial_bump(mesh, dof_map, the_domain_of(mesh)),
+                   initial_random(3, 1.0, dof_map.n_dofs)):
+            res = leapfrog_run(ops.mass, ops.wave, u0, dt=dt, steps=300,
+                               snapshot_every=1, dt_max=dt_max)
+            levels = [u for _, u in res.snapshots]
+            ref = np.array([discrete_energy(ops.mass, ops.wave, levels[n], levels[n - 1], dt)
+                            for n in range(1, len(levels))])
+            assert len(ref) == 300
+            assert np.abs(res.energy[1:] - ref).max() <= 2e-14 * abs(ref[0])
 
     def test_determinism(self, small_system):
         mesh, dof_map, ops, dt_max = small_system

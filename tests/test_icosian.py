@@ -8,20 +8,25 @@ from scipy.spatial import cKDTree
 
 from pdswave import icosian
 from pdswave.errors import GenerationDiverged, NonUnitQuaternion, OrbitCountMismatch
-from pdswave.icosian import (CHI_VALUES, GEN_GAMMA, GEN_S, IDENTITY, GroupTable,
-                             Quaternion, SIGMA, generate_group, left_matrix,
-                             merge_classes, orbit_vertices, rotation_of,
-                             translation_distance)
+from pdswave.icosian import (CHI_VALUES, GEN_GAMMA, GEN_S, GroupTable, SIGMA,
+                             generate_group, left_matrix, merge_classes,
+                             orbit_vertices, rotation_of, translation_distance)
 
-I = Quaternion(0, 1, 0, 0)
-J = Quaternion(0, 0, 1, 0)
-K = Quaternion(0, 0, 0, 1)
+ONE = np.array([1.0, 0.0, 0.0, 0.0])
+I = np.array([0.0, 1.0, 0.0, 0.0])
+J = np.array([0.0, 0.0, 1.0, 0.0])
+K = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def mul(a, b):
+    """Hamilton product of the package: left multiplication by a."""
+    return left_matrix(a) @ b
 
 
 def oracle_mul(a, b):
     """Independent Hamilton product via the scalar/vector formula."""
-    wa, va = a.w, np.array([a.x, a.y, a.z])
-    wb, vb = b.w, np.array([b.x, b.y, b.z])
+    wa, va = a[0], np.asarray(a[1:])
+    wb, vb = b[0], np.asarray(b[1:])
     w = wa * wb - va @ vb
     v = wa * vb + wb * va + np.cross(va, vb)
     return np.concatenate(([w], v))
@@ -40,10 +45,10 @@ def float_closure(gens, tol=1e-9):
     """Independent oracle: breadth-first closure of `gens` under right
     multiplication in floating point.  A product is new when it lies farther
     than `tol` from every row found so far (group elements lie >= 0.3 apart)."""
-    rows = np.array([g.as_array() for g in gens])
+    rows = np.array(gens)
     frontier = rows
     while len(frontier):
-        cand = np.array([oracle_mul(Quaternion(*q), g) for q in frontier for g in gens])
+        cand = np.array([oracle_mul(q, g) for q in frontier for g in gens])
         cand = cand[cKDTree(rows).query(cand)[0] > tol]
         if len(cand):
             # keep the first of each set of coincident candidates
@@ -56,38 +61,38 @@ def float_closure(gens, tol=1e-9):
 
 
 unit_quats = st.builds(
-    lambda c: Quaternion(*(np.array(c) / np.linalg.norm(c))),
+    lambda c: np.array(c) / np.linalg.norm(c),
     st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
         lambda c: np.linalg.norm(c) > 1e-2))
 
 
 def test_basis_products():
-    assert np.allclose((I * J).as_array(), K.as_array())
-    assert np.allclose((J * I).as_array(), -K.as_array())
+    assert np.allclose(mul(I, J), K)
+    assert np.allclose(mul(J, I), -K)
     for b in (I, J, K):
-        assert np.allclose((b * b).as_array(), [-1, 0, 0, 0])
+        assert np.allclose(mul(b, b), [-1, 0, 0, 0])
 
 
 def test_identity_product():
     rng = np.random.default_rng(3)
-    q = Quaternion(*rng.normal(size=4))
-    assert np.allclose((IDENTITY * q).as_array(), q.as_array())
+    q = rng.normal(size=4)
+    assert np.allclose(mul(ONE, q), q)
 
 
 def test_s_cubed_is_minus_one():
-    s3 = GEN_S * GEN_S * GEN_S
-    assert np.allclose(s3.as_array(), [-1, 0, 0, 0], atol=1e-15)
+    s3 = mul(mul(GEN_S, GEN_S), GEN_S)
+    assert np.allclose(s3, [-1, 0, 0, 0], atol=1e-15)
     # independent expansion oracle
-    acc = GEN_S.as_array()
+    acc = GEN_S
     for _ in range(2):
-        acc = oracle_mul(Quaternion(*acc), GEN_S)
+        acc = oracle_mul(acc, GEN_S)
     assert np.allclose(acc, [-1, 0, 0, 0], atol=1e-15)
 
 
 @given(unit_quats, unit_quats)
 def test_norm_multiplicative(a, b):
-    assert math.isclose((a * b).norm_sq(), a.norm_sq() * b.norm_sq(),
-                        rel_tol=1e-12, abs_tol=1e-12)
+    ab = mul(a, b)
+    assert math.isclose(ab @ ab, (a @ a) * (b @ b), rel_tol=1e-12, abs_tol=1e-12)
 
 
 @st.composite
@@ -122,16 +127,21 @@ def test_merge_classes_matches_transitive_closure(case):
 def test_mul_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        a = Quaternion(*rng.normal(size=4))
-        b = Quaternion(*rng.normal(size=4))
-        assert np.allclose((a * b).as_array(), oracle_mul(a, b), atol=1e-14)
+        a = rng.normal(size=4)
+        b = rng.normal(size=4)
+        assert np.allclose(mul(a, b), oracle_mul(a, b), atol=1e-14)
 
 
 def test_left_matrix_agrees_with_product():
+    # a stacked (..., 4) input gives the matrix of each row, bit for bit
     rng = np.random.default_rng(5)
-    a = Quaternion(*rng.normal(size=4))
-    b = Quaternion(*rng.normal(size=4))
-    assert np.allclose(left_matrix(a) @ b.as_array(), (a * b).as_array())
+    a = rng.normal(size=(3, 5, 4))
+    b = rng.normal(size=(3, 5, 4))
+    stacked = left_matrix(a)
+    assert stacked.shape == (3, 5, 4, 4)
+    for idx in np.ndindex(3, 5):
+        assert np.array_equal(stacked[idx], left_matrix(a[idx]))
+        assert np.allclose(stacked[idx] @ b[idx], oracle_mul(a[idx], b[idx]), atol=1e-14)
 
 
 def test_rotation_of_s():
@@ -141,7 +151,7 @@ def test_rotation_of_s():
 
 
 def test_rotation_of_identity():
-    assert np.allclose(rotation_of(IDENTITY), np.eye(3))
+    assert np.allclose(rotation_of(ONE), np.eye(3))
 
 
 def test_rotation_of_gamma():
@@ -152,20 +162,46 @@ def test_rotation_of_gamma():
 
 def test_rotation_rejects_non_unit():
     with pytest.raises(NonUnitQuaternion):
-        rotation_of(Quaternion(1, 1, 0, 0))
+        rotation_of(np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(NonUnitQuaternion):      # one bad row of a stack
+        rotation_of(np.array([ONE, I, [0.0, 0.0, 1.0, 1.0]]))
 
 
 def test_rotation_sign_invariance():
     rng = np.random.default_rng(7)
     c = rng.normal(size=4)
-    q = Quaternion(*(c / np.linalg.norm(c)))
+    q = c / np.linalg.norm(c)
     assert np.allclose(rotation_of(q), rotation_of(-q))
 
 
+def test_generators_read_only():
+    for g in (GEN_S, GEN_GAMMA):
+        assert g.shape == (4,) and not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0] = 1.0
+
+
+def test_group_rotations():
+    # stacked over the group: bit for bit the per-element rotations, two
+    # elements +-g per rotation, so 60 distinct ones
+    coeffs = generate_group().coeffs
+    rots = rotation_of(coeffs)
+    assert rots.shape == (120, 3, 3)
+    for q, r in zip(coeffs, rots):
+        assert np.array_equal(r, rotation_of(q))
+    assert np.array_equal(rotation_of(-coeffs), rots)
+    _, inverse, counts = np.unique(np.round(rots.reshape(120, 9), 9), axis=0,
+                                   return_inverse=True, return_counts=True)
+    assert len(counts) == 60 and (counts == 2).all()
+    for c in range(60):
+        a, b = coeffs[inverse.ravel() == c]
+        assert np.abs(a + b).max() < 1e-15
+
+
 def test_translation_distances():
-    assert translation_distance(IDENTITY) == 0.0
+    assert translation_distance(ONE) == 0.0
     assert math.isclose(translation_distance(GEN_S), math.pi / 3, abs_tol=1e-15)
-    g1 = Quaternion(SIGMA / 2, 1 / (2 * SIGMA), 0.5, 0.0)
+    g1 = np.array([SIGMA / 2, 1 / (2 * SIGMA), 0.5, 0.0])
     assert math.isclose(translation_distance(g1), math.pi / 5, abs_tol=1e-15)
 
 
@@ -174,18 +210,17 @@ class TestGroup:
         assert len(generate_group()) == 120
 
     def test_contains_minus_one(self):
-        table = generate_group()
-        coeffs = np.array([e.quat.as_array() for e in table.elements])
+        coeffs = generate_group().coeffs
         assert np.min(np.abs(coeffs - [-1, 0, 0, 0]).max(axis=1)) < 1e-15
 
     def test_chi_values(self):
         table = generate_group()
-        for e in table.elements:
-            assert min(abs(e.chi - c) for c in CHI_VALUES) < 1e-12
+        for chi in table.chi:
+            assert min(abs(chi - c) for c in CHI_VALUES) < 1e-12
 
     def test_chi_census(self):
         table = generate_group()
-        census = Counter(round(e.chi, 9) for e in table.elements)
+        census = Counter(round(chi, 9) for chi in table.chi.tolist())
         expected = {0.0: 1, math.pi: 1, math.pi / 2: 30,
                     math.pi / 3: 20, 2 * math.pi / 3: 20,
                     math.pi / 5: 12, 2 * math.pi / 5: 12,
@@ -194,7 +229,7 @@ class TestGroup:
 
     def test_closure_and_identity(self):
         table = generate_group()
-        assert np.allclose(table.elements[0].quat.as_array(), [1, 0, 0, 0])
+        assert np.allclose(table.coeffs[0], [1, 0, 0, 0])
         n = len(table)
         assert table.product.shape == (n, n)
         # each row/column of the product table is a permutation
@@ -209,14 +244,14 @@ class TestGroup:
 
     def test_product_table_matches_hamilton_product(self):
         table = generate_group()
-        coeffs = np.array([e.quat.as_array() for e in table.elements])
+        coeffs = table.coeffs
         rng = np.random.default_rng(29)
         for i, j in rng.integers(0, len(table), size=(200, 2)):
-            prod = table.elements[i].quat * table.elements[j].quat
-            assert np.abs(coeffs[table.product[i, j]] - prod.as_array()).max() < 1e-12
+            prod = oracle_mul(coeffs[i], coeffs[j])
+            assert np.abs(coeffs[table.product[i, j]] - prod).max() < 1e-12
 
     def test_matches_float_closure_of_generators(self):
-        coeffs = np.array([e.quat.as_array() for e in generate_group().elements])
+        coeffs = generate_group().coeffs
         rows = float_closure((GEN_S, GEN_GAMMA))
         assert len(rows) == 120
         dist, idx = cKDTree(coeffs).query(rows)
@@ -225,10 +260,10 @@ class TestGroup:
 
     def test_zeros_are_positive(self):
         # the dumped coefficients carry no -0.0
-        coeffs = np.array([e.quat.as_array() for e in generate_group().elements])
+        coeffs = generate_group().coeffs
         assert not np.signbit(coeffs[coeffs == 0.0]).any()
 
-    @pytest.mark.parametrize("gamma", [GEN_S, Quaternion(0.6, 0.8, 0.0, 0.0)],
+    @pytest.mark.parametrize("gamma", [GEN_S, np.array([0.6, 0.8, 0.0, 0.0])],
                              ids=["subgroup", "not-an-element"])
     def test_generators_checked(self, monkeypatch, gamma):
         generate_group.cache_clear()
@@ -239,18 +274,24 @@ class TestGroup:
         finally:
             generate_group.cache_clear()
 
+    def test_table_arrays_read_only(self):
+        # the cached table is shared by every caller
+        table = generate_group()
+        for a in (table.coeffs, table.matrices, table.chi, table.product, table.inverse):
+            assert not a.flags.writeable
+
     def test_table_of_unclosed_set_diverges(self):
         # without one element some products and one inverse have no match
-        elements = list(generate_group().elements)
+        coeffs = generate_group().coeffs
         with pytest.raises(GenerationDiverged):
-            GroupTable(elements[:-1])
+            GroupTable(coeffs[:-1])
 
     def test_associativity_on_random_triples(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
-            a, b, c = (Quaternion(*rng.normal(size=4)) for _ in range(3))
-            left = ((a * b) * c).as_array()
-            right = (a * (b * c)).as_array()
+            a, b, c = rng.normal(size=(3, 4))
+            left = mul(mul(a, b), c)
+            right = mul(a, mul(b, c))
             assert np.abs(left - right).max() < 1e-13
 
     def test_clifford_property(self):
@@ -258,32 +299,31 @@ class TestGroup:
         rng = np.random.default_rng(23)
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        for e in table.elements:
-            gq = e.matrix4 @ q
+        for m, chi in zip(table.matrices, table.chi):
+            gq = m @ q
             d = math.acos(np.clip(q @ gq, -1, 1))
-            assert abs(d - e.chi) < 1e-12
+            assert abs(d - chi) < 1e-12
 
     def test_pi_homomorphism(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             a = rng.normal(size=4)
             b = rng.normal(size=4)
-            qa = Quaternion(*(a / np.linalg.norm(a)))
-            qb = Quaternion(*(b / np.linalg.norm(b)))
+            qa = a / np.linalg.norm(a)
+            qb = b / np.linalg.norm(b)
             lhs = rotation_of(qa) @ rotation_of(qb)
-            rhs = rotation_of(qa * qb)
+            rhs = rotation_of(mul(qa, qb))
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_matrix4_orthogonal(self):
         table = generate_group()
-        for e in table.elements:
-            m = e.matrix4
+        for m in table.matrices:
             assert np.abs(m @ m.T - np.eye(4)).max() < 1e-14
             assert abs(np.linalg.det(m) - 1.0) < 1e-13
 
     def test_pi_fifth_elements_closed_under_inverse(self):
         table = generate_group()
-        idx = [i for i, e in enumerate(table.elements) if abs(e.chi - math.pi / 5) < 1e-12]
+        idx = [i for i, chi in enumerate(table.chi) if abs(chi - math.pi / 5) < 1e-12]
         assert len(idx) == 12
         assert {int(table.inverse[i]) for i in idx} == set(idx)
 
@@ -309,5 +349,5 @@ class TestOrbit:
 
 def test_group_elements_unit_norm():
     table = generate_group()
-    for e in table.elements:
-        assert abs(e.quat.norm_sq() - 1.0) < 1e-14
+    for q in table.coeffs:
+        assert abs(q @ q - 1.0) < 1e-14

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pdswave import spectra
 from pdswave.errors import TooShort
 from pdswave.icosian import generate_group
 from pdswave.spectra import (MagnitudeSpectrum, Peak, SpectrumReport,
@@ -72,6 +73,19 @@ class TestExactSpectrum:
         # the last two counts sum the characters over several blocks of degrees
         for count in [*range(1, 400), 10 ** 4, 10 ** 5]:
             assert exact_spectrum(count).tobytes() == tabulated_spectrum(count).tobytes(), count
+
+    @pytest.mark.parametrize("count", [1, 7, 15, 16, 10 ** 5])
+    def test_one_character_sum_per_call(self, monkeypatch, count):
+        # each degree is summed once: one invariant_counts call sized from the
+        # Molien series
+        calls = []
+
+        def counting(kmax):
+            calls.append(kmax)
+            return invariant_counts(kmax)
+        monkeypatch.setattr(spectra, "invariant_counts", counting)
+        assert exact_spectrum(count).tobytes() == tabulated_spectrum(count).tobytes()
+        assert calls == [2 * count + 60]
 
     def test_memory_is_bounded_by_the_output(self):
         # the character sums run in blocks of degrees, so the peak stays near
