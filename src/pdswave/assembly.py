@@ -22,18 +22,22 @@ X . grad lam_i = (B lam)_i with B = G V^T (V the vertices, G and V both
 only the weights, which take |X|^2 from the vertex Gram matrix V V^T.
 
 Each matrix is built from its summed lower triangle and stored once, as
-the full symmetric matrix in compressed sparse rows.  The lower pattern is
-built first, as tril(E^T E) of the (T, n_dofs) tet-dof incidence E, and
-each entry is keyed row * n_dofs + col, so the keys are sorted.  The
-element matrices are computed over the blocks of `meshing.tet_blocks`; one
-`np.searchsorted` per block finds the slots of their entries on or below
-the diagonal, and `np.add.at` adds them into one value array per matrix.
-It adds in the (t, a, b) order of a whole-mesh pass over the canonically
-ordered tets, so every entry is that ordered sum from 0.0, whatever the
-block size, and the setup memory grows with the pattern, not with the
-triplets or (T, 4, 4) arrays.  The wave values are the stiffness plus the
-radial values on the same slots.  All four matrices are then built by
-`SparseSymMatrix.from_triplets` from the pattern's entries, each once.
+the full symmetric matrix in compressed sparse rows.  The tets are taken in
+a canonical order, held as the `np.lexsort` permutation of `mesh.tets`
+rather than as a reordered copy.  The lower pattern is built first, as
+tril(E^T E) of the (T, n_dofs) tet-dof incidence E, which is dropped once
+the pattern exists, and each entry is keyed row * n_dofs + col, so the keys
+are sorted.  The element matrices are computed over the blocks of
+`meshing.tet_blocks`, each block's tets gathered through the permutation;
+one `np.searchsorted` per block finds the slots of their entries on or
+below the diagonal, and `np.add.at` adds them into one value array per
+matrix.  It adds in the (t, a, b) order of a whole-mesh pass over the
+canonically ordered tets, so every entry is that ordered sum from 0.0,
+whatever the block size, and the setup memory grows with the pattern, not
+with the triplets or (T, 4, 4) arrays.  The wave values are the stiffness
+plus the radial values on the same slots.  With the dofs and keys dropped,
+all four matrices are then built by `SparseSymMatrix.from_triplets` from
+the pattern's int32 rows and columns, each once.
 """
 
 from __future__ import annotations
@@ -194,34 +198,45 @@ def element_matrices(verts: np.ndarray):
     return m_loc, k_loc, d_loc
 
 
+def _summed_values(mesh: TetMesh, order: np.ndarray, dof: np.ndarray,
+                   keys: np.ndarray, n: int) -> np.ndarray:
+    """Mass, stiffness and radial values (3, len(keys)) on the sorted lower
+    pattern keys row * n + col, summed over the tets mesh.tets[order] whose
+    dofs are `dof`."""
+    vals = np.zeros((3, len(keys)))
+    for blk in tet_blocks(len(order)):
+        # entry (a, b) of tet t goes to (dof[t, a], dof[t, b]); those on or
+        # below the diagonal are added, in (t, a, b) order
+        d = dof[blk].astype(np.int64)
+        lower = d[:, :, None] >= d[:, None, :]
+        slots = np.searchsorted(keys, (d[:, :, None] * n + d[:, None, :])[lower])
+        for val, loc in zip(vals, element_matrices(mesh.vertices[mesh.tets[order[blk]]])):
+            np.add.at(val, slots, loc[lower])
+    return vals
+
+
 def assemble(mesh: TetMesh, dof_map: DofMap) -> Operators:
     """Assemble mass, stiffness, radial and wave matrices on identified dofs.
 
     The tets are summed in a canonical order (by sorted vertex ids), so the
     round-off does not depend on the order of `mesh.tets`.
     """
-    key = np.sort(mesh.tets, axis=1)
-    tets = mesh.tets[np.lexsort(key.T[::-1])]
+    order = np.lexsort(np.sort(mesh.tets, axis=1).T[::-1])
     n = dof_map.n_dofs
-    dof = dof_map.node_to_dof[tets].astype(np.int32)         # (T, 4)
-    # the lower pattern tril(E^T E) of the tet-dof incidence E, one sorted
-    # key row * n + col per entry
+    dof = dof_map.node_to_dof[mesh.tets[order]].astype(np.int32)    # (T, 4)
+    # the lower pattern tril(E^T E) of the tet-dof incidence E
     incidence = sp.csr_matrix((np.ones(dof.size, dtype=bool), dof.ravel(),
                                np.arange(0, dof.size + 1, 4)), shape=(len(dof), n))
     pattern = sp.tril(incidence.T @ incidence, format="csr")
+    del incidence
     pattern.sort_indices()
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(pattern.indptr))
     cols = pattern.indices
-    keys = rows * n + cols
-    vals = np.zeros((3, len(keys)))                          # mass, stiffness, radial
-    for blk in tet_blocks(len(tets)):
-        # entry (a, b) of tet t goes to (dof[t, a], dof[t, b]); those on or
-        # below the diagonal are added, in (t, a, b) order
-        d = dof[blk].astype(np.int64)
-        lower = d[:, :, None] >= d[:, None, :]
-        slots = np.searchsorted(keys, (d[:, :, None] * n + d[:, None, :])[lower])
-        for val, loc in zip(vals, element_matrices(mesh.vertices[tets[blk]])):
-            np.add.at(val, slots, loc[lower])
+    keys = rows.astype(np.int64)
+    keys *= n
+    keys += cols
+    vals = _summed_values(mesh, order, dof, keys, n)
+    del order, dof, keys, pattern
     mass, stiffness, radial = (SparseSymMatrix.from_triplets(n, rows, cols, val)
                                for val in vals)
     wave = SparseSymMatrix.from_triplets(n, rows, cols, vals[1] + vals[2])

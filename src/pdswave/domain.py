@@ -202,6 +202,11 @@ class FundamentalDomain:
         self.faces = tuple(faces)
         self.maps = tuple(maps)
         self._normals = np.array(_FACE_NORMALS)
+        # build_domain hands every caller this one instance: no caller may edit it
+        for a in (self.vertices4, self.vertices3, self._normals,
+                  *(a for f in faces for a in (f.normal, f.ellipsoid)),
+                  *(a for m in maps for a in (m.quat, m.matrix3))):
+            a.flags.writeable = False
 
     # -- basic queries --------------------------------------------------
 

@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 from scipy.spatial import cKDTree
 
 from .assembly import DofMap, SparseSymMatrix
@@ -131,12 +132,11 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
         x = np.array(x0, dtype=float)
         mass_x = mass @ x if mass_x0 is None else mass_x0
     r = b - mass_x
-    target = tol * b_norm
-    if np.linalg.norm(r) <= target:
+    target_sq = (tol * b_norm) ** 2
+    if r @ r <= target_sq:
         return done(x, mass_x, 0)
     z = precond * r
     p = z.copy()
-    step = np.empty(n)
     rz = float(r @ z)
     for it in range(max_iter):
         ap = mass @ p
@@ -144,12 +144,13 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
         if not 0.0 < pap < math.inf:
             raise NoConvergence(f"pcg: breakdown, p.Ap = {pap:.3e} at iteration {it + 1}")
         alpha = rz / pap
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, ap, out=step)
-        if np.linalg.norm(r) <= target:
+        # in place for contiguous float64 x and r; otherwise daxpy returns a copy
+        x = daxpy(p, x, a=alpha)
+        r = daxpy(ap, r, a=-alpha)
+        if r @ r <= target_sq:
             mass_x = mass @ x
             np.subtract(b, mass_x, out=r)
-            if np.linalg.norm(r) <= 2 * target:
+            if r @ r <= 4 * target_sq:
                 return done(x, mass_x, it + 1)
             # drift safeguard: restart from the true residual
             np.multiply(precond, r, out=z)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .domain import FundamentalDomain
 from .errors import ParseError, PeriodicityViolation
-from .meshing import TetMesh, face_counts, orient_tets, periodic_pairs, validate_mesh
+from .meshing import (TetMesh, _face_keys, _key_rows, orient_tets, periodic_pairs,
+                      validate_mesh)
 
 
 # rows formatted per %-operation; bounds the Python scalars held at once
@@ -145,10 +146,11 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
 
     tets, vols = orient_tets(vertices, tets)
 
-    uniq, counts = face_counts(tets)
+    keys, counts, nv = _face_keys(tets)
     if counts.max() > 2:
         raise ParseError("mesh is not conforming: a triangle is shared by >2 tets")
-    boundary_tris = uniq[counts == 1]
+    boundary_tris = _key_rows(keys[counts == 1], nv)
+    del keys, counts
 
     # assign each boundary triangle to the face with the smallest lifted
     # hyperplane residual over its three vertices; each ellipsoid carries two

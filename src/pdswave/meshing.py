@@ -25,11 +25,20 @@ the full arrays, so the summation order and every output are unchanged.
 `validate_mesh` takes the signed volumes and the weighted volume from one
 determinant per tet, the closed-form e_1 . (e_2 x e_3) of its edges
 e_i = v_i - v_0 (`quadrature.edge_cofactors`).
+
+The triangles of a mesh are counted as int64 keys, never as (4T, 3) rows:
+each tet's four ids are sorted once, each of its faces is that row minus
+one column and so already sorted, and a face (a, b, c) is keyed
+(a nv + b) nv + c with nv = max id + 1.  One `np.unique` of the keys gives
+the distinct triangles in lexicographic order and their counts.
+`face_counts` decodes every key back to a row; `validate_mesh` and
+`mesh_io.import_mesh` decode only the boundary keys, those of count 1.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -258,28 +267,45 @@ def boundary_edge_lengths(mesh: TetMesh) -> tuple[float, float]:
     return float(d.min()), float(d.max())
 
 
-def _unique_triangles(tris: np.ndarray):
-    """Distinct triangles as sorted vertex-id rows, in lexicographic order, and
-    how often each occurs.
+def _face_keys(cells: np.ndarray):
+    """Distinct triangles of `cells` as sorted int64 keys, how many cells
+    share each, and the key base nv.
 
-    Vertex ids are non-negative.  Each sorted row (a, b, c) becomes one int64
-    key (a nv + b) nv + c with nv = max id + 1, which orders the keys as the
-    rows, so a 1-D unique does the work.
+    `cells` holds triangles or tets as rows of non-negative vertex ids.  Each
+    row is sorted once, so each of its triangles, the sorted row minus the
+    other columns, is sorted too and becomes one key (a nv + b) nv + c with
+    nv = max id + 1.  The keys order as the (a, b, c) rows, so a 1-D unique
+    does the work and `_key_rows` gives the rows back.
     """
-    tris = np.sort(tris, axis=1)
-    nv = int(tris.max()) + 1
+    cells = np.sort(cells, axis=1)
+    nv = int(cells[:, -1].max()) + 1
     if nv ** 3 > np.iinfo(np.int64).max:
         raise ValueError(f"vertex id {nv - 1} is too large for an int64 triangle key")
-    t = tris.astype(np.int64, copy=False)
-    key = (t[:, 0] * nv + t[:, 1]) * nv + t[:, 2]
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    return tris[first], counts
+    cells = cells.astype(np.int64, copy=False)
+    faces = list(itertools.combinations(range(cells.shape[1]), 3))
+    keys = np.empty((len(faces), len(cells)), dtype=np.int64)
+    for key, (a, b, c) in zip(keys, faces):
+        np.multiply(cells[:, a], nv, out=key)
+        key += cells[:, b]
+        key *= nv
+        key += cells[:, c]
+    del cells
+    keys, counts = np.unique(keys, return_counts=True)
+    return keys, counts, nv
+
+
+def _key_rows(keys: np.ndarray, nv: int) -> np.ndarray:
+    """The sorted (a, b, c) int64 vertex-id rows of `_face_keys` keys."""
+    ab, c = np.divmod(keys, nv)
+    a, b = np.divmod(ab, nv)
+    return np.column_stack([a, b, c])
 
 
 def face_counts(tets: np.ndarray):
-    """Distinct triangles (sorted vertex ids) and the number of tets sharing each."""
-    return _unique_triangles(np.vstack([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
-                                        tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]]))
+    """Distinct triangles (sorted vertex ids, in lexicographic order) and the
+    number of tets sharing each."""
+    keys, counts, nv = _face_keys(tets)
+    return _key_rows(keys, nv).astype(tets.dtype, copy=False), counts
 
 
 def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
@@ -302,10 +328,11 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
     report["min_tet_volume"] = float(vols.min())
     report["all_volumes_positive"] = bool(vols.min() > 0)
 
-    uniq, counts = face_counts(mesh.tets)
+    keys, counts, nv = _face_keys(mesh.tets)
     report["conforming"] = bool(np.all((counts == 1) | (counts == 2)))
-    once = uniq[counts == 1]
-    tagged, _ = _unique_triangles(mesh.boundary_tris)
+    once = _key_rows(keys[counts == 1], nv)
+    tagged_keys, _, tagged_nv = _face_keys(mesh.boundary_tris)
+    tagged = _key_rows(tagged_keys, tagged_nv)
     report["boundary_matches_tags"] = bool(
         once.shape == tagged.shape and np.array_equal(once, tagged))
 

@@ -278,23 +278,43 @@ class TestAssembly:
         dof_map, _ = ops44
         assert traced_peak(lambda: assemble(mesh44, dof_map)) <= 10 * len(mesh44.tets) * 128
 
-    @pytest.mark.parametrize("name,bound", [("assemble", 800), ("validate_mesh", 400)])
+    @pytest.mark.parametrize("name,bound", [pytest.param("assemble", 260, id="assemble"),
+                                            pytest.param("validate_mesh", 165, id="validate_mesh"),
+                                            pytest.param("face_counts", 170, id="face_counts")])
     def test_peak_memory_per_tet_above_one_block(self, the_domain, mesh88, name, bound):
         # 84,480 tets are over twenty blocks: the traced peak grows with the
-        # matrix pattern and face keys, not with a (T, 4, 4) array per pass
+        # matrix pattern and int64 face keys, not with a (T, 4, 4) array per
+        # pass or a (4T, 3) array of triangle rows; the bounds are about 1.15
+        # times the peaks traced at n = L = 8 (229, 142 and 146 B/tet)
         dof_map = build_dof_map(mesh88)
         assert len(mesh88.tets) > 20 * meshing.TET_BLOCK
         run = {"assemble": lambda: assemble(mesh88, dof_map),
-               "validate_mesh": lambda: validate_mesh(the_domain, mesh88)}[name]
+               "validate_mesh": lambda: validate_mesh(the_domain, mesh88),
+               "face_counts": lambda: meshing.face_counts(mesh88.tets)}[name]
         assert traced_peak(run) <= bound * len(mesh88.tets)
 
     def test_assemble_holds_no_triplet_arrays(self, mesh88):
         # the lower triplets, about ten per tet as int32 rows and cols and
         # three float values, would take 320 B/tet on top of the rest; the
-        # pattern-first assembly holds the sorted tets, their dofs and the
-        # pattern's keys and values
+        # pattern-first assembly holds the tet order, their dofs and the
+        # pattern's keys and values, then the four operators
         dof_map = build_dof_map(mesh88)
-        assert traced_peak(lambda: assemble(mesh88, dof_map)) <= 450 * len(mesh88.tets)
+        assert traced_peak(lambda: assemble(mesh88, dof_map)) <= 260 * len(mesh88.tets)
+
+    def test_each_operator_is_one_from_triplets_call(self, mesh11, monkeypatch):
+        # the benchmark times assembly through this class attribute, so each
+        # of the four operators must come out of exactly one call of it
+        made = []
+        original = SparseSymMatrix.from_triplets.__func__
+
+        def counting(cls, *args):
+            made.append(original(cls, *args))
+            return made[-1]
+
+        monkeypatch.setattr(SparseSymMatrix, "from_triplets", classmethod(counting))
+        ops = assemble(mesh11, build_dof_map(mesh11))
+        assert len(made) == 4
+        assert all(a is b for a, b in zip(made, ops, strict=True))
 
     def test_matrix_market_round_trip(self, ops11, tmp_path):
         _, ops = ops11

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdswave.domain import (DOMAIN_DIAMETER, FACE_VERTEX_IMAGES, SIGMA, VERTEX_X0,
-                            geodesic_point, lift)
+                            build_domain, geodesic_point, lift)
 from pdswave.errors import AntipodalEndpoints, NotInDomain, OutsideUnitBall
 from pdswave.icosian import left_matrix
 
@@ -287,3 +287,18 @@ def test_face_normal_pattern(the_domain):
     for f in the_domain.faces:
         pattern = np.sort(np.abs(f.normal))
         assert np.abs(pattern - [0.0, 1.0 / SIGMA, 1.0]).max() < 1e-15
+
+
+def test_domain_arrays_read_only():
+    # build_domain is cached, so every caller shares one domain: an in-place
+    # write must fail rather than change the domain of every later caller
+    dom = build_domain()
+    arrays = [dom.vertices4, dom.vertices3,
+              *(a for f in dom.faces for a in (f.normal, f.ellipsoid)),
+              *(a for m in dom.maps for a in (m.quat, m.matrix3))]
+    assert len(arrays) == 2 + 4 * 12
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[1] = 9.0
+    assert build_domain() is dom
+    assert dom.face_map(1).quat[1] != 9.0
