@@ -25,19 +25,27 @@ Each matrix is built from its summed lower triangle and stored once, as
 the full symmetric matrix in compressed sparse rows.  The tets are taken in
 a canonical order, held as the `np.lexsort` permutation of `mesh.tets`
 rather than as a reordered copy.  The lower pattern is built first, as
-tril(E^T E) of the (T, n_dofs) tet-dof incidence E, which is dropped once
-the pattern exists, and each entry is keyed row * n_dofs + col, so the keys
-are sorted.  The element matrices are computed over the blocks of
-`meshing.tet_blocks`, each block's tets gathered through the permutation;
+tril(E^T E) of the (T, n_dofs) tet-dof incidence E, which is dropped with
+the tets' dofs once the pattern exists, and each entry is keyed
+row * n_dofs + col, so the keys are sorted.  The element matrices are
+computed over the blocks of `meshing.tet_blocks`, each block's tets and
+their dofs gathered through the permutation;
 one `np.searchsorted` per block finds the slots of their entries on or
 below the diagonal, and `np.add.at` adds them into one value array per
 matrix.  It adds in the (t, a, b) order of a whole-mesh pass over the
 canonically ordered tets, so every entry is that ordered sum from 0.0,
 whatever the block size, and the setup memory grows with the pattern, not
 with the triplets or (T, 4, 4) arrays.  The wave values are the stiffness
-plus the radial values on the same slots.  With the dofs and keys dropped,
-all four matrices are then built by `SparseSymMatrix.from_triplets` from
-the pattern's int32 rows and columns, each once.
+plus the radial values on the same slots.
+
+All four matrices share one pattern, so one `SparseSymMatrix.from_triplets`
+call, given the pattern's int32 rows and columns and the four rows of
+values, builds them all.  It builds the full pattern once from the lower
+one: the int32 row pointer, the column indices (each row's lower entries,
+then its mirrored strict entries by increasing row) and a map from each
+full slot to the lower entry it copies.  Each matrix is then one gather of
+its lower values through that map, and the four share one read-only row
+pointer and one read-only index array.
 """
 
 from __future__ import annotations
@@ -59,30 +67,104 @@ from .quadrature import QUADRATURE, edge_cofactors, quadrature_weights, rows_tim
 POWER_MAX_ITER = 10000
 
 
+def _symmetric_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
+    """Full CSR pattern (indptr, indices, src) of a symmetric n x n matrix
+    from its lower pattern, the distinct entries (rows, cols) on and below
+    the diagonal in row-major order.
+
+    Row i holds its lower entries, then the mirrored strict entries (j, i) by
+    increasing j, so its columns increase.  src maps each full slot to the
+    lower entry it copies.  indptr and indices are read-only.
+    """
+    strict = np.flatnonzero(rows != cols)
+    strict = strict[np.argsort(cols[strict], kind="stable")]     # by (col, row)
+    counts = np.stack([np.bincount(rows, minlength=n),
+                       np.bincount(cols[strict], minlength=n)], axis=1)
+    nnz = len(rows) + len(strict)
+    index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(counts.sum(axis=1), out=indptr[1:])
+    is_lower = np.repeat(np.tile([True, False], n), counts.ravel())
+    src = np.empty(nnz, dtype=index)
+    src[is_lower] = np.arange(len(rows))
+    src[~is_lower] = strict
+    indices = np.empty(nnz, dtype=index)
+    indices[is_lower] = cols
+    indices[~is_lower] = rows[strict]
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices, src
+
+
+def _symmetric_csr(n: int, rows, cols, vals: np.ndarray) -> list:
+    """One full CSR matrix per row of `vals` (k, m), all on one pattern.
+
+    See `SparseSymMatrix.from_triplets` for the rules.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    keep = rows >= cols
+    if not keep.all():
+        rows, cols, vals = rows[keep], cols[keep], vals[:, keep]
+    del keep
+    if len(rows) and (cols.min() < 0 or rows.max() >= n):
+        raise ValueError(f"triplet index outside a {n} x {n} matrix")
+    keys = rows.astype(np.int64)
+    keys *= n
+    keys += cols
+    if (keys[1:] <= keys[:-1]).any():
+        # sort by (row, col), stably so that duplicates keep the triplet order
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        slot = np.cumsum(first) - 1
+        summed = np.zeros((len(vals), np.count_nonzero(first)))
+        for out, val in zip(summed, vals):
+            np.add.at(out, slot, val[order])
+        rows, cols = np.divmod(keys[first], n)
+        vals = summed
+    del keys
+    nonzero = (vals != 0).any(axis=0)
+    if not nonzero.all():
+        rows, cols, vals = rows[nonzero], cols[nonzero], vals[:, nonzero]
+    del nonzero
+    indptr, indices, src = _symmetric_pattern(n, rows, cols)
+    return [sp.csr_matrix((val[src], indices, indptr), shape=(n, n)) for val in vals]
+
+
 class SparseSymMatrix:
     """Symmetric matrix built from its lower triangle, stored once as full CSR."""
 
-    def __init__(self, lower: sp.csr_matrix):
-        n, m = lower.shape
-        assert n == m
-        self.n = n
-        strict = sp.tril(lower, k=-1)
-        self._full = (lower + strict.T).tocsr()
+    def __init__(self, lower):
+        """The symmetric matrix whose lower triangle is that of the sparse `lower`."""
+        lower = sp.coo_matrix(lower)
+        (self._full,) = _symmetric_csr(lower.shape[0], lower.row, lower.col,
+                                       lower.data[None])
 
     @classmethod
-    def from_triplets(cls, n: int, rows, cols, vals) -> "SparseSymMatrix":
-        """Sum the triplets on and below the diagonal and drop the rest.
+    def from_triplets(cls, n: int, rows, cols, vals):
+        """Symmetric matrices from triplets on and below the diagonal.
 
-        Duplicates are summed in scipy's order, which is not the order of the
-        triplets; entries whose sum is zero are not stored.
+        `vals` holds one value per triplet, shape (m,), or k rows of them,
+        shape (k, m); k rows give a list of k matrices.  Triplets above the
+        diagonal are dropped, and duplicates are summed from 0.0 in triplet
+        order.  Entries already distinct and in row-major order are copied,
+        not summed.  An entry is dropped only when it sums to zero in every
+        row, so all k matrices share one pattern: one read-only `indptr` and
+        one read-only `indices` array.
         """
-        rows, cols = np.asarray(rows), np.asarray(cols)
         vals = np.asarray(vals, dtype=float)
-        keep = rows >= cols
-        if not keep.all():
-            vals, rows, cols = vals[keep], rows[keep], cols[keep]
-        lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(lower)
+        if vals.ndim not in (1, 2):
+            raise ValueError(f"vals must be (m,) or (k, m), got shape {vals.shape}")
+        mats = []
+        for full in _symmetric_csr(n, rows, cols, np.atleast_2d(vals)):
+            mat = cls.__new__(cls)
+            mat._full = full
+            mats.append(mat)
+        return mats if vals.ndim == 2 else mats[0]
+
+    @property
+    def n(self) -> int:
+        return self._full.shape[0]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self._full @ x
@@ -198,20 +280,21 @@ def element_matrices(verts: np.ndarray):
     return m_loc, k_loc, d_loc
 
 
-def _summed_values(mesh: TetMesh, order: np.ndarray, dof: np.ndarray,
+def _summed_values(mesh: TetMesh, order: np.ndarray, node_to_dof: np.ndarray,
                    keys: np.ndarray, n: int) -> np.ndarray:
-    """Mass, stiffness and radial values (3, len(keys)) on the sorted lower
-    pattern keys row * n + col, summed over the tets mesh.tets[order] whose
-    dofs are `dof`."""
-    vals = np.zeros((3, len(keys)))
+    """Mass, stiffness, radial and wave values (4, len(keys)) on the sorted
+    lower pattern keys row * n + col, summed over the tets mesh.tets[order]."""
+    vals = np.zeros((4, len(keys)))
     for blk in tet_blocks(len(order)):
         # entry (a, b) of tet t goes to (dof[t, a], dof[t, b]); those on or
         # below the diagonal are added, in (t, a, b) order
-        d = dof[blk].astype(np.int64)
+        tets = mesh.tets[order[blk]]
+        d = node_to_dof[tets].astype(np.int64, copy=False)
         lower = d[:, :, None] >= d[:, None, :]
         slots = np.searchsorted(keys, (d[:, :, None] * n + d[:, None, :])[lower])
-        for val, loc in zip(vals, element_matrices(mesh.vertices[mesh.tets[order[blk]]])):
+        for val, loc in zip(vals, element_matrices(mesh.vertices[tets])):
             np.add.at(val, slots, loc[lower])
+    np.add(vals[1], vals[2], out=vals[3])
     return vals
 
 
@@ -223,10 +306,11 @@ def assemble(mesh: TetMesh, dof_map: DofMap) -> Operators:
     """
     order = np.lexsort(np.sort(mesh.tets, axis=1).T[::-1])
     n = dof_map.n_dofs
-    dof = dof_map.node_to_dof[mesh.tets[order]].astype(np.int32)    # (T, 4)
+    dof = dof_map.node_to_dof[mesh.tets].astype(np.int32)    # (T, 4)
     # the lower pattern tril(E^T E) of the tet-dof incidence E
     incidence = sp.csr_matrix((np.ones(dof.size, dtype=bool), dof.ravel(),
                                np.arange(0, dof.size + 1, 4)), shape=(len(dof), n))
+    del dof
     pattern = sp.tril(incidence.T @ incidence, format="csr")
     del incidence
     pattern.sort_indices()
@@ -235,12 +319,9 @@ def assemble(mesh: TetMesh, dof_map: DofMap) -> Operators:
     keys = rows.astype(np.int64)
     keys *= n
     keys += cols
-    vals = _summed_values(mesh, order, dof, keys, n)
-    del order, dof, keys, pattern
-    mass, stiffness, radial = (SparseSymMatrix.from_triplets(n, rows, cols, val)
-                               for val in vals)
-    wave = SparseSymMatrix.from_triplets(n, rows, cols, vals[1] + vals[2])
-    return Operators(mass, stiffness, radial, wave)
+    vals = _summed_values(mesh, order, dof_map.node_to_dof, keys, n)
+    del order, keys, pattern
+    return Operators(*SparseSymMatrix.from_triplets(n, rows, cols, vals))
 
 
 def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,

@@ -41,6 +41,10 @@ _EVOLUTION_ERRORS = (NoConvergence, EnergyBlowup, UnstableTimeStep)
 _ANALYSIS_ERRORS = (TooShort,)
 # the stages of `run` whose wall times manifest.json records, in run order
 RUN_STAGES = ("mesh", "assemble", "spectral_bound", "leapfrog", "write")
+# BLAS and OpenMP thread settings that manifest.json records: a long dot
+# product split over threads can change results in their last bits
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _default_out() -> str:
@@ -281,6 +285,7 @@ def cmd_run(args) -> int:
         "stage_s": stage_s,
         # the process's largest resident set so far, in MB (ru_maxrss is KiB on Linux)
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
     }
     _write_json(out / "manifest.json", manifest)
     print(f"dt = {dt:.6e} (dt_max {dt_max:.6e}, lambda_max {lam:.6e})")
@@ -399,13 +404,21 @@ def cmd_report(args) -> int:
                 f"{name} {stage_s[name]:.3f} s" for name in RUN_STAGES if name in stage_s))
         if "peak_rss_mb" in manifest:
             print(f"peak RSS after the write stage: {manifest['peak_rss_mb']:.1f} MB")
+        threads = manifest.get("threads")
+        if threads:
+            print("threads: " + ", ".join(
+                f"{var}={'unset' if threads[var] is None else threads[var]}"
+                for var in THREAD_VARS if var in threads))
         rpath = run_dir / "spectrum_report.json"
         if rpath.exists():
             rep = json.loads(rpath.read_text())
-            print(f"{'beta':>6} {'exact q^2':>12} {'numerical':>14} {'rel error':>13}")
+            print(f"{'beta':>6} {'exact q^2':>12} {'numerical':>14} {'rel error':>13} "
+                  f"{'leapfrog mu':>14}")
             for m in rep["matches"]:
+                mu = m.get("detected_mu")      # absent from older reports
                 print(f"{m['beta']:>6.0f} {m['exact_q2']:>12.0f} "
-                      f"{m['detected_q2']:>14.4f} {m['relative_error']:>13.4e}")
+                      f"{m['detected_q2']:>14.4f} {m['relative_error']:>13.4e} "
+                      + (f"{'-':>14}" if mu is None else f"{mu:>14.4f}"))
         wrote = True
     if not wrote:
         print("nothing to do; pass --run-dir or --dump-* options", file=sys.stderr)

@@ -29,8 +29,9 @@ e_i = v_i - v_0 (`quadrature.edge_cofactors`).
 The triangles of a mesh are counted as int64 keys, never as (4T, 3) rows:
 each tet's four ids are sorted once, each of its faces is that row minus
 one column and so already sorted, and a face (a, b, c) is keyed
-(a nv + b) nv + c with nv = max id + 1.  One `np.unique` of the keys gives
-the distinct triangles in lexicographic order and their counts.
+(a nv + b) nv + c with nv = max id + 1.  Sorting the key array in place
+and counting its runs gives the distinct triangles in lexicographic order
+and their counts, with no copy of the keys.
 `face_counts` decodes every key back to a row; `validate_mesh` and
 `mesh_io.import_mesh` decode only the boundary keys, those of count 1.
 """
@@ -274,8 +275,9 @@ def _face_keys(cells: np.ndarray):
     `cells` holds triangles or tets as rows of non-negative vertex ids.  Each
     row is sorted once, so each of its triangles, the sorted row minus the
     other columns, is sorted too and becomes one key (a nv + b) nv + c with
-    nv = max id + 1.  The keys order as the (a, b, c) rows, so a 1-D unique
-    does the work and `_key_rows` gives the rows back.
+    nv = max id + 1.  The keys order as the (a, b, c) rows, so sorting the
+    key array in place and counting its runs does the work, and `_key_rows`
+    gives the rows back.
     """
     cells = np.sort(cells, axis=1)
     nv = int(cells[:, -1].max()) + 1
@@ -290,15 +292,24 @@ def _face_keys(cells: np.ndarray):
         key *= nv
         key += cells[:, c]
     del cells
-    keys, counts = np.unique(keys, return_counts=True)
-    return keys, counts, nv
+    keys = keys.reshape(-1)
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    counts = np.diff(starts, append=len(keys))
+    return keys[starts], counts, nv
 
 
 def _key_rows(keys: np.ndarray, nv: int) -> np.ndarray:
     """The sorted (a, b, c) int64 vertex-id rows of `_face_keys` keys."""
-    ab, c = np.divmod(keys, nv)
-    a, b = np.divmod(ab, nv)
-    return np.column_stack([a, b, c])
+    rows = np.empty((len(keys), 3), dtype=np.int64)
+    ab = np.empty(len(keys), dtype=np.int64)
+    np.divmod(keys, nv, out=(ab, rows[:, 2]))
+    np.divmod(ab, nv, out=(rows[:, 0], rows[:, 1]))
+    return rows
 
 
 def face_counts(tets: np.ndarray):

@@ -8,6 +8,11 @@ spectrum q^2 = beta^2 - 1 of the dodecahedral space.  The admissible beta and
 their multiplicities come from the characters of the 120 icosians: the
 eigenvalue with beta = k + 1 has multiplicity beta * d_k, where d_k counts
 the invariants of degree k (Ikeda 1980; Lachieze-Rey & Caillerie 2005).
+
+The leapfrog of step dt moves a discrete eigenvalue mu to the frequency q
+with sin(q dt / 2) = (dt / 2) sqrt(mu), so each match also inverts its
+detected q to mu = (2 / dt sin(q dt / 2))^2, the discrete eigenvalue the
+tone comes from; matching itself stays on q.
 """
 
 from __future__ import annotations
@@ -134,12 +139,22 @@ def find_peaks(spec: MagnitudeSpectrum, min_prominence: float = 0.01) -> list[Pe
     return peaks
 
 
+def leapfrog_eigenvalue(q, dt: float):
+    """mu = (2 / dt sin(q dt / 2))^2, whose leapfrog frequency at step dt is
+    q; q^2 at dt = 0."""
+    q = np.asarray(q, dtype=float)
+    if dt == 0:
+        return q * q
+    return (2.0 / dt * np.sin(0.5 * q * dt)) ** 2
+
+
 @dataclass
 class Match:
     beta: float
     exact_q2: float
     detected_q2: float
     relative_error: float
+    detected_mu: float        # the detected q inverted through the leapfrog
 
 
 @dataclass
@@ -174,11 +189,13 @@ class SpectrumReport:
 
 
 def match_eigenvalues(peaks: list, exact: np.ndarray,
-                      tol: float = 0.05) -> tuple[list, list]:
+                      tol: float = 0.05, dt: float = 0.0) -> tuple[list, list]:
     """Greedy nearest matching of detected q against exact sqrt(beta^2 - 1).
 
     Matching happens in q with relative tolerance `tol`; reported errors are
-    on q^2.  Returns the Match of each exact value found and the (beta,
+    on q^2.  Each match also carries the detected q inverted through a
+    leapfrog of step `dt` (q^2 for the default dt = 0, a signal continuous
+    in time).  Returns the Match of each exact value found and the (beta,
     exact q^2) rows with no surviving peak (probes can sit on nodal lines;
     use several probes to mitigate).
     """
@@ -203,7 +220,8 @@ def match_eigenvalues(peaks: list, exact: np.ndarray,
         det = peaks[pick].q_squared
         matches.append(Match(beta=float(beta), exact_q2=float(q2),
                              detected_q2=det,
-                             relative_error=abs(det - q2) / q2))
+                             relative_error=abs(det - q2) / q2,
+                             detected_mu=float(leapfrog_eigenvalue(peaks[pick].q, dt))))
     return matches, missing
 
 
@@ -215,7 +233,7 @@ def analyze_probe_signals(signals: np.ndarray, dt: float, count: int = 10,
     """
     spec = dft_magnitude(signals, dt)
     peaks = find_peaks(spec, min_prominence=min_prominence)
-    matches, missing = match_eigenvalues(peaks, exact_spectrum(count), tol=tol)
+    matches, missing = match_eigenvalues(peaks, exact_spectrum(count), tol=tol, dt=dt)
     meta = {"n_signal": spec.n_signal, "n_fft": spec.n_fft, "dt": dt,
             "probes": 1 if np.ndim(signals) == 1 else np.shape(signals)[1]}
     return SpectrumReport(peaks=peaks, matches=matches, missing=missing,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -154,6 +155,54 @@ class TestFromTriplets:
             row = mat.lower.indices[mat.lower.indptr[i]:mat.lower.indptr[i + 1]]
             assert np.all(np.diff(row) > 0)
 
+    def test_duplicates_summed_from_zero_in_triplet_order(self):
+        # magnitudes over 16 decades make the sum depend on its order
+        rng = np.random.default_rng(5)
+        m = 400
+        rows = rng.integers(0, 4, m)
+        cols = rng.integers(0, 4, m)
+        vals = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)
+        mat = SparseSymMatrix.from_triplets(4, rows, cols, vals)
+        want = np.zeros((4, 4))
+        for r, c, v in zip(rows, cols, vals):
+            if r >= c:
+                want[r, c] += v
+        assert np.array_equal(np.tril(mat.to_dense()), want)
+
+    def test_k_rows_share_one_pattern(self):
+        # (1, 0) is zero in the first row only and stays stored in both
+        # matrices; (2, 1) is zero in both rows and is dropped
+        rows, cols = [0, 1, 1, 2, 2], [0, 0, 1, 1, 2]
+        vals = [[1.0, 0.0, 2.0, 0.0, 3.0],
+                [1.0, 5.0, 2.0, 0.0, 0.0]]
+        first, second = SparseSymMatrix.from_triplets(3, rows, cols, vals)
+        for part in ("indptr", "indices"):
+            a, b = getattr(first._full, part), getattr(second._full, part)
+            assert np.shares_memory(a, b) and not a.flags.writeable
+        assert first.nnz_lower == second.nnz_lower == 4
+        assert first._full.indices.tolist() == [0, 1, 0, 1, 2]
+        assert first._full.data.tolist() == [1.0, 0.0, 0.0, 2.0, 3.0]
+        assert second._full.data.tolist() == [1.0, 5.0, 5.0, 2.0, 0.0]
+
+    def test_one_row_of_values_gives_one_matrix(self):
+        mats = SparseSymMatrix.from_triplets(2, [1], [0], [[3.0]])
+        assert len(mats) == 1
+        mat = SparseSymMatrix.from_triplets(2, [1], [0], [3.0])
+        assert np.array_equal(mat.to_dense(), mats[0].to_dense())
+        assert np.array_equal(mat.to_dense(), [[0.0, 3.0], [3.0, 0.0]])
+
+    @pytest.mark.parametrize("rows,cols,vals", [
+        pytest.param([3], [0], [1.0], id="row-past-n"),
+        pytest.param([1], [-1], [1.0], id="negative-col"),
+        pytest.param([1], [0], [[[1.0]]], id="three-dim-vals")])
+    def test_bad_triplets_rejected(self, rows, cols, vals):
+        with pytest.raises(ValueError):
+            SparseSymMatrix.from_triplets(3, rows, cols, vals)
+
+    def test_constructor_keeps_the_lower_triangle(self):
+        mat = SparseSymMatrix(sp.csr_matrix([[1.0, 9.0], [2.0, 3.0]]))
+        assert np.array_equal(mat.to_dense(), [[1.0, 2.0], [2.0, 3.0]])
+
 
 class TestSingleStorage:
     """One CSR per matrix; the lower triangle and its counts derive from it."""
@@ -206,19 +255,18 @@ class TestAssembly:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_triplet_path(self, the_domain, n):
-        # all (t, a, b) triplets summed by from_triplets give the same CSR
-        # pattern and the same values up to round-off
+        # from_triplets sums duplicates in triplet order, so all (t, a, b)
+        # triplets summed by it give the assembled CSR arrays bit for bit
         mesh = generate_mesh(the_domain, n, n)
         dof_map = build_dof_map(mesh)
         rows, cols, vals = lower_triplets(mesh, dof_map)
-        ref = [SparseSymMatrix.from_triplets(dof_map.n_dofs, rows, cols, val)
-               for val in vals]
+        ref = SparseSymMatrix.from_triplets(dof_map.n_dofs, rows, cols, np.array(vals))
         ref.append(SparseSymMatrix((ref[1].lower + ref[2].lower).tocsr()))
         for mat, want in zip(assemble(mesh, dof_map), ref, strict=True):
-            assert np.array_equal(mat._full.indptr, want._full.indptr)
-            assert np.array_equal(mat._full.indices, want._full.indices)
-            scale = np.abs(want._full.data).max()
-            assert np.abs(mat._full.data - want._full.data).max() <= 1e-14 * scale
+            for part in ("indptr", "indices", "data"):
+                got, ref_part = getattr(mat._full, part), getattr(want._full, part)
+                assert got.dtype == ref_part.dtype
+                assert np.array_equal(got, ref_part)
 
     def test_wave_is_built_once(self, ops44):
         _, ops = ops44
@@ -278,14 +326,15 @@ class TestAssembly:
         dof_map, _ = ops44
         assert traced_peak(lambda: assemble(mesh44, dof_map)) <= 10 * len(mesh44.tets) * 128
 
-    @pytest.mark.parametrize("name,bound", [pytest.param("assemble", 260, id="assemble"),
-                                            pytest.param("validate_mesh", 165, id="validate_mesh"),
-                                            pytest.param("face_counts", 170, id="face_counts")])
+    @pytest.mark.parametrize("name,bound", [pytest.param("assemble", 180, id="assemble"),
+                                            pytest.param("validate_mesh", 122, id="validate_mesh"),
+                                            pytest.param("face_counts", 112, id="face_counts")])
     def test_peak_memory_per_tet_above_one_block(self, the_domain, mesh88, name, bound):
         # 84,480 tets are over twenty blocks: the traced peak grows with the
         # matrix pattern and int64 face keys, not with a (T, 4, 4) array per
-        # pass or a (4T, 3) array of triangle rows; the bounds are about 1.15
-        # times the peaks traced at n = L = 8 (229, 142 and 146 B/tet)
+        # pass, a (4T, 3) array of triangle rows or a copy of the face keys;
+        # the bounds are about 1.15 times the peaks traced at n = L = 8 (156,
+        # 106 and 97 B/tet)
         dof_map = build_dof_map(mesh88)
         assert len(mesh88.tets) > 20 * meshing.TET_BLOCK
         run = {"assemble": lambda: assemble(mesh88, dof_map),
@@ -296,14 +345,14 @@ class TestAssembly:
     def test_assemble_holds_no_triplet_arrays(self, mesh88):
         # the lower triplets, about ten per tet as int32 rows and cols and
         # three float values, would take 320 B/tet on top of the rest; the
-        # pattern-first assembly holds the tet order, their dofs and the
-        # pattern's keys and values, then the four operators
+        # pattern-first assembly holds the tet order and the pattern's keys
+        # and values, then the four operators on one pattern
         dof_map = build_dof_map(mesh88)
-        assert traced_peak(lambda: assemble(mesh88, dof_map)) <= 260 * len(mesh88.tets)
+        assert traced_peak(lambda: assemble(mesh88, dof_map)) <= 180 * len(mesh88.tets)
 
     def test_each_operator_is_one_from_triplets_call(self, mesh11, monkeypatch):
-        # the benchmark times assembly through this class attribute, so each
-        # of the four operators must come out of exactly one call of it
+        # the benchmark times assembly through this class attribute: one call
+        # of it makes all four operators, in Operators order, on one pattern
         made = []
         original = SparseSymMatrix.from_triplets.__func__
 
@@ -313,8 +362,30 @@ class TestAssembly:
 
         monkeypatch.setattr(SparseSymMatrix, "from_triplets", classmethod(counting))
         ops = assemble(mesh11, build_dof_map(mesh11))
-        assert len(made) == 4
-        assert all(a is b for a, b in zip(made, ops, strict=True))
+        assert len(made) == 1
+        assert all(a is b for a, b in zip(made[0], ops, strict=True))
+        first = ops.mass._full
+        for mat in ops:
+            for part in ("indptr", "indices"):
+                arr = getattr(mat._full, part)
+                assert np.shares_memory(arr, getattr(first, part))
+                assert not arr.flags.writeable
+        for a, b in itertools.combinations(ops, 2):
+            assert not np.shares_memory(a._full.data, b._full.data)
+        with pytest.raises(ValueError):
+            first.indices[0] = 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_csr_is_scipys_mirror_of_the_lower_triangle(self, the_domain, n):
+        # the full pattern built from the lower one equals scipy's
+        # L + tril(L, -1)^T, byte for byte with dtypes, for every operator
+        mesh = generate_mesh(the_domain, n, n)
+        for mat in assemble(mesh, build_dof_map(mesh)):
+            lower = sp.tril(mat._full, format="csr")
+            want = (lower + sp.tril(lower, -1).T).tocsr()
+            for part in ("indptr", "indices", "data"):
+                got, ref = getattr(mat._full, part), getattr(want, part)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_matrix_market_round_trip(self, ops11, tmp_path):
         _, ops = ops11

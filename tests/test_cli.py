@@ -73,6 +73,20 @@ def test_spectrum_command(run_dir, tmp_path):
     assert "matches" in rep and "missing" in rep
 
 
+def test_report_prints_leapfrog_mu(run_dir, tmp_path, capsys):
+    (tmp_path / "manifest.json").write_bytes((run_dir / "manifest.json").read_bytes())
+    assert main(["spectrum", "--signals", str(run_dir / "probes.csv"),
+                 "--out", str(tmp_path)]) == 0
+    matches = json.loads((tmp_path / "spectrum_report.json").read_text())["matches"]
+    assert matches
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    for m in matches:
+        assert (f"{m['detected_q2']:>14.4f} {m['relative_error']:>13.4e} "
+                f"{m['detected_mu']:>14.4f}") in out
+
+
 def test_spectrum_guards_early_window(tmp_path):
     out = tmp_path / "early"
     assert main(["run", "--n", "1", "--layers", "1", "--steps", "60",
@@ -220,6 +234,26 @@ def test_manifest_run_facts(run_dir):
     # the run's peak RSS, read after its write stage, is a peak of this process
     peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     assert 0 < manifest["peak_rss_mb"] <= peak_now
+
+
+def test_manifest_records_threads(tmp_path, monkeypatch, capsys):
+    # each thread variable as the environment sets it, null when unset
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "t"
+    assert main(["run", "--n", "1", "--layers", "1", "--steps", "80",
+                 "--out", str(out)]) == 0
+    threads = json.loads((out / "manifest.json").read_text())["threads"]
+    assert list(threads) == sorted(cli.THREAD_VARS)
+    assert threads["OPENBLAS_NUM_THREADS"] == "1"
+    assert threads["OMP_NUM_THREADS"] == "2"
+    assert threads["MKL_NUM_THREADS"] is None
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 0
+    line = next(row for row in capsys.readouterr().out.splitlines()
+                if row.startswith("threads: "))
+    assert "OMP_NUM_THREADS=2, OPENBLAS_NUM_THREADS=1, MKL_NUM_THREADS=unset" in line
 
 
 def test_csv_writer_matches_reference(tmp_path):

@@ -10,7 +10,8 @@ from pdswave.errors import TooShort
 from pdswave.icosian import generate_group
 from pdswave.spectra import (MagnitudeSpectrum, Peak, SpectrumReport,
                              analyze_probe_signals, dft_magnitude, exact_spectrum,
-                             find_peaks, invariant_counts, match_eigenvalues)
+                             find_peaks, invariant_counts, leapfrog_eigenvalue,
+                             match_eigenvalues)
 
 # the admissible beta as a table: the sporadic low values, then every odd
 # integer >= 61; the reference for the values derived from the group
@@ -168,6 +169,11 @@ class TestMatch:
         assert len(matches) == 1
         assert matches[0].relative_error == pytest.approx(2.3060753e-3, rel=1e-4)
 
+    def test_continuous_signal_mu_is_q_squared(self):
+        # no time step to invert: mu is the detected q^2
+        matches, _ = match_eigenvalues([self.peak(167.6126)], exact_spectrum(2))
+        assert matches[0].detected_mu == pytest.approx(167.6126, rel=1e-15)
+
     def test_exact_match_zero_error(self):
         matches, _ = match_eigenvalues([self.peak(168.0)], exact_spectrum(2))
         assert matches[0].relative_error == 0.0
@@ -241,6 +247,31 @@ class TestEndToEnd:
         assert rep.missing == []
         for m in rep.matches:
             assert abs(math.sqrt(m.detected_q2) - math.sqrt(m.exact_q2)) < rep.resolution
+
+    def test_leapfrog_inversion_recovers_discrete_eigenvalues(self):
+        # two modes of the scalar leapfrog u+ = 2u - u- - dt^2 mu u from a
+        # Taylor start ring at q with sin(q dt / 2) = (dt / 2) sqrt(mu), so
+        # q^2 sits above mu; the inversion brings each mu back within one bin
+        dt, steps = 0.02, 20000
+        mu = np.array([168.0, 440.0])
+        u = np.array([1.0, 0.5])
+        u_prev = u - 0.5 * dt * dt * mu * u
+        sig = np.empty(steps)
+        for k in range(steps):
+            sig[k] = u.sum()
+            u, u_prev = 2.0 * u - u_prev - dt * dt * mu * u, u
+        rep = analyze_probe_signals(sig, dt, count=3)
+        assert [m.exact_q2 for m in rep.matches] == [168.0, 440.0]
+        bin_q = 2 * math.pi / (rep.spectrum.n_fft * dt)
+        for m, want in zip(rep.matches, mu, strict=True):
+            q = 2.0 / dt * math.asin(0.5 * dt * math.sqrt(want))
+            lo, hi = leapfrog_eigenvalue([q - bin_q, q + bin_q], dt)
+            assert lo <= m.detected_mu <= hi
+            assert not lo <= m.detected_q2 <= hi
+            assert m.detected_mu == pytest.approx(
+                leapfrog_eigenvalue(math.sqrt(m.detected_q2), dt), rel=1e-14)
+        assert json.loads(rep.to_json())["matches"][0]["detected_mu"] == \
+            rep.matches[0].detected_mu
 
     def test_analyze_accepts_multiple_probes(self):
         dt = 1e-3
