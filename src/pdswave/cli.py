@@ -94,6 +94,34 @@ def _write_json(path, data):
     Path(path).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
+_NUMBER = (int, float)
+
+
+def _checked_keys(where, data, **required) -> dict:
+    """`data` if it is a JSON object holding every key of `required` as an
+    instance of that key's tuple of types (a JSON true or false is none of
+    them), else a ValueError naming `where` and the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
+    for key, kind in required.items():
+        if key not in data:
+            raise ValueError(f"{where}: no {key!r}")
+        if isinstance(data[key], bool) or not isinstance(data[key], kind):
+            raise ValueError(f"{where}: {key!r} is {data[key]!r}, "
+                             f"expected {' or '.join(k.__name__ for k in kind)}")
+    return data
+
+
+def _read_run_file(path: Path, **required) -> dict:
+    """The JSON object of a run file (manifest.json, spectrum_report.json),
+    checked to hold the `required` keys; malformed files raise ValueError."""
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from exc
+    return _checked_keys(path, data, **required)
+
+
 def _write_csv(path, header: str, row_format: str, *columns) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -323,7 +351,7 @@ def cmd_spectrum(args) -> int:
         mpath = signals_path.parent / "manifest.json"
         if not mpath.exists():
             raise TooShort("no --dt given and no manifest.json next to the signals")
-        dt = float(json.loads(mpath.read_text())["dt"])
+        dt = float(_read_run_file(mpath, dt=_NUMBER)["dt"])
         source = f"dt in {mpath}"
     else:
         dt, source = args.dt, "--dt"
@@ -384,7 +412,9 @@ def cmd_report(args) -> int:
         wrote = True
     if args.run_dir:
         run_dir = Path(args.run_dir)
-        manifest = json.loads((run_dir / "manifest.json").read_text())
+        mpath = run_dir / "manifest.json"
+        manifest = _read_run_file(mpath, steps=(int,), dt=_NUMBER, n_dofs=(int,),
+                                  mesh_hash=(str,))
         print(f"run of {manifest['steps']} steps, dt = {manifest['dt']:.6e}, "
               f"{manifest['n_dofs']} dofs (mesh {manifest['mesh_hash'][:12]})")
         drift = manifest.get("energy_drift")
@@ -392,26 +422,36 @@ def cmd_report(args) -> int:
               + ("n/a" if drift is None else f"{drift:.3e}"))
         per_step = manifest.get("pcg_per_step")
         if per_step:
+            _checked_keys(f"{mpath}: pcg_per_step", per_step,
+                          min=_NUMBER, mean=_NUMBER, max=_NUMBER)
+            _checked_keys(mpath, manifest, pcg_iterations=_NUMBER)
             print(f"PCG iterations per step: min {per_step['min']}, "
                   f"mean {per_step['mean']:.2f}, max {per_step['max']} "
                   f"({manifest['pcg_iterations']} in all)")
         if "power_iterations" in manifest:
+            _checked_keys(mpath, manifest, power_iterations=_NUMBER,
+                          power_relative_change=_NUMBER)
             print(f"spectral bound: {manifest['power_iterations']} power iterations, "
                   f"final relative change {manifest['power_relative_change']:.3e}")
         stage_s = manifest.get("stage_s")
         if stage_s:
+            _checked_keys(f"{mpath}: stage_s", stage_s)
             print("stage wall times: " + ", ".join(
                 f"{name} {stage_s[name]:.3f} s" for name in RUN_STAGES if name in stage_s))
         if "peak_rss_mb" in manifest:
             print(f"peak RSS after the write stage: {manifest['peak_rss_mb']:.1f} MB")
         threads = manifest.get("threads")
         if threads:
+            _checked_keys(f"{mpath}: threads", threads)
             print("threads: " + ", ".join(
                 f"{var}={'unset' if threads[var] is None else threads[var]}"
                 for var in THREAD_VARS if var in threads))
         rpath = run_dir / "spectrum_report.json"
         if rpath.exists():
-            rep = json.loads(rpath.read_text())
+            rep = _read_run_file(rpath, matches=(list,))
+            for i, m in enumerate(rep["matches"]):
+                _checked_keys(f"{rpath}: matches[{i}]", m, beta=_NUMBER, exact_q2=_NUMBER,
+                              detected_q2=_NUMBER, relative_error=_NUMBER)
             print(f"{'beta':>6} {'exact q^2':>12} {'numerical':>14} {'rel error':>13} "
                   f"{'leapfrog mu':>14}")
             for m in rep["matches"]:

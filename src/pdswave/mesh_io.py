@@ -20,8 +20,10 @@ from .meshing import (TetMesh, _face_keys, _key_rows, orient_tets, periodic_pair
                       validate_mesh)
 
 
-# rows formatted per %-operation; bounds the Python scalars held at once
-_BLOCK_ROWS = 1 << 16
+# rows formatted per %-operation: beyond its arrays, a writer holds one block
+# of rows as Python scalars and text, a few hundred bytes per row, so at
+# n = L = 8 a block takes less memory than the mesh's own arrays
+_BLOCK_ROWS = 4096
 _NODE_ROW = np.dtype([("id", np.int64), ("xyz", np.float64, (3,))])
 _ELE_ROW = np.dtype([("id", np.int64), ("nodes", np.int64, (4,))])
 

@@ -25,6 +25,12 @@ def mesh22(the_domain):
 
 
 @pytest.fixture(scope="session")
+def mesh88(the_domain):
+    """The n = L = 8 mesh of the memory tests: 84,480 tets."""
+    return generate_mesh(the_domain, 8, 8)
+
+
+@pytest.fixture(scope="session")
 def triple_face_tets(mesh22):
     """mesh22's tets plus one tet coned from the origin onto an interior
     triangle, which three tets then share."""

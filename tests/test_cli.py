@@ -168,6 +168,44 @@ def test_bad_manifest_dt_is_usage_error(tmp_path, capsys):
     assert not (out / "spectrum.csv").exists()
 
 
+def _without(key):
+    return lambda manifest: {k: v for k, v in manifest.items() if k != key}
+
+
+@pytest.mark.parametrize("command, name, content, named", [
+    pytest.param("spectrum", "manifest.json", '{"steps": 10}', "'dt'", id="no-dt"),
+    pytest.param("spectrum", "manifest.json", "[0.01]", "list", id="array"),
+    pytest.param("spectrum", "manifest.json", '{"dt": "fast"}', "'dt'", id="dt-string"),
+    pytest.param("spectrum", "manifest.json", "{dt: 0.01}", "not JSON", id="not-json"),
+    pytest.param("report", "manifest.json", _without("steps"), "'steps'", id="report-no-steps"),
+    pytest.param("report", "manifest.json", _without("power_relative_change"),
+                 "'power_relative_change'", id="report-no-power-change"),
+    pytest.param("report", "manifest.json",
+                 lambda m: {**m, "pcg_per_step": {"min": 1}}, "pcg_per_step: no 'mean'",
+                 id="report-bad-per-step"),
+    pytest.param("report", "manifest.json", lambda m: {**m, "stage_s": [1.0]},
+                 "stage_s: expected a JSON object", id="report-stage-list"),
+    pytest.param("report", "spectrum_report.json", '{"matches": [{"beta": 12}]}',
+                 "matches[0]: no 'exact_q2'", id="report-bad-match"),
+])
+def test_malformed_run_file_is_usage_error(run_dir, tmp_path, capsys, command, name,
+                                           content, named):
+    # content is the file's text, or an edit of the run's manifest
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    if command == "report":
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / name).write_text(json.dumps(content(manifest)) if callable(content) else content)
+    _write_tone(tmp_path / "probes.csv")
+    argv = {"spectrum": ["spectrum", "--signals", str(tmp_path / "probes.csv"),
+                         "--out", str(tmp_path / "s"), "--force-window"],
+            "report": ["report", "--run-dir", str(tmp_path)]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / name}: " in err and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_validate_command(tmp_path, the_domain):
     mesh = generate_mesh(the_domain, 1, 1)
     write_node_file(tmp_path / "v.node", mesh.vertices)

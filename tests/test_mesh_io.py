@@ -1,5 +1,6 @@
 import io
 import tempfile
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -224,6 +225,27 @@ def test_rows_written_in_blocks(monkeypatch):
     fh = io.StringIO()
     _write_rows(fh, "%d:%.17g,%.17g\n", ids, vals)
     assert fh.getvalue() == "".join(f"{i}:{a:.17g},{b:.17g}\n" for i, (a, b) in zip(ids, vals))
+
+
+@pytest.mark.parametrize("name,bound", [pytest.param("export_mesh", 70, id="export_mesh"),
+                                        pytest.param("write_vtk_mesh", 20, id="write_vtk_mesh")])
+def test_writer_peak_memory_per_tet(mesh88, tmp_path, name, bound):
+    # 84,480 tets are over twenty blocks of rows: a writer holds one block of
+    # Python scalars and its text, plus the ids and 1-based tets of the .ele
+    # file; the bounds are about 1.15 times the peaks traced at n = L = 8
+    # (61 and 17 B/tet)
+    import pdswave.mesh_io as mesh_io
+    assert len(mesh88.tets) > 20 * mesh_io._BLOCK_ROWS
+    u = np.linspace(-1.0, 1.0, len(mesh88.vertices))
+    run = {"export_mesh": lambda: export_mesh(mesh88, tmp_path / "m.node", tmp_path / "m.ele"),
+           "write_vtk_mesh": lambda: write_vtk_mesh(tmp_path / "m.vtk", mesh88, {"u": u})}[name]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * len(mesh88.tets)
 
 
 # -- readers ---------------------------------------------------------------------------
