@@ -329,17 +329,21 @@ class TestAssembly:
         # matrix pattern and int64 face keys, not with a (T, 4, 4) array per
         # pass, a (4T, 3) array of triangle rows or a copy of the face keys;
         # the bounds are about 1.15 times the peaks traced at n = L = 8 (156,
-        # 106 and 97 B/tet).  For assemble, the lower triplets, about ten per
-        # tet as int32 rows and cols and three float values, would take
-        # 320 B/tet on top of the rest; the pattern-first assembly holds the
-        # tet order and the pattern's keys and values, then the four
-        # operators on one pattern
+        # 106 and 97 B/tet)
         dof_map = build_dof_map(mesh88)
         assert len(mesh88.tets) > 20 * meshing.TET_BLOCK
         run = {"assemble": lambda: assemble(mesh88, dof_map),
                "validate_mesh": lambda: validate_mesh(the_domain, mesh88),
                "face_counts": lambda: meshing.face_counts(mesh88.tets)}[name]
         assert traced_peak(run) <= bound * len(mesh88.tets)
+
+    def test_assemble_holds_no_triplet_arrays(self, mesh88):
+        # the lower triplets, about ten per tet as int32 rows and cols and
+        # three float values, would take 320 B/tet on top of the rest; the
+        # pattern-first assembly holds the tet order and the pattern's keys
+        # and values, then the four operators on one pattern
+        dof_map = build_dof_map(mesh88)
+        assert traced_peak(lambda: assemble(mesh88, dof_map)) <= 180 * len(mesh88.tets)
 
     def test_each_operator_is_one_from_triplets_call(self, mesh11, monkeypatch):
         # the benchmark times assembly through this class attribute: one call
