@@ -95,9 +95,10 @@ def _write_json(path, data):
 
 
 _NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
 
 
-def _checked_keys(where, data, **required) -> dict:
+def _checked_keys(where, data, /, **required) -> dict:
     """`data` if it is a JSON object holding every key of `required` as an
     instance of that key's tuple of types (a JSON true or false is none of
     them), else a ValueError naming `where` and the key."""
@@ -307,6 +308,7 @@ def cmd_run(args) -> int:
                          "max": int(per_step.max())},
         "power_iterations": power["iterations"],
         "power_relative_change": power["relative_change"],
+        "power_pcg_iterations": power["pcg_iterations"],
         "energy_drift": drift,
         "probe_nodes": [int(v) for v in probes.nodes],
         "window": [first, last],
@@ -417,6 +419,11 @@ def cmd_report(args) -> int:
                                   mesh_hash=(str,))
         print(f"run of {manifest['steps']} steps, dt = {manifest['dt']:.6e}, "
               f"{manifest['n_dofs']} dofs (mesh {manifest['mesh_hash'][:12]})")
+        _checked_keys(mpath, manifest, **{
+            key: kind for key, kind in (("energy_drift", _NUMBER_OR_NULL),
+                                        ("peak_rss_mb", _NUMBER),
+                                        ("power_pcg_iterations", _NUMBER))
+            if key in manifest})
         drift = manifest.get("energy_drift")
         print("relative energy drift |E_T - E_1| / |E_1| = "
               + ("n/a" if drift is None else f"{drift:.3e}"))
@@ -431,11 +438,14 @@ def cmd_report(args) -> int:
         if "power_iterations" in manifest:
             _checked_keys(mpath, manifest, power_iterations=_NUMBER,
                           power_relative_change=_NUMBER)
+            pcg = manifest.get("power_pcg_iterations")     # absent from older manifests
             print(f"spectral bound: {manifest['power_iterations']} power iterations, "
-                  f"final relative change {manifest['power_relative_change']:.3e}")
+                  f"final relative change {manifest['power_relative_change']:.3e}"
+                  + ("" if pcg is None else f", {pcg} PCG iterations in its mass solves"))
         stage_s = manifest.get("stage_s")
         if stage_s:
-            _checked_keys(f"{mpath}: stage_s", stage_s)
+            _checked_keys(f"{mpath}: stage_s", stage_s,
+                          **{name: _NUMBER for name in RUN_STAGES if name in stage_s})
             print("stage wall times: " + ", ".join(
                 f"{name} {stage_s[name]:.3f} s" for name in RUN_STAGES if name in stage_s))
         if "peak_rss_mb" in manifest:

@@ -24,7 +24,8 @@ computed as in one whole-mesh pass, and sums over tets are still taken over
 the full arrays, so the summation order and every output are unchanged.
 `validate_mesh` takes the signed volumes and the weighted volume from one
 determinant per tet, the closed-form e_1 . (e_2 x e_3) of its edges
-e_i = v_i - v_0 (`quadrature.edge_cofactors`).
+e_i = v_i - v_0 (`quadrature.tet_determinants`, one cross product per tet
+where the cofactors `assembly` needs take three).
 
 The triangles of a mesh are counted as int64 keys, never as (4T, 3) rows:
 each tet's four ids are sorted once, each of its faces is that row minus
@@ -50,7 +51,7 @@ from .charts import FaceChart, triangulate_face_chart
 from .domain import FundamentalDomain
 from .errors import DegenerateTet, PeriodicityViolation, SnapFailure
 from .icosian import SIGMA as _S, merge_classes
-from .quadrature import edge_cofactors, quadrature_weights
+from .quadrature import quadrature_weights, tet_determinants
 
 # tets per block of every per-tet geometry pass (here and in assembly): the
 # temporaries of a pass grow with the block, not with the mesh
@@ -225,7 +226,7 @@ def _tet_dets(vertices: np.ndarray, tets: np.ndarray, weighted: bool):
     wsum = np.empty(len(tets)) if weighted else None
     for blk in tet_blocks(len(tets)):
         v = vertices[tets[blk]]
-        det[blk] = edge_cofactors(v)[1]
+        det[blk] = tet_determinants(v)
         if weighted:
             wsum[blk] = quadrature_weights(v).sum(axis=1)
     return det, wsum

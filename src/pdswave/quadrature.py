@@ -10,9 +10,10 @@ the Gram matrix of the (4, 3) vertex matrix V, so no physical point
 X = V^T lam is formed.  The weighted integral of f over a tet is
 |det| * sum_q wq[q] f(X_q), X_q = QUADRATURE.points[q] @ verts.  The
 determinants and the barycentric gradients come in closed form from the
-edge cross products of `edge_cofactors`, not from a batched LU.  Products
-with the rule's constant matrices go through `rows_times`, so a tet's
-values do not depend on how many tets are computed with it.
+edge cross products of `edge_cofactors`, not from a batched LU;
+`tet_determinants` gives the same determinants from one cross product.
+Products with the rule's constant matrices go through `rows_times`, so a
+tet's values do not depend on how many tets are computed with it.
 """
 
 from __future__ import annotations
@@ -99,6 +100,19 @@ def quadrature_weights(verts: np.ndarray) -> np.ndarray:
     wq = 1.0 / np.sqrt(1.0 - r2)
     wq *= QUADRATURE.weights
     return wq
+
+
+def tet_determinants(verts: np.ndarray) -> np.ndarray:
+    """Signed determinants (T,) of the tets `verts` (T, 4, 3), six times
+    their signed volumes.
+
+    det = e_1 . (e_2 x e_3) with the edges e_i = v_i - v_0, from the one
+    cross product it needs; each value is bit-equal to the determinant of
+    `edge_cofactors`.
+    """
+    e = verts[:, 1:] - verts[:, :1]
+    e1, c1 = e[:, 0], np.cross(e[:, 1], e[:, 2])
+    return e1[:, 0] * c1[:, 0] + e1[:, 1] * c1[:, 1] + e1[:, 2] * c1[:, 2]
 
 
 def edge_cofactors(verts: np.ndarray):

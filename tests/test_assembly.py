@@ -439,18 +439,54 @@ class TestSpectralBound:
             lams.append(lam)
         assert 3.0 <= lams[1] / lams[0] <= 5.0
 
-    def test_inner_solves_run_to_a_hundredth_of_tol(self, ops11, monkeypatch):
+    @staticmethod
+    def _recorded_solves(monkeypatch, force_tol=None):
+        """(tol, PCG iterations) of each mass solve of the power iteration, or
+        with `force_tol` every solve run to that tolerance instead."""
         import pdswave.evolve as evolve
-        _, ops = ops11
-        raw, tols = evolve.pcg_solve, []
+        raw, solves = evolve.pcg_solve, []
 
-        def recording(mass, b, *args, tol, **kwargs):
-            tols.append(tol)
-            return raw(mass, b, *args, tol=tol, **kwargs)
+        def recording(mass, b, *args, tol, info, **kwargs):
+            x = raw(mass, b, *args, tol=force_tol or tol, info=info, **kwargs)
+            solves.append((tol, info["iterations"]))
+            return x
         monkeypatch.setattr(evolve, "pcg_solve", recording)
-        info = {}
-        estimate_spectral_bound(ops.mass, ops.wave, tol=1e-3, info=info)
-        assert len(tols) == info["iterations"] - 1 and set(tols) == {1e-5}
+        return solves
+
+    def test_inner_solves_run_to_a_hundredth_of_tol(self, ops11, monkeypatch):
+        # the id is kept for its callers; each solve runs to min(1e-2, change / 10),
+        # change being the quotient's last relative change, above tol while solving
+        _, ops = ops11
+        solves = self._recorded_solves(monkeypatch)
+        info, tol = {}, 1e-3
+        estimate_spectral_bound(ops.mass, ops.wave, tol=tol, info=info)
+        tols = [t for t, _ in solves]
+        assert len(tols) == info["iterations"] - 1 >= 2
+        assert tols[0] == 1e-2
+        assert all(tol / 10 < t <= 1e-2 for t in tols)
+        assert info["pcg_iterations"] == sum(its for _, its in solves)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_inexact_solves_keep_the_estimate(self, the_domain, n, monkeypatch):
+        mesh = generate_mesh(the_domain, n, n)
+        ops = assemble(mesh, build_dof_map(mesh))
+        tol, inexact, tight = 1e-4, {}, {}
+        lam, _ = estimate_spectral_bound(ops.mass, ops.wave, tol=tol, info=inexact)
+        self._recorded_solves(monkeypatch, force_tol=1e-12)
+        lam_tight, _ = estimate_spectral_bound(ops.mass, ops.wave, tol=tol, info=tight)
+        assert lam == pytest.approx(lam_tight, rel=tol)
+        assert inexact["iterations"] == tight["iterations"]
+        assert inexact["pcg_iterations"] < tight["pcg_iterations"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_inner_solve_iterates(self, the_domain, n, monkeypatch):
+        # a solve met at its warm start would return the last iterate, repeat
+        # the quotient and stop the iteration early with a change of 0
+        mesh = generate_mesh(the_domain, n, n)
+        ops = assemble(mesh, build_dof_map(mesh))
+        solves = self._recorded_solves(monkeypatch)
+        estimate_spectral_bound(ops.mass, ops.wave)
+        assert solves and all(its >= 1 for _, its in solves)
 
     def test_dt_max_relation(self, ops11):
         _, ops = ops11

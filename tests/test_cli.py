@@ -187,6 +187,15 @@ def _without(key):
                  "stage_s: expected a JSON object", id="report-stage-list"),
     pytest.param("report", "spectrum_report.json", '{"matches": [{"beta": 12}]}',
                  "matches[0]: no 'exact_q2'", id="report-bad-match"),
+    pytest.param("report", "manifest.json", lambda m: {**m, "energy_drift": "x"},
+                 "'energy_drift' is 'x'", id="report-drift-string"),
+    pytest.param("report", "manifest.json", lambda m: {**m, "peak_rss_mb": "big"},
+                 "'peak_rss_mb' is 'big'", id="report-rss-string"),
+    pytest.param("report", "manifest.json",
+                 lambda m: {**m, "stage_s": {**m["stage_s"], "leapfrog": "slow"}},
+                 "stage_s: 'leapfrog' is 'slow'", id="report-stage-string"),
+    pytest.param("report", "manifest.json", lambda m: {**m, "power_pcg_iterations": [3]},
+                 "'power_pcg_iterations' is [3]", id="report-power-pcg-list"),
 ])
 def test_malformed_run_file_is_usage_error(run_dir, tmp_path, capsys, command, name,
                                            content, named):
@@ -246,6 +255,24 @@ def test_report_run_dir(run_dir, capsys):
     assert (f"spectral bound: {manifest['power_iterations']} power iterations, final "
             f"relative change {manifest['power_relative_change']:.3e}") in out
     assert f"peak RSS after the write stage: {manifest['peak_rss_mb']:.1f} MB" in out
+
+
+def test_report_prints_power_pcg_iterations(run_dir, tmp_path, capsys):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    # every power iteration but the last makes one mass solve of at least one iteration
+    assert manifest["power_pcg_iterations"] >= manifest["power_iterations"] - 1 >= 1
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    line = next(row for row in capsys.readouterr().out.splitlines()
+                if row.startswith("spectral bound: "))
+    assert line.endswith(f", {manifest['power_pcg_iterations']} PCG iterations "
+                         "in its mass solves")
+    # a manifest written before the field existed still reports
+    del manifest["power_pcg_iterations"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--run-dir", str(tmp_path)]) == 0
+    line = next(row for row in capsys.readouterr().out.splitlines()
+                if row.startswith("spectral bound: "))
+    assert "PCG" not in line
 
 
 def test_report_of_manifest_without_peak_rss(run_dir, tmp_path, capsys):

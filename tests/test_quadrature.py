@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pdswave.errors import WeightSingularity
+from pdswave.meshing import generate_mesh
 from pdswave.quadrature import (QUADRATURE, edge_cofactors, quadrature_weights,
-                                reference_monomial_integral)
+                                reference_monomial_integral, tet_determinants)
 
 
 def quad_monomial(rule, p, q, r):
@@ -62,3 +63,19 @@ def test_weights_from_gram_match_the_points():
     pts = QUADRATURE.points @ verts
     ref = QUADRATURE.weights / np.sqrt(1.0 - (pts ** 2).sum(axis=2))
     assert np.abs(wq - ref).max() <= 1e-15 * ref.max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tet_determinants_equal_the_cofactor_determinants(the_domain, n):
+    mesh = generate_mesh(the_domain, n, n)
+    verts = mesh.vertices[mesh.tets]
+    assert tet_determinants(verts).tobytes() == edge_cofactors(verts)[1].tobytes()
+
+
+def test_tet_determinants_of_one_tet():
+    verts = np.array([[[0.0, 0.0, 0.0], [0.3, 0.1, 0.0], [0.05, 0.2, 0.1],
+                       [0.1, 0.1, 0.3]]]) + 1.0 / 3.0
+    det = tet_determinants(verts)
+    assert det.shape == (1,)
+    assert det.tobytes() == edge_cofactors(verts)[1].tobytes()
+    assert det[0] == pytest.approx(np.linalg.det(verts[0, 1:] - verts[0, 0]))
