@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import VERTEX_X0, FundamentalDomain, geodesic_point
+from .domain import (_FACE_NORMALS, VERTEX_SCALE, VERTEX_X0, FundamentalDomain,
+                     geodesic_point)
 from .errors import InvalidSubdivision, OffPlane
 from .icosian import SIGMA
 
-SQRT2 = math.sqrt(2.0)
 _T = 3.0 - SIGMA                      # |(1/sigma, 1, 0)|^2
 _ST = math.sqrt(_T)
 
 # midpoint of the S5-S20 edge in the visualization; the chart translation
 # subtracts it (it is sent to the chart origin)
-EDGE_MIDPOINT = np.array([0.0, -1.0 / (2.0 * SQRT2), 0.0])
+EDGE_MIDPOINT = np.array([0.0, -VERTEX_SCALE, 0.0])
 
 # rotation by -pi/2 about the in-plane axis through S18 and the edge midpoint
 ROTATION = np.array([
@@ -34,14 +34,11 @@ ROTATION = np.array([
     [-1.0 / (SIGMA * _ST), -1.0 / _ST, 0.0],
 ])
 
-_PLANE_NORMAL = np.array([-1.0 / SIGMA, -1.0, 0.0])
-_PLANE_OFFSET = 1.0 / (2.0 * SQRT2)
-
 
 def chart_forward(X) -> np.ndarray:
     """Map a point of the flat face-1 pentagon plane to chart coordinates (x, y)."""
     X = np.asarray(X, dtype=float)
-    if abs(_PLANE_NORMAL @ X - _PLANE_OFFSET) > 1e-9:
+    if abs(np.array(_FACE_NORMALS[0]) @ X - VERTEX_SCALE) > 1e-9:
         raise OffPlane(f"{X} is not on the face-1 barycenter plane")
     out = ROTATION @ (X - EDGE_MIDPOINT)
     return out[:2]

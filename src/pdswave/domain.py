@@ -1,8 +1,11 @@
 """The fundamental dodecahedron of S^3 / I* and its flat visualization.
 
 The domain is the spherical regular dodecahedron containing (1,0,0,0),
-described by twenty explicit vertices, twelve face hyperplanes, and the
-twelve Clifford translations that identify opposite faces.  Dropping the
+the Dirichlet domain of the binary icosahedral group about 1.  Its twenty
+vertices (the paper's S1..S20) and faces 1..6 are data.  Face i bisects 1
+and the icosian g_i = (sigma/2, -n_i/2), n_i its plane coefficients, and
+the Clifford translation g_i carries it onto the opposite face i + 6, so
+faces 7..12, the face maps and the vertex images follow.  Dropping the
 first R^4 coordinate maps it one-to-one onto a centered dodecahedron with
 curved (ellipsoidal) faces inside the unit ball of R^3, which is the
 computational domain everywhere else in the package.
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntipodalEndpoints, NotInDomain, OutsideUnitBall
-from .icosian import INV_TWO_SIGMA, SIGMA, SIGMA_HALF, left_matrix
+from .icosian import SIGMA, SIGMA_HALF, _unit_icosians, left_matrix
 
 SQRT2 = math.sqrt(2.0)
 _IS = 1.0 / SIGMA
@@ -55,8 +58,9 @@ _VERTEX_TABLE = [
     (_S2, 0.0, -1.0, _IS * _IS),    # S20
 ]
 
-# face-plane coefficients (a, b, c): points of face i satisfy
-# a x + b y + c z = x0 / sigma^2 on S^3
+# faces 1..6: plane coefficients (a, b, c), with points of the face satisfying
+# a x + b y + c z = x0 / sigma^2 on S^3, and vertex cycles (1-based vertex
+# numbers); faces 7..12 and the face maps follow from these and the icosians
 _FACE_NORMALS = [
     (-_IS, -1.0, 0.0),   # F1
     (-1.0, 0.0, _IS),    # F2
@@ -64,15 +68,7 @@ _FACE_NORMALS = [
     (_IS, -1.0, 0.0),    # F4
     (0.0, -_IS, -1.0),   # F5
     (-1.0, 0.0, -_IS),   # F6
-    (_IS, 1.0, 0.0),     # F7
-    (1.0, 0.0, -_IS),    # F8
-    (0.0, _IS, -1.0),    # F9
-    (-_IS, 1.0, 0.0),    # F10
-    (0.0, _IS, 1.0),     # F11
-    (1.0, 0.0, _IS),     # F12
 ]
-
-# vertex cycles of the faces (1-based vertex numbers)
 _FACE_CYCLES = [
     (3, 18, 16, 5, 20),    # F1
     (18, 12, 9, 7, 3),     # F2
@@ -80,33 +76,6 @@ _FACE_CYCLES = [
     (20, 14, 19, 4, 5),    # F4
     (5, 4, 15, 13, 16),    # F5
     (16, 13, 1, 12, 18),   # F6
-    (6, 8, 11, 17, 2),     # F7
-    (15, 17, 2, 19, 4),    # F8
-    (1, 11, 17, 15, 13),   # F9
-    (9, 8, 11, 1, 12),     # F10
-    (10, 6, 8, 9, 7),      # F11
-    (19, 2, 6, 10, 14),    # F12
-]
-
-# vertex images under the six face-identification translations,
-# {source vertex: image vertex}, 1-based
-FACE_VERTEX_IMAGES = {
-    1: {3: 6, 18: 8, 16: 11, 5: 17, 20: 2},
-    2: {18: 15, 12: 17, 9: 2, 7: 19, 3: 4},
-    3: {3: 1, 7: 11, 10: 17, 14: 15, 20: 13},
-    4: {20: 9, 14: 8, 19: 11, 4: 1, 5: 12},
-    5: {5: 10, 4: 6, 15: 8, 13: 9, 16: 7},
-    6: {16: 19, 13: 2, 1: 6, 12: 10, 18: 14},
-}
-
-_FACE_QUATS = [
-    # sigma/2 scalar part; vector parts from {0, +-1/2, +-1/(2 sigma)}
-    (SIGMA_HALF, INV_TWO_SIGMA, 0.5, 0.0),      # g1
-    (SIGMA_HALF, 0.5, 0.0, -INV_TWO_SIGMA),     # g2
-    (SIGMA_HALF, 0.0, INV_TWO_SIGMA, -0.5),     # g3
-    (SIGMA_HALF, -INV_TWO_SIGMA, 0.5, 0.0),     # g4
-    (SIGMA_HALF, 0.0, INV_TWO_SIGMA, 0.5),      # g5
-    (SIGMA_HALF, 0.5, 0.0, INV_TWO_SIGMA),      # g6
 ]
 
 
@@ -183,29 +152,37 @@ class FundamentalDomain:
     def __init__(self):
         self.vertices4 = np.array(_VERTEX_TABLE) * VERTEX_SCALE
         self.vertices3 = self.vertices4[:, 1:].copy()
-        faces = []
-        maps = []
-        for i in range(12):
-            n = np.array(_FACE_NORMALS[i])
-            ell = np.eye(3) + SIGMA ** 4 * np.outer(n, n)
-            cyc = tuple(v - 1 for v in _FACE_CYCLES[i])
-            faces.append(FaceGeometry(index=i + 1, normal=n, ellipsoid=ell, cycle=cyc))
-            if i < 6:
-                q = np.array(_FACE_QUATS[i])
-                inv = i + 7
-            else:
-                q = np.array(_FACE_QUATS[i - 6]) * [1.0, -1.0, -1.0, -1.0]  # conjugate
-                inv = i - 5
-            maps.append(FaceMap(index=i + 1, quat=q,
-                                matrix3=_face_visual_matrix(q, n),
-                                inverse_index=inv))
-        self.faces = tuple(faces)
-        self.maps = tuple(maps)
-        self._normals = np.array(_FACE_NORMALS)
+        icosians = _unit_icosians()
+        normals = [np.array(n) for n in _FACE_NORMALS]
+        cycles = [[v - 1 for v in c] for c in _FACE_CYCLES]
+        quats = []
+        for i in range(6):
+            # face i + 1 bisects 1 and the icosian g = (sigma/2, -n/2) ...
+            want = np.concatenate(([SIGMA_HALF], -0.5 * normals[i]))
+            dist = np.abs(icosians - want).max(axis=1)
+            _require(dist.min() < 1e-15, f"face {i + 1}: icosian (sigma/2, -n/2)")
+            quats.append(icosians[dist.argmin()])
+            # ... and g carries it onto face i + 7, vertex by vertex
+            img = self.vertices4[cycles[i]] @ left_matrix(quats[i]).T
+            dist = np.abs(img[:, None, :] - self.vertices4).max(axis=2)
+            _require(dist.min(axis=1).max() < 1e-13, f"face {i + 1}: vertex images")
+            cycles.append(dist.argmin(axis=1).tolist())
+        # 0.0 - n, not -n: a negated zero would print as -0.0 in domain.json
+        normals += [0.0 - n for n in normals]
+        quats += [q * [1.0, -1.0, -1.0, -1.0] for q in quats]    # g_i^-1, the conjugate
+        self.faces = tuple(
+            FaceGeometry(index=i + 1, normal=n, cycle=tuple(c),
+                         ellipsoid=np.eye(3) + SIGMA ** 4 * np.outer(n, n))
+            for i, (n, c) in enumerate(zip(normals, cycles)))
+        self.maps = tuple(
+            FaceMap(index=i + 1, quat=q, matrix3=_face_visual_matrix(q, n),
+                    inverse_index=(i + 6) % 12 + 1)
+            for i, (q, n) in enumerate(zip(quats, normals)))
+        self._normals = np.array(normals)
         # build_domain hands every caller this one instance: no caller may edit it
         for a in (self.vertices4, self.vertices3, self._normals,
-                  *(a for f in faces for a in (f.normal, f.ellipsoid)),
-                  *(a for m in maps for a in (m.quat, m.matrix3))):
+                  *(a for f in self.faces for a in (f.normal, f.ellipsoid)),
+                  *(a for m in self.maps for a in (m.quat, m.matrix3))):
             a.flags.writeable = False
 
     # -- basic queries --------------------------------------------------
@@ -322,23 +299,38 @@ def build_domain() -> FundamentalDomain:
     return dom
 
 
+def _require(ok, what: str) -> None:
+    # the domain is built from closed-form constants, so a failure is a bug in
+    # the tables; unlike assert, this check also runs under python -O
+    if not ok:
+        raise AssertionError(f"domain construction check failed: {what}")
+
+
 def _check_construction(dom: FundamentalDomain) -> None:
-    # construction is from closed-form constants; failure here is a code bug
     v4 = dom.vertices4
-    assert np.allclose(np.einsum("ij,ij->i", v4, v4), 1.0, atol=1e-14)
-    assert np.allclose(v4[:, 0], VERTEX_X0, atol=1e-14)
+    _require(np.allclose(np.einsum("ij,ij->i", v4, v4), 1.0, atol=1e-14), "a vertex norm")
+    _require(np.allclose(v4[:, 0], VERTEX_X0, atol=1e-14), "a vertex x0")
     for f, m in zip(dom.faces, dom.maps):
         verts = v4[list(f.cycle)]
         plane = verts[:, 1:] @ f.normal - verts[:, 0] / _S2
-        assert np.abs(plane).max() < 1e-13
+        _require(np.abs(plane).max() < 1e-13, f"face {f.index}: plane")
+        # consecutive cycle vertices span an edge, of cosine (3 sigma - 1) / 4
+        edges = np.einsum("ij,ij->i", verts, np.roll(verts, 1, axis=0))
+        _require(np.abs(edges - (3 * SIGMA - 1) / 4).max() < 1e-13, f"face {f.index}: cycle")
         vis = verts[:, 1:]
         ell = np.einsum("ij,jk,ik->i", vis, f.ellipsoid, vis) - 1.0
-        assert np.abs(ell).max() < 1e-13
+        _require(np.abs(ell).max() < 1e-13, f"face {f.index}: ellipsoid")
         r = m.matrix3
-        assert np.abs(r @ r.T - np.eye(3)).max() < 1e-13
+        _require(np.abs(r @ r.T - np.eye(3)).max() < 1e-13, f"map {m.index}: orthogonality")
         # the induced face-to-face maps reverse orientation (normals flip)
-        assert abs(np.linalg.det(r) + 1.0) < 1e-13
-    for i, images in FACE_VERTEX_IMAGES.items():
-        src, dst = np.array(list(images.items())).T - 1
-        got = v4[src] @ left_matrix(dom.face_map(i).quat).T
-        assert np.abs(got - v4[dst]).max() < 1e-13
+        _require(abs(np.linalg.det(r) + 1.0) < 1e-13, f"map {m.index}: determinant")
+
+
+def __getattr__(name):
+    # FACE_VERTEX_IMAGES, {face i: {vertex: its image under g_i}} for faces 1..6
+    # with 1-based vertex numbers, is read off the derived cycles of faces 7..12
+    if name == "FACE_VERTEX_IMAGES":
+        f = build_domain().faces
+        return {i: {a + 1: b + 1 for a, b in zip(f[i - 1].cycle, f[i + 5].cycle)}
+                for i in range(1, 7)}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -56,9 +56,12 @@ from .quadrature import quadrature_weights, tet_determinants
 # tets per block of every per-tet geometry pass (here and in assembly): the
 # temporaries of a pass grow with the block, not with the mesh
 TET_BLOCK = 4096
+# floor of every tet's |volume|, generated or imported (n = L = 12 reaches 1.0e-8)
+MIN_TET_VOLUME = 1e-16
 
 # rotations carrying face 1 onto faces 2..6 (axes through face centers,
 # angles +-2pi/5); they are symmetries of the dodecahedron
+# constants, not rotation_of(g): a last-bit change breaks criterion 5's n = L = 1 margin
 REPLICATION_ROTATIONS = {
     2: 0.5 * np.array([[1 / _S, _S, 1], [-_S, 1, -1 / _S], [-1, -1 / _S, _S]]),
     3: 0.5 * np.array([[_S, -1, -1 / _S], [1, 1 / _S, _S], [-1 / _S, -_S, 1]]),
@@ -193,10 +196,7 @@ def build_volume_mesh(domain: FundamentalDomain, surface: SurfaceMesh,
         tets.append(np.column_stack([pk, qk, rk, pk1]))
         tets.append(np.column_stack([qk, rk, pk1, qk1]))
         tets.append(np.column_stack([rk, pk1, qk1, rk1]))
-    tets, vols = orient_tets(vertices, np.vstack(tets))
-    vmin = np.abs(vols).min()
-    if not vmin >= 1e-16:
-        raise DegenerateTet(f"tet volume {vmin:.2e}")
+    tets, _ = orient_tets(vertices, np.vstack(tets))
 
     boundary_offset = 1 + (layers - 1) * s_count
     return TetMesh(vertices=vertices, tets=tets,
@@ -240,8 +240,12 @@ def signed_tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
 def orient_tets(vertices: np.ndarray, tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positively oriented copy of `tets` (the last two vertices of each
-    negatively oriented tet swapped) and the signed volumes before the swap."""
+    negatively oriented tet swapped) and the signed volumes before the swap;
+    a tet of |volume| below MIN_TET_VOLUME raises DegenerateTet."""
     vols = signed_tet_volumes(vertices, tets)
+    k = int(np.abs(vols).argmin())
+    if not abs(vols[k]) >= MIN_TET_VOLUME:
+        raise DegenerateTet(f"tet {k} has volume {vols[k]:.2e}")
     tets = tets.copy()
     neg = vols < 0
     tets[neg] = tets[neg][:, [0, 1, 3, 2]]

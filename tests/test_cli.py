@@ -421,6 +421,32 @@ def test_broken_import_exit_code(tmp_path, the_domain):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.fixture
+def flat_tet_import(tmp_path, mesh22):
+    """Import flags of mesh22 with one interior vertex moved onto the plane of
+    the opposite face of one of its tets, whose volume drops to ~1e-20."""
+    v = mesh22.vertices.copy()
+    node = np.setdiff1d(np.arange(len(v)), mesh22.boundary_nodes)[-1]
+    tet = mesh22.tets[(mesh22.tets == node).any(axis=1)][0]
+    a, b, c = v[tet[tet != node]]
+    normal = np.cross(b - a, c - a)
+    v[node] -= (v[node] - a) @ normal / (normal @ normal) * normal
+    write_node_file(tmp_path / "f.node", v)
+    write_ele_file(tmp_path / "f.ele", mesh22.tets)
+    return ["--import-node", str(tmp_path / "f.node"), "--import-ele", str(tmp_path / "f.ele")]
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["run"], ["run", "--dt", "1e-3"]],
+                         ids=["validate", "run", "run-dt"])
+def test_flat_imported_tet_is_mesh_error(tmp_path, capsys, flat_tet_import, argv):
+    # every other check passes this mesh: unless the volume floor rejects it,
+    # run steps it at dt ~ 6e-10, and a forced dt fails as an evolution error
+    if argv[0] == "run":
+        argv = argv + ["--steps", "10", "--window", "0", "10", "--out", str(tmp_path / "r")]
+    assert main(argv + flat_tet_import) == 2
+    assert "has volume" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("probes", ["5,5,5", "0.9,0,0", "0,0,0;0.6,0.3,0"])
 def test_probe_outside_domain_exit_code(tmp_path, probes, capsys):
     code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",

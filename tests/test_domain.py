@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdswave
 from pdswave.domain import (DOMAIN_DIAMETER, FACE_VERTEX_IMAGES, SIGMA, VERTEX_X0,
                             build_domain, geodesic_point, lift)
 from pdswave.errors import AntipodalEndpoints, NotInDomain, OutsideUnitBall
-from pdswave.icosian import left_matrix
+from pdswave.icosian import generate_group, left_matrix
 
 S2 = SIGMA * SIGMA
 SCALE = 1.0 / (2.0 * math.sqrt(2.0))
@@ -68,6 +73,26 @@ class TestConstruction:
             b = the_domain.face_map(i + 6)
             assert a.inverse_index == i + 6 and b.inverse_index == i
             assert np.abs(a.matrix3 @ b.matrix3 - np.eye(3)).max() < 1e-14
+
+    def test_derived_cycles_and_quaternions(self, the_domain):
+        # the paper's cycles of faces 7..12 and its face quaternions, bit for
+        # bit: sigma/2 = 0.809..., 1/(2 sigma) = 0.309...; g_(i+6) = g_i^-1
+        cycles = [(6, 8, 11, 17, 2), (15, 17, 2, 19, 4), (1, 11, 17, 15, 13),
+                  (9, 8, 11, 1, 12), (10, 6, 8, 9, 7), (19, 2, 6, 10, 14)]
+        assert [tuple(v + 1 for v in f.cycle) for f in the_domain.faces[6:]] == cycles
+        h, s = 0.8090169943749475, 0.30901699437494745
+        quats = np.array([(h, s, 0.5, 0.0), (h, 0.5, 0.0, -s), (h, 0.0, s, -0.5),
+                          (h, -s, 0.5, 0.0), (h, 0.0, s, 0.5), (h, 0.5, 0.0, s)])
+        quats = np.vstack([quats, quats * [1.0, -1.0, -1.0, -1.0]])
+        for m, q in zip(the_domain.maps, quats):
+            assert m.quat.tobytes() == q.tobytes()
+
+    def test_opposite_normals_hold_no_negative_zero(self, the_domain):
+        # domain.json prints the normals, and a -0.0 would print as such
+        for i in range(6):
+            n = the_domain.face(i + 7).normal
+            assert np.array_equal(n, -the_domain.face(i + 1).normal)
+            assert not np.signbit(n[n == 0.0]).any()
 
     def test_listed_vertex_images(self, the_domain):
         v4 = the_domain.vertices4
@@ -302,3 +327,26 @@ def test_domain_arrays_read_only():
             a.flat[1] = 9.0
     assert build_domain() is dom
     assert dom.face_map(1).quat[1] != 9.0
+
+
+def test_domain_builds_no_group_table():
+    # the face quaternions come from the closed-form icosians, not from the
+    # product table that generate_group builds
+    before = generate_group.cache_info()
+    build_domain.cache_clear()
+    build_domain()
+    assert generate_group.cache_info() == before
+
+
+@pytest.mark.parametrize("corrupt", ["_FACE_NORMALS[1] = (-1.0, 0.0, 0.5)",
+                                     "_FACE_CYCLES[3] = (20, 14, 19, 5, 4)"])
+def test_construction_checks_run_under_optimize(corrupt):
+    # python -O strips assert statements; the construction checks must still run
+    script = (f"import pdswave.domain as d\nprint(__debug__)\nd.{corrupt}\n"
+              "d.build_domain()\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pdswave.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "False\n"
+    assert proc.returncode != 0
+    assert "domain construction check failed" in proc.stderr

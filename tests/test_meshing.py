@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pdswave.charts import triangulate_face_chart
-from pdswave.errors import SnapFailure
+from pdswave.errors import DegenerateTet, SnapFailure
+from pdswave.icosian import generate_group, rotation_of
 from pdswave.meshing import (EXACT_DOMAIN_VOLUME, REPLICATION_ROTATIONS,
                              build_boundary_mesh, build_volume_mesh, face_counts,
                              generate_mesh, layer_radii, signed_tet_volumes,
@@ -24,6 +25,12 @@ class TestReplicationRotations:
         for rot in REPLICATION_ROTATIONS.values():
             assert np.abs(rot @ rot.T - np.eye(3)).max() < 1e-15
             assert abs(np.linalg.det(rot) - 1.0) < 1e-14
+
+    def test_rotations_of_group_elements(self):
+        # the constants are rotation_of of icosians up to round-off
+        rots = rotation_of(generate_group().coeffs)
+        for rot in REPLICATION_ROTATIONS.values():
+            assert np.abs(rots - rot).max(axis=(1, 2)).min() <= 1e-15
 
     @pytest.mark.parametrize("i", [2, 3, 4, 5, 6])
     def test_maps_face1_vertices_onto_face_i(self, the_domain, i):
@@ -122,6 +129,15 @@ def test_layer_validation_rejects_bad_layers(the_domain):
     surface = build_boundary_mesh(the_domain, triangulate_face_chart(the_domain, 1))
     with pytest.raises(ValueError):
         build_volume_mesh(the_domain, surface, 0)
+
+
+def test_flat_tet_rejected(the_domain):
+    # a triangle with a repeated node cones to a tet of volume 0
+    surface = build_boundary_mesh(the_domain, triangulate_face_chart(the_domain, 1))
+    tris = surface.tris.copy()
+    tris[0, 2] = tris[0, 1]
+    with pytest.raises(DegenerateTet, match="tet 0 has volume"):
+        build_volume_mesh(the_domain, dataclasses.replace(surface, tris=tris), 1)
 
 
 @st.composite
