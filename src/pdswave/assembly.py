@@ -26,26 +26,29 @@ the full symmetric matrix in compressed sparse rows.  The tets are taken in
 a canonical order, held as the `np.lexsort` permutation of `mesh.tets`
 rather than as a reordered copy.  The lower pattern is built first, as
 tril(E^T E) of the (T, n_dofs) tet-dof incidence E, which is dropped with
-the tets' dofs once the pattern exists, and each entry is keyed
-row * n_dofs + col, so the keys are sorted.  The element matrices are
-computed over the blocks of `meshing.tet_blocks`, each block's tets and
-their dofs gathered through the permutation;
-one `np.searchsorted` per block finds the slots of their entries on or
-below the diagonal, and `np.add.at` adds them into one value array per
-matrix.  It adds in the (t, a, b) order of a whole-mesh pass over the
-canonically ordered tets, so every entry is that ordered sum from 0.0,
-whatever the block size, and the setup memory grows with the pattern, not
-with the triplets or (T, 4, 4) arrays.  The wave values are the stiffness
-plus the radial values on the same slots.
+the tets' dofs once the pattern exists; a CSR array on the pattern whose
+values are the slot numbers then maps each (row, col) to its slot.  The
+element matrices are computed over the blocks of `meshing.tet_blocks`,
+each block's tets and their dofs gathered through the permutation; one
+lookup in that CSR per block finds the slots of their entries on or below
+the diagonal, each by a search within its short pattern row, and
+`np.add.at` adds them into one value array per matrix.  It adds in the
+(t, a, b) order of a whole-mesh pass over the canonically ordered tets, so
+every entry is that ordered sum from 0.0, whatever the block size, and the
+setup memory grows with the pattern, not with the triplets or (T, 4, 4)
+arrays.  The wave values are the stiffness plus the radial values on the
+same slots.
 
 All four matrices share one pattern, so one `SparseSymMatrix.from_triplets`
-call, given the pattern's int32 rows and columns and the four rows of
-values, builds them all.  It builds the full pattern once from the lower
-one: the int32 row pointer, the column indices (each row's lower entries,
-then its mirrored strict entries by increasing row) and a map from each
-full slot to the lower entry it copies.  Each matrix is then one gather of
-its lower values through that map, and the four share one read-only row
-pointer and one read-only index array.
+call, given the pattern's int32 rows and columns and the list of the four
+value arrays, builds them all.  It builds the full pattern once from the
+lower one: the int32 row pointer, the column indices (each row's lower
+entries, then its mirrored strict entries by increasing row) and a map from
+each full slot to the lower entry it copies.  Each matrix is then one
+gather of its lower values through that map, and the four share one
+read-only row pointer and one read-only index array.  The value arrays are
+never stacked, and each is released once its matrix has gathered it, so
+the lower values are not held next to all four full matrices.
 """
 
 from __future__ import annotations
@@ -76,17 +79,19 @@ def _symmetric_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
     increasing j, so its columns increase.  src maps each full slot to the
     lower entry it copies.  indptr and indices are read-only.
     """
-    strict = np.flatnonzero(rows != cols)
+    is_strict = rows != cols
+    nnz = len(rows) + np.count_nonzero(is_strict)
+    index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    strict = np.flatnonzero(is_strict).astype(index)
+    del is_strict
     strict = strict[np.argsort(cols[strict], kind="stable")]     # by (col, row)
     counts = np.stack([np.bincount(rows, minlength=n),
                        np.bincount(cols[strict], minlength=n)], axis=1)
-    nnz = len(rows) + len(strict)
-    index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(counts.sum(axis=1), out=indptr[1:])
     is_lower = np.repeat(np.tile([True, False], n), counts.ravel())
     src = np.empty(nnz, dtype=index)
-    src[is_lower] = np.arange(len(rows))
+    src[is_lower] = np.arange(len(rows), dtype=index)
     src[~is_lower] = strict
     indices = np.empty(nnz, dtype=index)
     indices[is_lower] = cols
@@ -95,40 +100,44 @@ def _symmetric_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
     return indptr, indices, src
 
 
-def _symmetric_csr(n: int, rows, cols, vals: np.ndarray) -> list:
-    """One full CSR matrix per row of `vals` (k, m), all on one pattern.
+def _symmetric_csr(n: int, rows, cols, vals: list) -> list:
+    """One full CSR matrix per row in the list `vals`, all on one pattern.
 
-    See `SparseSymMatrix.from_triplets` for the rules.
+    Each row is taken off the list when its matrix is built, so the list ends
+    empty.  See `SparseSymMatrix.from_triplets` for the rules.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
+    if any(val.shape != rows.shape for val in vals):
+        raise ValueError(f"each row of vals must hold {len(rows)} values")
     keep = rows >= cols
     if not keep.all():
-        rows, cols, vals = rows[keep], cols[keep], vals[:, keep]
+        rows, cols = rows[keep], cols[keep]
+        vals[:] = [val[keep] for val in vals]
     del keep
     if len(rows) and (cols.min() < 0 or rows.max() >= n):
         raise ValueError(f"triplet index outside a {n} x {n} matrix")
-    keys = rows.astype(np.int64)
-    keys *= n
-    keys += cols
-    if (keys[1:] <= keys[:-1]).any():
+    if not ((rows[1:] > rows[:-1])
+            | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))).all():
         # sort by (row, col), stably so that duplicates keep the triplet order
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         slot = np.cumsum(first) - 1
-        summed = np.zeros((len(vals), np.count_nonzero(first)))
-        for out, val in zip(summed, vals):
-            np.add.at(out, slot, val[order])
-        rows, cols = np.divmod(keys[first], n)
-        vals = summed
-    del keys
-    nonzero = (vals != 0).any(axis=0)
+        for i, val in enumerate(vals):
+            vals[i] = np.zeros(np.count_nonzero(first))
+            np.add.at(vals[i], slot, val[order])
+        rows, cols = rows[first], cols[first]
+    nonzero = np.zeros(len(rows), dtype=bool)
+    for val in vals:
+        nonzero |= val != 0
     if not nonzero.all():
-        rows, cols, vals = rows[nonzero], cols[nonzero], vals[:, nonzero]
+        rows, cols = rows[nonzero], cols[nonzero]
+        vals[:] = [val[nonzero] for val in vals]
     del nonzero
     indptr, indices, src = _symmetric_pattern(n, rows, cols)
-    return [sp.csr_matrix((val[src], indices, indptr), shape=(n, n)) for val in vals]
+    return [sp.csr_matrix((vals.pop(0)[src], indices, indptr), shape=(n, n))
+            for _ in range(len(vals))]
 
 
 class SparseSymMatrix:
@@ -138,29 +147,39 @@ class SparseSymMatrix:
         """The symmetric matrix whose lower triangle is that of the sparse `lower`."""
         lower = sp.coo_matrix(lower)
         (self._full,) = _symmetric_csr(lower.shape[0], lower.row, lower.col,
-                                       lower.data[None])
+                                       [lower.data])
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals):
         """Symmetric matrices from triplets on and below the diagonal.
 
         `vals` holds one value per triplet, shape (m,), or k rows of them,
-        shape (k, m); k rows give a list of k matrices.  Triplets above the
-        diagonal are dropped, and duplicates are summed from 0.0 in triplet
-        order.  Entries already distinct and in row-major order are copied,
-        not summed.  An entry is dropped only when it sums to zero in every
-        row, so all k matrices share one pattern: one read-only `indptr` and
-        one read-only `indices` array.
+        as a (k, m) array or a list of k float arrays of shape (m,); k rows
+        give a list of k matrices.  A list of rows is not stacked: each row
+        is taken off it once its matrix holds the values, so the list ends
+        empty and a row's memory can go before the next matrix is built.
+        Triplets above the diagonal are dropped, and duplicates are summed
+        from 0.0 in triplet order.  Entries already distinct and in
+        row-major order are copied, not summed.  An entry is dropped only
+        when it sums to zero in every row, so all k matrices share one
+        pattern: one read-only `indptr` and one read-only `indices` array.
         """
-        vals = np.asarray(vals, dtype=float)
-        if vals.ndim not in (1, 2):
-            raise ValueError(f"vals must be (m,) or (k, m), got shape {vals.shape}")
+        if isinstance(vals, list) and vals and np.ndim(vals[0]) == 1:
+            vals[:] = [np.asarray(val, dtype=float) for val in vals]
+            many = True
+        else:
+            array = np.asarray(vals, dtype=float)
+            if array.ndim not in (1, 2):
+                raise ValueError(f"vals must be (m,) or (k, m), got shape {array.shape}")
+            many = array.ndim == 2
+            vals = list(np.atleast_2d(array))
+            del array
         mats = []
-        for full in _symmetric_csr(n, rows, cols, np.atleast_2d(vals)):
+        for full in _symmetric_csr(n, rows, cols, vals):
             mat = cls.__new__(cls)
             mat._full = full
             mats.append(mat)
-        return mats if vals.ndim == 2 else mats[0]
+        return mats if many else mats[0]
 
     @property
     def n(self) -> int:
@@ -281,20 +300,22 @@ def element_matrices(verts: np.ndarray):
 
 
 def _summed_values(mesh: TetMesh, order: np.ndarray, node_to_dof: np.ndarray,
-                   keys: np.ndarray, n: int) -> np.ndarray:
-    """Mass, stiffness, radial and wave values (4, len(keys)) on the sorted
-    lower pattern keys row * n + col, summed over the tets mesh.tets[order]."""
-    vals = np.zeros((4, len(keys)))
+                   slot_of: sp.csr_array) -> list:
+    """Mass, stiffness, radial and wave values on the lower pattern, one array
+    each, summed over the tets mesh.tets[order].  `slot_of` is the pattern with
+    each entry's slot number as its value."""
+    vals = [np.zeros(slot_of.nnz) for _ in range(3)]
     for blk in tet_blocks(len(order)):
         # entry (a, b) of tet t goes to (dof[t, a], dof[t, b]); those on or
         # below the diagonal are added, in (t, a, b) order
         tets = mesh.tets[order[blk]]
-        d = node_to_dof[tets].astype(np.int64, copy=False)
+        d = node_to_dof[tets]
         lower = d[:, :, None] >= d[:, None, :]
-        slots = np.searchsorted(keys, (d[:, :, None] * n + d[:, None, :])[lower])
+        slots = slot_of[np.broadcast_to(d[:, :, None], lower.shape)[lower],
+                        np.broadcast_to(d[:, None, :], lower.shape)[lower]]
         for val, loc in zip(vals, element_matrices(mesh.vertices[tets])):
             np.add.at(val, slots, loc[lower])
-    np.add(vals[1], vals[2], out=vals[3])
+    vals.append(vals[1] + vals[2])
     return vals
 
 
@@ -314,13 +335,16 @@ def assemble(mesh: TetMesh, dof_map: DofMap) -> Operators:
     pattern = sp.tril(incidence.T @ incidence, format="csr")
     del incidence
     pattern.sort_indices()
-    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(pattern.indptr))
     cols = pattern.indices
-    keys = rows.astype(np.int64)
-    keys *= n
-    keys += cols
-    vals = _summed_values(mesh, order, dof_map.node_to_dof, keys, n)
-    del order, keys, pattern
+    slot_of = sp.csr_array((np.arange(len(cols), dtype=cols.dtype), cols, pattern.indptr),
+                           shape=(n, n))
+    del pattern
+    vals = _summed_values(mesh, order, dof_map.node_to_dof, slot_of)
+    del order
+    # made after the summation: made before it, the rows cost about 3 MB more
+    # peak RSS at n = L = 12, from where the allocator put them
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(slot_of.indptr))
+    del slot_of
     return Operators(*SparseSymMatrix.from_triplets(n, rows, cols, vals))
 
 

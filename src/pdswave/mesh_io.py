@@ -134,7 +134,11 @@ def read_ele_file(path, node_count: int) -> np.ndarray:
 
 def import_mesh(domain: FundamentalDomain, node_path, ele_path,
                 tol: float = 1e-6) -> tuple[TetMesh, dict]:
-    """Read, orient, tag and periodicity-check a mesh; returns (mesh, report)."""
+    """Read, orient, tag and periodicity-check a mesh; returns (mesh, report).
+
+    The report is `validate_mesh`'s on the oriented mesh, except that
+    "all_volumes_positive" and "reoriented_tets" describe the tets as read.
+    """
     vertices = read_node_file(node_path)
     tets = read_ele_file(ele_path, len(vertices))
     unused = np.setdiff1d(np.arange(len(vertices)), tets)
@@ -168,6 +172,8 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
                    periodic=periodic_pairs(domain, vertices, boundary_tris,
                                            boundary_faces, tol))
     report = validate_mesh(domain, mesh, tol=tol)
+    # the tets as read, not as oriented above
+    report["all_volumes_positive"] = bool(vols.min() > 0)
     report["reoriented_tets"] = int((vols < 0).sum())
     return mesh, report
 

@@ -179,6 +179,35 @@ class TestFromTriplets:
         assert first._full.data.tolist() == [1.0, 0.0, 0.0, 2.0, 3.0]
         assert second._full.data.tolist() == [1.0, 5.0, 5.0, 2.0, 0.0]
 
+    @pytest.mark.parametrize("rows,cols,vals", [
+        pytest.param([0, 1, 1, 2, 2], [0, 0, 1, 1, 2],
+                     [[1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, 1.5]],
+                     id="sorted-distinct"),
+        pytest.param([2, 0, 2, 1, 2, 1], [0, 0, 0, 1, 0, 0],
+                     [[1e16, 4.0, 1.0, 2.0, -1e16, 3.0], [0.5, 0.0, 0.25, 1.0, 2.0, -3.0]],
+                     id="unsorted-duplicates"),
+        pytest.param([0, 1, 2, 2], [0, 0, 1, 2],
+                     [[1.0, 0.0, 7.0, 2.0], [3.0, 0.0, 0.0, 4.0], [5.0, 0.0, 6.0, 0.0]],
+                     id="zero-in-every-row")])
+    def test_list_of_rows_gives_the_arrays_of_the_stacked_rows(self, rows, cols, vals):
+        # the rows are not stacked, and each is taken off the list once its
+        # matrix is built; the CSR arrays are those of the (k, m) array
+        stacked = SparseSymMatrix.from_triplets(3, rows, cols, np.array(vals))
+        given = [np.array(val) for val in vals]
+        listed = SparseSymMatrix.from_triplets(3, rows, cols, given)
+        assert given == []
+        for mat, want in zip(listed, stacked, strict=True):
+            for part in ("indptr", "indices", "data"):
+                got, ref = getattr(mat._full, part), getattr(want._full, part)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for part in ("indptr", "indices"):
+            assert all(np.shares_memory(getattr(mat._full, part), getattr(listed[0]._full, part))
+                       for mat in listed)
+
+    def test_list_rows_must_match_the_triplets(self):
+        with pytest.raises(ValueError):
+            SparseSymMatrix.from_triplets(3, [0, 1], [0, 0], [np.ones(2), np.ones(3)])
+
     def test_one_row_of_values_gives_one_matrix(self):
         mats = SparseSymMatrix.from_triplets(2, [1], [0], [[3.0]])
         assert len(mats) == 1
@@ -321,14 +350,14 @@ class TestAssembly:
         dof_map, _ = ops44
         assert traced_peak(lambda: assemble(mesh44, dof_map)) <= 10 * len(mesh44.tets) * 128
 
-    @pytest.mark.parametrize("name,bound", [pytest.param("assemble", 180, id="assemble"),
+    @pytest.mark.parametrize("name,bound", [pytest.param("assemble", 142, id="assemble"),
                                             pytest.param("validate_mesh", 122, id="validate_mesh"),
                                             pytest.param("face_counts", 112, id="face_counts")])
     def test_peak_memory_per_tet_above_one_block(self, the_domain, mesh88, name, bound):
         # 84,480 tets are over twenty blocks: the traced peak grows with the
         # matrix pattern and int64 face keys, not with a (T, 4, 4) array per
         # pass, a (4T, 3) array of triangle rows or a copy of the face keys;
-        # the bounds are about 1.15 times the peaks traced at n = L = 8 (156,
+        # the bounds are about 1.15 times the peaks traced at n = L = 8 (124,
         # 106 and 97 B/tet)
         dof_map = build_dof_map(mesh88)
         assert len(mesh88.tets) > 20 * meshing.TET_BLOCK
@@ -340,10 +369,11 @@ class TestAssembly:
     def test_assemble_holds_no_triplet_arrays(self, mesh88):
         # the lower triplets, about ten per tet as int32 rows and cols and
         # three float values, would take 320 B/tet on top of the rest; the
-        # pattern-first assembly holds the tet order and the pattern's keys
-        # and values, then the four operators on one pattern
+        # pattern-first assembly holds the tet order, the pattern with its
+        # slot numbers and the lower values, then the four operators on one
+        # pattern, each lower row dropped once its operator is gathered
         dof_map = build_dof_map(mesh88)
-        assert traced_peak(lambda: assemble(mesh88, dof_map)) <= 180 * len(mesh88.tets)
+        assert traced_peak(lambda: assemble(mesh88, dof_map)) <= 142 * len(mesh88.tets)
 
     def test_each_operator_is_one_from_triplets_call(self, mesh11, monkeypatch):
         # the benchmark times assembly through this class attribute: one call

@@ -223,6 +223,21 @@ def test_validate_command(tmp_path, the_domain):
                  "--import-ele", str(tmp_path / "v.ele")]) == 0
 
 
+def test_validate_reports_the_tets_as_read(tmp_path, capsys, the_domain):
+    # every tet negatively oriented: import_mesh orients them all, so the mesh
+    # validates, and the report describes the file's orientation
+    mesh = generate_mesh(the_domain, 1, 1)
+    write_node_file(tmp_path / "v.node", mesh.vertices)
+    write_ele_file(tmp_path / "v.ele", mesh.tets[:, [0, 1, 3, 2]])
+    assert main(["validate", "--import-node", str(tmp_path / "v.node"),
+                 "--import-ele", str(tmp_path / "v.ele")]) == 0
+    out = capsys.readouterr().out
+    assert '"all_volumes_positive": false' in out
+    report = json.loads(out)
+    assert report["reoriented_tets"] == report["tet_count"] == len(mesh.tets)
+    assert report["min_tet_volume"] > 0
+
+
 def test_report_dumps(tmp_path):
     files = {k: tmp_path / f"{k}.json" for k in ("group", "cell", "domain")}
     assert main(["report", "--dump-group", str(files["group"]),
