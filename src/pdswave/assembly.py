@@ -23,8 +23,9 @@ only the weights, which take |X|^2 from the vertex Gram matrix V V^T.
 
 Each matrix is built from its summed lower triangle and stored once, as
 the full symmetric matrix in compressed sparse rows.  The tets are taken in
-a canonical order, held as the `np.lexsort` permutation of `mesh.tets`
-rather than as a reordered copy.  The lower pattern is built first, as
+a canonical order, by their sorted vertex ids, held as a permutation of
+`mesh.tets` rather than as a reordered copy; `np.lexsort` finds it from
+two int64 keys per tet, not four columns.  The lower pattern is built first, as
 tril(E^T E) of the (T, n_dofs) tet-dof incidence E, which is dropped with
 the tets' dofs once the pattern exists; a CSR array on the pattern whose
 values are the slot numbers then maps each (row, col) to its slot.  The
@@ -319,13 +320,29 @@ def _summed_values(mesh: TetMesh, order: np.ndarray, node_to_dof: np.ndarray,
     return vals
 
 
+def _canonical_order(tets: np.ndarray, nv: int) -> np.ndarray:
+    """The stable permutation that sorts `tets` by their sorted vertex ids
+    (a, b, c, d), all below nv: `np.lexsort` on the two int64 keys a nv + b
+    and c nv + d, which order as the four columns do."""
+    srt = np.sort(tets, axis=1).astype(np.int64, copy=False)
+    hi = srt[:, 0] * nv
+    hi += srt[:, 1]
+    lo = srt[:, 2] * nv
+    lo += srt[:, 3]
+    # dropped before lexsort allocates the order: held through it, the sorted
+    # rows cost about 3 MB more peak RSS at n = L = 12, from where the
+    # allocator put the order
+    del srt
+    return np.lexsort((lo, hi))
+
+
 def assemble(mesh: TetMesh, dof_map: DofMap) -> Operators:
     """Assemble mass, stiffness, radial and wave matrices on identified dofs.
 
     The tets are summed in a canonical order (by sorted vertex ids), so the
     round-off does not depend on the order of `mesh.tets`.
     """
-    order = np.lexsort(np.sort(mesh.tets, axis=1).T[::-1])
+    order = _canonical_order(mesh.tets, len(mesh.vertices))
     n = dof_map.n_dofs
     dof = dof_map.node_to_dof[mesh.tets].astype(np.int32)    # (T, 4)
     # the lower pattern tril(E^T E) of the tet-dof incidence E

@@ -78,16 +78,16 @@ def _add_mesh_source(p):
                    help="geometric tolerance for imported meshes")
 
 
-def _get_mesh(args, domain):
+def _get_mesh(args, domain, validate: bool):
+    """The generated or imported mesh and, with `validate`, its validation
+    report (else None)."""
     if args.import_node or args.import_ele:
         if not (args.import_node and args.import_ele):
             raise ParseError("--import-node and --import-ele must be given together")
-        mesh, report = import_mesh(domain, args.import_node, args.import_ele,
-                                   tol=args.tol)
-    else:
-        mesh = generate_mesh(domain, args.n, args.layers)
-        report = validate_mesh(domain, mesh)
-    return mesh, report
+        return import_mesh(domain, args.import_node, args.import_ele, tol=args.tol,
+                           validate=validate)
+    mesh = generate_mesh(domain, args.n, args.layers)
+    return mesh, validate_mesh(domain, mesh) if validate else None
 
 
 def _write_json(path, data):
@@ -139,7 +139,7 @@ def _timed(stage_s: dict, name: str):
 
 def cmd_mesh(args) -> int:
     domain = build_domain()
-    mesh, report = _get_mesh(args, domain)
+    mesh, report = _get_mesh(args, domain, validate=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_mesh(mesh, out / "mesh.node", out / "mesh.ele")
@@ -157,18 +157,11 @@ def cmd_mesh(args) -> int:
     return EXIT_OK
 
 
-def _build_operators(args, domain, stage_s: dict):
-    with _timed(stage_s, "mesh"):
-        mesh, mesh_report = _get_mesh(args, domain)
-    with _timed(stage_s, "assemble"):
-        dof_map = build_dof_map(mesh)
-        ops = assemble(mesh, dof_map)
-    return mesh, mesh_report, dof_map, ops
-
-
 def cmd_assemble(args) -> int:
-    domain = build_domain()
-    mesh, _, dof_map, ops = _build_operators(args, domain, {})
+    # nothing here prints or records a validation report, so none is built
+    mesh, _ = _get_mesh(args, build_domain(), validate=False)
+    dof_map = build_dof_map(mesh)
+    ops = assemble(mesh, dof_map)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     info = {
@@ -241,7 +234,11 @@ def cmd_run(args) -> int:
     if not domain.contains(args.bump[:3], tol=1e-9):
         raise NotInDomain(f"--bump center {args.bump[:3]} is outside the domain")
     stage_s: dict = {}
-    mesh, mesh_report, dof_map, ops = _build_operators(args, domain, stage_s)
+    with _timed(stage_s, "mesh"):
+        mesh, mesh_report = _get_mesh(args, domain, validate=True)
+    with _timed(stage_s, "assemble"):
+        dof_map = build_dof_map(mesh)
+        ops = assemble(mesh, dof_map)
     precond = make_preconditioner(ops.mass)
 
     power: dict = {}

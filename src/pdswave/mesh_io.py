@@ -133,15 +133,19 @@ def read_ele_file(path, node_count: int) -> np.ndarray:
 
 
 def import_mesh(domain: FundamentalDomain, node_path, ele_path,
-                tol: float = 1e-6) -> tuple[TetMesh, dict]:
+                tol: float = 1e-6, validate: bool = True) -> tuple[TetMesh, dict | None]:
     """Read, orient, tag and periodicity-check a mesh; returns (mesh, report).
 
     The report is `validate_mesh`'s on the oriented mesh, except that
     "all_volumes_positive" and "reoriented_tets" describe the tets as read.
+    It is built from the determinants of the orientation and the triangle
+    counts of the boundary extraction, which the import has computed
+    already; with `validate` false it is not built, and None comes back in
+    its place.
     """
     vertices = read_node_file(node_path)
     tets = read_ele_file(ele_path, len(vertices))
-    unused = np.setdiff1d(np.arange(len(vertices)), tets)
+    unused = np.flatnonzero(np.bincount(tets.ravel(), minlength=len(vertices)) == 0)
     if len(unused):
         raise ParseError(f"{node_path}: vertex {unused[0]} (0-based) is used by no tet")
 
@@ -150,13 +154,13 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
     if not domain.contains(vertices, tol=10 * tol).all():
         raise PeriodicityViolation("mesh has vertices outside the fundamental domain")
 
-    tets, vols = orient_tets(vertices, tets)
+    tets, det = orient_tets(vertices, tets)
 
     keys, counts, nv = _face_keys(tets)
     if counts.max() > 2:
         raise ParseError("mesh is not conforming: a triangle is shared by >2 tets")
     boundary_tris = _key_rows(keys[counts == 1], nv)
-    del keys, counts
+    del keys
 
     # assign each boundary triangle to the face with the smallest lifted
     # hyperplane residual over its three vertices; each ellipsoid carries two
@@ -171,10 +175,15 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
     mesh = TetMesh(vertices=vertices, tets=tets, boundary_tris=boundary_tris,
                    periodic=periodic_pairs(domain, vertices, boundary_tris,
                                            boundary_faces, tol))
-    report = validate_mesh(domain, mesh, tol=tol)
+    if not validate:
+        return mesh, None
     # the tets as read, not as oriented above
-    report["all_volumes_positive"] = bool(vols.min() > 0)
-    report["reoriented_tets"] = int((vols < 0).sum())
+    as_read = {"all_volumes_positive": bool(det.min() > 0),
+               "reoriented_tets": int((det < 0).sum())}
+    # orienting negated each negative determinant exactly
+    np.abs(det, out=det)
+    report = validate_mesh(domain, mesh, tol=tol, det=det, faces=(counts, boundary_tris))
+    report.update(as_read)
     return mesh, report
 
 

@@ -25,7 +25,10 @@ the full arrays, so the summation order and every output are unchanged.
 `validate_mesh` takes the signed volumes and the weighted volume from one
 determinant per tet, the closed-form e_1 . (e_2 x e_3) of its edges
 e_i = v_i - v_0 (`quadrature.tet_determinants`, one cross product per tet
-where the cofactors `assembly` needs take three).
+where the cofactors `assembly` needs take three).  A caller that holds the
+determinants and the triangle counts, as `mesh_io.import_mesh` does after
+orienting the tets and extracting the boundary, passes them in, and
+`validate_mesh` then makes only the weights pass.
 
 The triangles of a mesh are counted as int64 keys, never as (4T, 3) rows:
 each tet's four ids are sorted once, each of its faces is that row minus
@@ -219,37 +222,45 @@ def tet_blocks(count: int):
         yield slice(start, min(start + TET_BLOCK, count))
 
 
-def _tet_dets(vertices: np.ndarray, tets: np.ndarray, weighted: bool):
-    """det (T,), six times each tet's signed volume, and with `weighted` each
-    tet's row sum (T,) of `quadrature_weights`, else None."""
-    det = np.empty(len(tets))
-    wsum = np.empty(len(tets)) if weighted else None
+def _tet_passes(vertices: np.ndarray, tets: np.ndarray, dets: bool = True,
+                weights: bool = True):
+    """det (T,), six times each tet's signed volume, if `dets`, and each
+    tet's row sum (T,) of `quadrature_weights` if `weights`; None for one
+    not asked for."""
+    det = np.empty(len(tets)) if dets else None
+    wsum = np.empty(len(tets)) if weights else None
     for blk in tet_blocks(len(tets)):
         v = vertices[tets[blk]]
-        det[blk] = tet_determinants(v)
-        if weighted:
+        if dets:
+            det[blk] = tet_determinants(v)
+        if weights:
             wsum[blk] = quadrature_weights(v).sum(axis=1)
     return det, wsum
 
 
 def signed_tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    det, _ = _tet_dets(vertices, tets, weighted=False)
+    det, _ = _tet_passes(vertices, tets, weights=False)
     det /= 6.0
     return det
 
 
 def orient_tets(vertices: np.ndarray, tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positively oriented copy of `tets` (the last two vertices of each
-    negatively oriented tet swapped) and the signed volumes before the swap;
-    a tet of |volume| below MIN_TET_VOLUME raises DegenerateTet."""
-    vols = signed_tet_volumes(vertices, tets)
-    k = int(np.abs(vols).argmin())
-    if not abs(vols[k]) >= MIN_TET_VOLUME:
-        raise DegenerateTet(f"tet {k} has volume {vols[k]:.2e}")
+    negatively oriented tet swapped) and the signed determinants before the
+    swap, six times the signed volumes; a tet of |volume| below
+    MIN_TET_VOLUME raises DegenerateTet.
+
+    The swap negates a determinant exactly, so the oriented tets'
+    determinants are the absolute values of those returned, bit for bit.
+    """
+    det, _ = _tet_passes(vertices, tets, weights=False)
+    k = int(np.abs(det).argmin())
+    if not abs(det[k]) / 6.0 >= MIN_TET_VOLUME:
+        raise DegenerateTet(f"tet {k} has volume {det[k] / 6.0:.2e}")
     tets = tets.copy()
-    neg = vols < 0
+    neg = det < 0
     tets[neg] = tets[neg][:, [0, 1, 3, 2]]
-    return tets, vols
+    return tets, det
 
 
 def _weighted_volume(det: np.ndarray, wsum: np.ndarray) -> float:
@@ -259,7 +270,7 @@ def _weighted_volume(det: np.ndarray, wsum: np.ndarray) -> float:
 
 def weighted_volume(mesh: TetMesh) -> float:
     """Sum over tets of the Riemannian volume integral of w = (1-|X|^2)^(-1/2)."""
-    return _weighted_volume(*_tet_dets(mesh.vertices, mesh.tets, weighted=True))
+    return _weighted_volume(*_tet_passes(mesh.vertices, mesh.tets))
 
 EXACT_DOMAIN_VOLUME = math.pi ** 2 / 60.0   # one 120th of vol(S^3) = 2 pi^2
 # largest boundary edge ratio max/min that validate_mesh reports as ok
@@ -325,8 +336,15 @@ def face_counts(tets: np.ndarray):
 
 
 def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
-                  tol: float = 1e-9) -> dict:
-    """Full geometric and periodicity validation; returns a JSON-able report."""
+                  tol: float = 1e-9, *, det: np.ndarray | None = None,
+                  faces: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
+    """Full geometric and periodicity validation; returns a JSON-able report.
+
+    A caller that already holds them passes the signed determinants `det`
+    of mesh.tets (bit-equal to `quadrature.tet_determinants`) and `faces`,
+    the counts of `_face_keys(mesh.tets)` with the `_key_rows` of its keys
+    of count 1; the report is then built from them, not from a second pass.
+    """
     report: dict = {}
     inside = domain.contains(mesh.vertices, tol=tol)
     report["vertices_inside"] = bool(inside.all())
@@ -337,16 +355,22 @@ def validate_mesh(domain: FundamentalDomain, mesh: TetMesh,
     ell_res = np.einsum("ki,kij,kj->k", X, ells[face - 1], X) - 1.0
     report["max_ellipsoid_residual"] = float(np.abs(ell_res).max(initial=0.0))
 
-    det, wsum = _tet_dets(mesh.vertices, mesh.tets, weighted=True)
-    vols = det / 6.0
+    new_det, wsum = _tet_passes(mesh.vertices, mesh.tets, dets=det is None)
+    if det is None:
+        det = new_det
+    # det / 6 rounds monotonically, so the smallest volume is the smallest det / 6
+    min_volume = det.min() / 6.0
     report["tet_count"] = int(len(mesh.tets))
     report["node_count"] = int(len(mesh.vertices))
-    report["min_tet_volume"] = float(vols.min())
-    report["all_volumes_positive"] = bool(vols.min() > 0)
+    report["min_tet_volume"] = float(min_volume)
+    report["all_volumes_positive"] = bool(min_volume > 0)
 
-    keys, counts, nv = _face_keys(mesh.tets)
+    if faces is None:
+        keys, counts, nv = _face_keys(mesh.tets)
+        faces = counts, _key_rows(keys[counts == 1], nv)
+        del keys, counts
+    counts, once = faces
     report["conforming"] = bool(np.all((counts == 1) | (counts == 2)))
-    once = _key_rows(keys[counts == 1], nv)
     tagged_keys, _, tagged_nv = _face_keys(mesh.boundary_tris)
     tagged = _key_rows(tagged_keys, tagged_nv)
     report["boundary_matches_tags"] = bool(

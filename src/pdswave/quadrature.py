@@ -12,6 +12,9 @@ X = V^T lam is formed.  The weighted integral of f over a tet is
 determinants and the barycentric gradients come in closed form from the
 edge cross products of `edge_cofactors`, not from a batched LU;
 `tet_determinants` gives the same determinants from one cross product.
+Both work on the coordinates of each kind (x, y or z) as rows over the
+tets and form each cross-product component as one product minus another,
+the operations `np.cross` makes, so their values are those of `np.cross`.
 Products with the rule's constant matrices go through `rows_times`, so a
 tet's values do not depend on how many tets are computed with it.
 """
@@ -102,6 +105,13 @@ def quadrature_weights(verts: np.ndarray) -> np.ndarray:
     return wq
 
 
+def _edge_components(verts: np.ndarray, out=None) -> np.ndarray:
+    """(3, 3, T) edges e_i = v_i - v_0 of the tets `verts` (T, 4, 3), indexed
+    [coordinate, i - 1, tet]."""
+    vt = np.ascontiguousarray(verts.transpose(2, 1, 0))
+    return np.subtract(vt[:, 1:], vt[:, :1], out=out)
+
+
 def tet_determinants(verts: np.ndarray) -> np.ndarray:
     """Signed determinants (T,) of the tets `verts` (T, 4, 3), six times
     their signed volumes.
@@ -110,9 +120,8 @@ def tet_determinants(verts: np.ndarray) -> np.ndarray:
     cross product it needs; each value is bit-equal to the determinant of
     `edge_cofactors`.
     """
-    e = verts[:, 1:] - verts[:, :1]
-    e1, c1 = e[:, 0], np.cross(e[:, 1], e[:, 2])
-    return e1[:, 0] * c1[:, 0] + e1[:, 1] * c1[:, 1] + e1[:, 2] * c1[:, 2]
+    (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = _edge_components(verts)
+    return x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3) + z1 * (x2 * y3 - y2 * x3)
 
 
 def edge_cofactors(verts: np.ndarray):
@@ -120,10 +129,20 @@ def edge_cofactors(verts: np.ndarray):
 
     With the edges e_i = v_i - v_0, the cofactor rows are e_2 x e_3,
     e_3 x e_1 and e_1 x e_2, and det = e_1 . (e_2 x e_3) is six times the
-    signed volume; row i - 1 of the cofactors over det is grad lam_i.
+    signed volume; row i - 1 of the cofactors over det is grad lam_i.  The
+    cofactors are a transposed view of a (3, 3, T) array.
     """
-    e = verts[:, 1:] - verts[:, :1]
-    cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])
-    e1, c1 = e[:, 0], cof[:, 0]
-    det = e1[:, 0] * c1[:, 0] + e1[:, 1] * c1[:, 1] + e1[:, 2] * c1[:, 2]
-    return cof, det
+    e = np.empty((3, 5, len(verts)))
+    _edge_components(verts, out=e[:, :3])
+    e[:, 3:] = e[:, :2]
+    # cofactor row r is a[:, r] x b[:, r], the edges (e_2, e_3), (e_3, e_1)
+    # and (e_1, e_2); coordinate i of it is a_j b_k - a_k b_j, (i, j, k) cyclic
+    a, b = e[:, 1:4], e[:, 2:5]
+    cof = np.empty((3, 3, len(verts)))              # [coordinate, row, tet]
+    tmp = np.empty((3, len(verts)))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=cof[i])
+        np.multiply(a[k], b[j], out=tmp)
+        cof[i] -= tmp
+    (x1, y1, z1), (cx, cy, cz) = e[:, 0], cof[:, 0]
+    return cof.transpose(2, 1, 0), x1 * cx + y1 * cy + z1 * cz

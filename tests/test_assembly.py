@@ -9,8 +9,8 @@ import scipy.io
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from pdswave.assembly import (DofMap, SparseSymMatrix, assemble, build_dof_map,
-                              element_matrices, estimate_spectral_bound)
+from pdswave.assembly import (DofMap, SparseSymMatrix, _canonical_order, assemble,
+                              build_dof_map, element_matrices, estimate_spectral_bound)
 import pdswave.meshing as meshing
 from pdswave.errors import ClassSizeError
 from pdswave.meshing import (EXACT_DOMAIN_VOLUME, generate_mesh, orient_tets,
@@ -344,6 +344,19 @@ class TestAssembly:
         for a, b in zip(ops, ops2):
             assert np.array_equal(a.lower.toarray(), b.lower.toarray())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_two_key_order_is_the_four_column_lexsort(self, the_domain, n):
+        # as read, with rows and the ids within each row shuffled, and with
+        # repeated rows, whose ties both sorts leave in row order
+        tets = generate_mesh(the_domain, n, n).tets
+        rng = np.random.default_rng(n)
+        shuffled = rng.permuted(tets[rng.permutation(len(tets))], axis=1)
+        repeated = np.vstack([shuffled, shuffled[::3]])
+        repeated = repeated[rng.permutation(len(repeated))]
+        for t in (tets, shuffled, repeated):
+            want = np.lexsort(np.sort(t, axis=1).T[::-1])
+            assert np.array_equal(_canonical_order(t, int(t.max()) + 1), want)
+
     def test_peak_memory_is_a_few_element_matrices(self, mesh44, ops44):
         # no (tet, point, coordinate) or (tet, point, basis) array: the
         # traced peak stays within ten (T, 4, 4) float arrays
@@ -351,14 +364,14 @@ class TestAssembly:
         assert traced_peak(lambda: assemble(mesh44, dof_map)) <= 10 * len(mesh44.tets) * 128
 
     @pytest.mark.parametrize("name,bound", [pytest.param("assemble", 142, id="assemble"),
-                                            pytest.param("validate_mesh", 122, id="validate_mesh"),
+                                            pytest.param("validate_mesh", 112, id="validate_mesh"),
                                             pytest.param("face_counts", 112, id="face_counts")])
     def test_peak_memory_per_tet_above_one_block(self, the_domain, mesh88, name, bound):
         # 84,480 tets are over twenty blocks: the traced peak grows with the
         # matrix pattern and int64 face keys, not with a (T, 4, 4) array per
         # pass, a (4T, 3) array of triangle rows or a copy of the face keys;
         # the bounds are about 1.15 times the peaks traced at n = L = 8 (124,
-        # 106 and 97 B/tet)
+        # 98 and 97 B/tet)
         dof_map = build_dof_map(mesh88)
         assert len(mesh88.tets) > 20 * meshing.TET_BLOCK
         run = {"assemble": lambda: assemble(mesh88, dof_map),

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import pdswave.cli as cli
+import pdswave.mesh_io as mesh_io
+import pdswave.meshing as meshing
 from pdswave.cli import RUN_STAGES, _read_signals, _write_csv, build_parser, main
 from pdswave.mesh_io import write_ele_file, write_node_file
 from pdswave.meshing import generate_mesh
@@ -40,6 +42,54 @@ def test_assemble_command(tmp_path):
     assert info["n_dofs"] == 12
     for name in ("mass.mtx", "stiffness.mtx", "radial.mtx"):
         assert (out / name).exists()
+
+
+@pytest.fixture(scope="module")
+def mesh11_files(tmp_path_factory):
+    """Import flags of the generated n = L = 1 mesh's .node and .ele files."""
+    out = tmp_path_factory.mktemp("mesh11")
+    assert main(["mesh", "--n", "1", "--layers", "1", "--out", str(out)]) == 0
+    return ["--import-node", str(out / "mesh.node"), "--import-ele", str(out / "mesh.ele")]
+
+
+@pytest.mark.parametrize("command, imported, calls", [
+    ("mesh", False, 1), ("mesh", True, 1), ("validate", True, 1),
+    ("run", False, 1), ("run", True, 1), ("assemble", False, 0), ("assemble", True, 0),
+], ids=["mesh", "mesh-import", "validate", "run", "run-import", "assemble",
+        "assemble-import"])
+def test_only_commands_that_report_validate(tmp_path, monkeypatch, mesh11_files,
+                                            command, imported, calls):
+    # a command validates its mesh once when it prints or records the report
+    # (mesh_report.json, validate's JSON, the manifest), and not otherwise
+    made = []
+    original = meshing.validate_mesh
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return original(*args, **kwargs)
+
+    for module in (meshing, mesh_io, cli):
+        monkeypatch.setattr(module, "validate_mesh", counting)
+    argv = [command] + (mesh11_files if imported else ["--n", "1", "--layers", "1"])
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "run":
+        argv += ["--steps", "20", "--window", "0", "20", "--force-window"]
+    assert main(argv) == 0
+    assert len(made) == calls
+
+
+def test_imported_mesh_exports_the_generated_matrices(tmp_path):
+    # the .node/.ele round trip keeps every vertex and tet, so assembling the
+    # imported mesh writes the generated mesh's Matrix Market files
+    gen = ["--n", "2", "--layers", "2"]
+    assert main(["mesh", *gen, "--out", str(tmp_path / "m")]) == 0
+    assert main(["assemble", *gen, "--out", str(tmp_path / "g"), "--export-matrices"]) == 0
+    assert main(["assemble", "--import-node", str(tmp_path / "m" / "mesh.node"),
+                 "--import-ele", str(tmp_path / "m" / "mesh.ele"),
+                 "--out", str(tmp_path / "i"), "--export-matrices"]) == 0
+    for name in ("mass.mtx", "stiffness.mtx", "radial.mtx", "dof_report.json"):
+        assert (tmp_path / "i" / name).read_bytes() == (tmp_path / "g" / name).read_bytes()
 
 
 def test_run_outputs(run_dir):

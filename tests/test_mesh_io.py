@@ -35,6 +35,30 @@ def test_import_reproduces_validation_metrics(the_domain, mesh22, tmp_path):
         assert rep[k] == ref[k]
 
 
+@pytest.mark.parametrize("n, swapped", [(1, False), (2, False), (3, False), (1, True)],
+                         ids=["n1", "n2", "n3", "n1-swapped"])
+def test_import_report_is_validate_mesh_of_the_imported_mesh(the_domain, tmp_path, n,
+                                                            swapped):
+    # the report built from the import's own determinants and triangle counts
+    # is validate_mesh's on the mesh it returns, every float to the last bit,
+    # but for the two fields that describe the tets as read; swapped is the
+    # file of test_validate_reports_the_tets_as_read, every tet mirrored
+    mesh = generate_mesh(the_domain, n, n)
+    write_node_file(tmp_path / "m.node", mesh.vertices)
+    write_ele_file(tmp_path / "m.ele", mesh.tets[:, [0, 1, 3, 2]] if swapped else mesh.tets)
+    back, rep = import_mesh(the_domain, tmp_path / "m.node", tmp_path / "m.ele", tol=1e-6)
+    ref = validate_mesh(the_domain, back, tol=1e-6)
+    as_read = {"all_volumes_positive", "reoriented_tets"}
+    assert set(rep) == set(ref) | as_read
+    assert ({k: repr(v) for k, v in rep.items() if k not in as_read}
+            == {k: repr(v) for k, v in ref.items() if k not in as_read})
+    assert rep["reoriented_tets"] == (len(mesh.tets) if swapped else 0)
+    assert rep["all_volumes_positive"] is not swapped
+    _, none = import_mesh(the_domain, tmp_path / "m.node", tmp_path / "m.ele",
+                          validate=False)
+    assert none is None
+
+
 def test_import_recovers_node_face_sets(the_domain, mesh22, tmp_path):
     export_mesh(mesh22, tmp_path / "m.node", tmp_path / "m.ele")
     back, _ = import_mesh(the_domain, tmp_path / "m.node", tmp_path / "m.ele")

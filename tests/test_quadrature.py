@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pdswave.errors import WeightSingularity
 from pdswave.meshing import generate_mesh
@@ -79,3 +81,33 @@ def test_tet_determinants_of_one_tet():
     assert det.shape == (1,)
     assert det.tobytes() == edge_cofactors(verts)[1].tobytes()
     assert det[0] == pytest.approx(np.linalg.det(verts[0, 1:] - verts[0, 0]))
+
+
+def cross_cofactors(verts):
+    """The np.cross form of `edge_cofactors`, kept as its reference."""
+    e = verts[:, 1:] - verts[:, :1]
+    cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])
+    e1, c1 = e[:, 0], cof[:, 0]
+    return cof, e1[:, 0] * c1[:, 0] + e1[:, 1] * c1[:, 1] + e1[:, 2] * c1[:, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(verts=hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.just(4), st.just(3)),
+                        elements=st.floats(-0.6, 0.6)),
+       flatness=st.sampled_from([0.0, 1e-300, 1e-15, 1e-8]))
+def test_kernels_are_bit_equal_to_the_cross_form(verts, flatness):
+    # each tet, its mirror image (last two vertices swapped) and a copy whose
+    # last vertex sits `flatness` of its offset from the first three's centroid
+    flat = verts.copy()
+    flat[:, 3] = verts[:, :3].mean(axis=1) + flatness * (verts[:, 3] - verts[:, 0])
+    tets = np.concatenate([verts, flat])
+    tets = np.concatenate([tets, tets[:, [0, 1, 3, 2]]])
+    ref_cof, ref_det = cross_cofactors(tets)
+    cof, det = edge_cofactors(tets)
+    assert cof.shape == ref_cof.shape
+    assert np.ascontiguousarray(cof).tobytes() == ref_cof.tobytes()
+    assert det.tobytes() == ref_det.tobytes()
+    assert tet_determinants(tets).tobytes() == ref_det.tobytes()
+    # the swap negates each determinant exactly (a zero may lose its sign)
+    half = len(tets) // 2
+    assert np.array_equal(det[half:], -det[:half])
