@@ -67,8 +67,12 @@ from .icosian import merge_classes
 from .meshing import TetMesh, tet_blocks
 from .quadrature import QUADRATURE, edge_cofactors, quadrature_weights, rows_times
 
-# power iterations before estimate_spectral_bound gives up
-POWER_MAX_ITER = 10000
+# LOBPCG iterations before estimate_spectral_bound gives up
+BOUND_MAX_ITER = 10000
+# Jacobi sweeps of its 3 x 3 Rayleigh-Ritz step, and the size, relative to
+# the largest entry, below which an off-diagonal entry counts as zero
+JACOBI_MAX_SWEEPS = 50
+JACOBI_TOL = 1e-15
 
 
 def _symmetric_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -368,54 +372,122 @@ def assemble(mesh: TetMesh, dof_map: DofMap) -> Operators:
 def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
                             tol: float = 1e-4,
                             info: dict | None = None) -> tuple[float, float]:
-    """Largest generalized eigenvalue of (wave, mass) by power iteration.
+    """Largest generalized eigenvalue of (wave, mass) by preconditioned LOBPCG.
 
     Returns (lambda_max, dt_max) with dt_max = 2 / sqrt(lambda_max), the
-    stability limit of the explicit scheme.  The iteration stops once the
-    Rayleigh quotient changes by at most `tol` relative, tested before the
-    next iterate is solved for: k iterations make k - 1 mass solves, each
-    warm-started from the previous solution.  The solves are inexact: each
-    runs to min(1e-2, change / 10), change being the quotient's last
-    relative change, so they tighten only as the quotient settles.  change
-    exceeds tol at every solve while the quotient is positive; the rule
-    takes max(change, tol), so a repeating non-positive quotient never asks
-    for tolerance 0.  The quotient of any vector is a lower bound on lambda_max whose error is
-    quadratic in the vector's, and the outer iteration keeps its pace when
-    the inner tolerance follows its progress (Golub & Ye 2000, BIT 40).
-    The start vector is seeded, so the estimate is reproducible.  If `info`
-    is a dict it receives the number of power iterations k under
-    "iterations", the final relative change of lambda under
-    "relative_change" and the PCG iterations of all mass solves under
-    "pcg_iterations".
+    stability limit of the explicit scheme.  Block-size-1 LOBPCG (Knyazev
+    2001, SIAM J. Sci. Comput. 23) keeps an iterate x, the preconditioned
+    residual w = D^-1 (wave x - lambda mass x), D the mass diagonal, and the
+    last step p.  Each iteration makes one wave and one mass product, of w;
+    those of the new x and p are combinations of the held ones.  A
+    Rayleigh-Ritz step on span{x, w, p}, one 3 x 3 generalized eigenproblem,
+    gives the next x.  Its Rayleigh quotient lambda, the Ritz value, never
+    decreases and is a lower bound on lambda_max.  If the mass Gram matrix
+    of {x, w, p} is not positive definite, p is dropped for that step
+    (Hetmaniuk & Lehoucq 2006, J. Comput. Phys. 218).  No mass solve is
+    made: the Jacobi-scaled P1 mass has its spectrum in [1/2, 5/2] (Wathen
+    1987), so D^-1 stands in for its inverse.  The iteration stops once lambda changes by at most `tol`
+    relative, or at a zero residual, where x is an eigenvector; a largest
+    eigenvalue that is not positive raises `NoConvergence`.  The start
+    vector is seeded, so the estimate is reproducible.  If `info` is a dict
+    it receives the number of iterations k under "iterations" (the bound
+    made k + 1 wave and k + 1 mass products) and the final relative change
+    of lambda under "relative_change".
     """
-    from .evolve import make_preconditioner, pcg_solve
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(mass.n)
-    x /= np.linalg.norm(x)
-    mx = mass @ x
-    precond = make_preconditioner(mass)
-    solve_info: dict = {}
+    # state[i] holds a vector and its wave and mass products, for i = x, w, p
+    state = np.zeros((3, 3, mass.n))
+    x, w, p = state
+    x[0] = np.random.default_rng(0).standard_normal(mass.n)
+    x[1] = wave @ x[0]
+    x[2] = mass @ x[0]
+    inv_diag = 1.0 / mass.diagonal()
     lam = 0.0
-    y = my = None
-    pcg_iterations = 0
-    for k in range(1, POWER_MAX_ITER + 1):
-        ax = wave @ x
-        lam_new = float(x @ ax) / float(x @ mx)
-        change = abs(lam_new - lam) / abs(lam_new) if lam_new else math.inf
-        lam = lam_new
+    k = 0
+    while True:
+        # the Rayleigh quotient of x, its Ritz value; x is then mass-normalised
+        x_mass_x = float(x[0] @ x[2])
+        ritz = float(x[0] @ x[1]) / x_mass_x
+        x /= math.sqrt(x_mass_x)
+        change = abs(ritz - lam) / abs(ritz) if ritz else math.inf
+        lam = ritz
         if lam > 0 and change <= tol:
             break
-        y = pcg_solve(mass, ax, precond, tol=min(1e-2, max(change, tol) / 10),
-                      x0=y, info=solve_info, mass_x0=my)
-        my = solve_info["mass_x"]
-        pcg_iterations += solve_info["iterations"]
-        y_norm = np.linalg.norm(y)
-        x, mx = y / y_norm, my / y_norm
-    else:
-        raise NoConvergence(f"power iteration did not settle in {POWER_MAX_ITER} iterations")
+        np.multiply(x[2], -lam, out=w[0])
+        w[0] += x[1]
+        if not w[0].any():
+            change = 0.0
+            break
+        k += 1
+        if k > BOUND_MAX_ITER:
+            raise NoConvergence(f"LOBPCG did not settle in {BOUND_MAX_ITER} iterations")
+        w[0] *= inv_diag
+        w[1] = wave @ w[0]
+        w[2] = mass @ w[0]
+        w /= math.sqrt(w[0] @ w[2])
+        try:
+            c = _top_ritz_vector(state if k > 1 else state[:2])
+        except np.linalg.LinAlgError:
+            c = _top_ritz_vector(state[:2])
+        # p <- c_w w + c_p p (c_p = 0 without p), then x <- c_x x + p
+        w *= c[1]
+        p *= c[2] if len(c) == 3 else 0.0
+        p += w
+        x *= c[0]
+        x += p
+        p_mass_p = float(p[0] @ p[2])
+        if p_mass_p > 0:
+            p /= math.sqrt(p_mass_p)
+    if lam <= 0:
+        raise NoConvergence(f"the largest eigenvalue {lam:.6e} of the pencil is not positive")
     if info is not None:
         info["iterations"] = k
         info["relative_change"] = change
-        info["pcg_iterations"] = pcg_iterations
     return lam, 2.0 / np.sqrt(lam)
+
+
+def _top_ritz_vector(basis: np.ndarray) -> np.ndarray:
+    """Coefficients of the Ritz vector of (wave, mass) with the largest Ritz
+    value on the span of the m <= 3 vectors basis[:, 0], from their wave and
+    mass products basis[:, 1] and basis[:, 2].
+
+    With L the Cholesky factor of the mass Gram matrix, the pencil of the
+    Gram matrices has the eigenvalues of A = L^-1 G L^-T, G the wave Gram
+    matrix, which cyclic Jacobi rotations find to round-off.  It is done by
+    hand because the first LAPACK call of a process maps about 1.5 MB of
+    library code, which would raise the peak resident set of a run.  Raises
+    `LinAlgError` if the mass Gram matrix is not positive definite.
+    """
+    vecs = basis[:, 0]
+    gram_wave = vecs @ basis[:, 1].T
+    gram_mass = vecs @ basis[:, 2].T
+    m = len(vecs)
+    chol = np.zeros((m, m))
+    for j in range(m):
+        pivot = gram_mass[j, j] - chol[j, :j] @ chol[j, :j]
+        if not pivot > 0:
+            raise np.linalg.LinAlgError("the mass Gram matrix is not positive definite")
+        chol[j, j] = math.sqrt(pivot)
+        chol[j + 1:, j] = (gram_mass[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
+    inv = np.eye(m)                              # L^-1, by forward substitution
+    for j in range(m):
+        inv[j] = (inv[j] - chol[j, :j] @ inv[:j]) / chol[j, j]
+    a = inv @ gram_wave @ inv.T
+    a += a.T
+    a /= 2.0
+    coef = inv.T                                 # columns: L^-T times the eigenvectors
+    small = JACOBI_TOL * np.abs(a).max()
+    for _ in range(JACOBI_MAX_SWEEPS):
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if abs(a[i, j]) > small]
+        if not pairs:
+            break
+        for i, j in pairs:
+            # the rotation in the (i, j) plane that zeroes a[i, j]
+            theta = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            rot = np.eye(m)
+            rot[i, i] = rot[j, j] = 1.0 / math.hypot(t, 1.0)
+            rot[i, j] = t * rot[i, i]
+            rot[j, i] = -rot[i, j]
+            a = rot.T @ a @ rot
+            coef = coef @ rot
+    return coef[:, np.argmax(np.diagonal(a))]

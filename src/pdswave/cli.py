@@ -305,7 +305,6 @@ def cmd_run(args) -> int:
                          "max": int(per_step.max())},
         "power_iterations": power["iterations"],
         "power_relative_change": power["relative_change"],
-        "power_pcg_iterations": power["pcg_iterations"],
         "energy_drift": drift,
         "probe_nodes": [int(v) for v in probes.nodes],
         "window": [first, last],
@@ -437,7 +436,8 @@ def cmd_report(args) -> int:
         if "power_iterations" in manifest:
             _checked_keys(mpath, manifest, power_iterations=_NUMBER,
                           power_relative_change=_NUMBER)
-            pcg = manifest.get("power_pcg_iterations")     # absent from older manifests
+            # written only while the bound made inner mass solves
+            pcg = manifest.get("power_pcg_iterations")
             print(f"spectral bound: {manifest['power_iterations']} power iterations, "
                   f"final relative change {manifest['power_relative_change']:.3e}"
                   + ("" if pcg is None else f", {pcg} PCG iterations in its mass solves"))

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from pdswave.assembly import (DofMap, SparseSymMatrix, _canonical_order, assemble,
                               build_dof_map, element_matrices, estimate_spectral_bound)
 import pdswave.meshing as meshing
-from pdswave.errors import ClassSizeError
+from pdswave.errors import ClassSizeError, NoConvergence
 from pdswave.meshing import (EXACT_DOMAIN_VOLUME, generate_mesh, orient_tets,
                              signed_tet_volumes, validate_mesh, weighted_volume)
 from pdswave.quadrature import QUADRATURE
@@ -471,6 +472,24 @@ def test_block_boundaries_change_nothing(the_domain, n, monkeypatch):
             assert a.tobytes() == ref.tobytes()
 
 
+@pytest.fixture(scope="module")
+def dense_top(the_domain):
+    """n -> (the operators at n = L, the largest eigenvalue of (wave, mass) by
+    dense `scipy.linalg.eigh`), each made once."""
+    import scipy.linalg
+    made = {}
+
+    def get(n: int):
+        if n not in made:
+            mesh = generate_mesh(the_domain, n, n)
+            ops = assemble(mesh, build_dof_map(mesh))
+            vals = scipy.linalg.eigh(ops.wave.to_dense(), ops.mass.to_dense(),
+                                     eigvals_only=True)
+            made[n] = ops, float(vals[-1])
+        return made[n]
+    return get
+
+
 class TestSpectralBound:
     def test_lambda_scales_like_inverse_h_squared(self, the_domain):
         lams = []
@@ -482,60 +501,119 @@ class TestSpectralBound:
             lams.append(lam)
         assert 3.0 <= lams[1] / lams[0] <= 5.0
 
-    @staticmethod
-    def _recorded_solves(monkeypatch, force_tol=None):
-        """(tol, PCG iterations) of each mass solve of the power iteration, or
-        with `force_tol` every solve run to that tolerance instead."""
-        import pdswave.evolve as evolve
-        raw, solves = evolve.pcg_solve, []
-
-        def recording(mass, b, *args, tol, info, **kwargs):
-            x = raw(mass, b, *args, tol=force_tol or tol, info=info, **kwargs)
-            solves.append((tol, info["iterations"]))
-            return x
-        monkeypatch.setattr(evolve, "pcg_solve", recording)
-        return solves
-
     def test_inner_solves_run_to_a_hundredth_of_tol(self, ops11, monkeypatch):
-        # the id is kept for its callers; each solve runs to min(1e-2, change / 10),
-        # change being the quotient's last relative change, above tol while solving
+        # the id is kept for its callers; the bound makes no mass solve, and
+        # one wave and one mass product per iteration, after one of each for
+        # the start
+        import pdswave.evolve as evolve
+        from test_evolve import CountingMatrix
+        solves = []
+        monkeypatch.setattr(evolve, "pcg_solve", lambda *a, **kw: solves.append(a))
         _, ops = ops11
-        solves = self._recorded_solves(monkeypatch)
-        info, tol = {}, 1e-3
-        estimate_spectral_bound(ops.mass, ops.wave, tol=tol, info=info)
-        tols = [t for t, _ in solves]
-        assert len(tols) == info["iterations"] - 1 >= 2
-        assert tols[0] == 1e-2
-        assert all(tol / 10 < t <= 1e-2 for t in tols)
-        assert info["pcg_iterations"] == sum(its for _, its in solves)
+        mass, wave = CountingMatrix(ops.mass), CountingMatrix(ops.wave)
+        info = {}
+        estimate_spectral_bound(mass, wave, tol=1e-3, info=info)
+        assert not solves and "pcg_iterations" not in info
+        assert info["iterations"] >= 2
+        assert wave.products == mass.products == info["iterations"] + 1
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_inexact_solves_keep_the_estimate(self, the_domain, n, monkeypatch):
-        mesh = generate_mesh(the_domain, n, n)
-        ops = assemble(mesh, build_dof_map(mesh))
-        tol, inexact, tight = 1e-4, {}, {}
-        lam, _ = estimate_spectral_bound(ops.mass, ops.wave, tol=tol, info=inexact)
-        self._recorded_solves(monkeypatch, force_tol=1e-12)
-        lam_tight, _ = estimate_spectral_bound(ops.mass, ops.wave, tol=tol, info=tight)
-        assert lam == pytest.approx(lam_tight, rel=tol)
-        assert inexact["iterations"] == tight["iterations"]
-        assert inexact["pcg_iterations"] < tight["pcg_iterations"]
+    def test_inexact_solves_keep_the_estimate(self, dense_top, n):
+        # the id is kept for its callers: the estimate is that of the dense top
+        ops, top = dense_top(n)
+        lam, _ = estimate_spectral_bound(ops.mass, ops.wave)
+        assert lam == pytest.approx(top, rel=5e-4)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_every_inner_solve_iterates(self, the_domain, n, monkeypatch):
-        # a solve met at its warm start would return the last iterate, repeat
-        # the quotient and stop the iteration early with a change of 0
+    def test_every_inner_solve_iterates(self, the_domain, n):
+        # the id is kept for its callers; a tighter tol runs the same
+        # iteration further, so neither lambda nor the iterations go down
         mesh = generate_mesh(the_domain, n, n)
         ops = assemble(mesh, build_dof_map(mesh))
-        solves = self._recorded_solves(monkeypatch)
-        estimate_spectral_bound(ops.mass, ops.wave)
-        assert solves and all(its >= 1 for _, its in solves)
+        runs = []
+        for tol in (1e-2, 1e-3, 1e-4, 1e-5):
+            info = {}
+            lam, _ = estimate_spectral_bound(ops.mass, ops.wave, tol=tol, info=info)
+            assert info["relative_change"] <= tol
+            runs.append((lam, info["iterations"]))
+        assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(runs, runs[1:]))
+        assert runs[0][1] < runs[-1][1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_estimate_is_a_close_lower_bound(self, dense_top, n):
+        ops, top = dense_top(n)
+        lam, _ = estimate_spectral_bound(ops.mass, ops.wave)
+        assert -1e-12 <= (top - lam) / top <= 5e-4
+
+    def test_eigenvector_start_returns_exactly(self, ops11):
+        # wave = 2 mass: the start is an eigenvector and its residual is zero
+        _, ops = ops11
+        mass = SparseSymMatrix(ops.mass.lower)
+        wave = SparseSymMatrix(2 * ops.mass.lower)
+        info = {}
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            lam, dt_max = estimate_spectral_bound(mass, wave, info=info)
+        assert lam == 2.0 and dt_max == 2.0 / math.sqrt(2.0)
+        assert info == {"iterations": 0, "relative_change": 0.0}
+
+    def test_negative_pencil_raises(self, ops11):
+        _, ops = ops11
+        with pytest.raises(NoConvergence, match="not positive"):
+            estimate_spectral_bound(ops.mass, SparseSymMatrix(-ops.mass.lower))
+
+    def test_singular_gram_drops_the_last_step(self, dense_top, monkeypatch):
+        # every 3 x 3 Rayleigh-Ritz step fails as if its mass Gram matrix were
+        # singular: each iteration then falls back to span{x, w}
+        import pdswave.assembly as assembly
+        ops, top = dense_top(2)
+        raw, failed = assembly._top_ritz_vector, []
+
+        def no_three(basis):
+            if len(basis) == 3:
+                failed.append(basis)
+                raise np.linalg.LinAlgError("not positive definite")
+            return raw(basis)
+        monkeypatch.setattr(assembly, "_top_ritz_vector", no_three)
+        info = {}
+        lam, _ = estimate_spectral_bound(ops.mass, ops.wave, info=info)
+        assert len(failed) == info["iterations"] - 1 >= 1
+        assert -1e-12 <= (top - lam) / top <= 1e-2
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_ritz_vector_is_the_top_of_the_gram_pencil(self, m):
+        import scipy.linalg
+        from pdswave.assembly import _top_ritz_vector
+        rng = np.random.default_rng(m)
+        for scale in (1e-3, 1.0, 1e8):
+            vecs = rng.standard_normal((m, 9))
+            b = rng.standard_normal((9, 9))
+            mass = b @ b.T + 9 * np.eye(9)
+            wave = scale * (b + b.T)
+            coef = _top_ritz_vector(np.stack([vecs, vecs @ wave, vecs @ mass], axis=1))
+            vals, vectors = scipy.linalg.eigh(vecs @ wave @ vecs.T, vecs @ mass @ vecs.T)
+            x = coef @ vecs
+            assert x @ mass @ x == pytest.approx(1.0, rel=1e-12)
+            assert x @ wave @ x == pytest.approx(vals[-1], rel=1e-12, abs=1e-12 * scale)
+            assert abs(coef @ vecs @ mass @ vecs.T @ vectors[:, -1]) == pytest.approx(1.0)
+
+    def test_ritz_vector_needs_a_positive_definite_mass_gram(self):
+        from pdswave.assembly import _top_ritz_vector
+        vecs = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])    # dependent
+        with pytest.raises(np.linalg.LinAlgError):
+            _top_ritz_vector(np.stack([vecs, vecs, vecs], axis=1))
+
+    def test_diagonal_pencil_gives_its_largest_ratio(self):
+        mass = SparseSymMatrix(sp.diags([1.0, 2.0, 4.0]))
+        wave = SparseSymMatrix(sp.diags([3.0, 10.0, 2.0]))
+        lam, _ = estimate_spectral_bound(mass, wave)
+        assert lam == pytest.approx(5.0, rel=1e-12)
 
     def test_dt_max_relation(self, ops11):
         _, ops = ops11
         lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave)
         assert dt_max == pytest.approx(2.0 / math.sqrt(lam))
-        # dense oracle: power-iteration estimate reaches the true extreme
+        # dense oracle: the estimate reaches the true extreme
         import scipy.linalg
         vals = scipy.linalg.eigh(ops.wave.to_dense(), ops.mass.to_dense(),
                                  eigvals_only=True)

@@ -379,7 +379,8 @@ class TestSolveCounting:
         _, _, ops, _ = small_system
         info = {}
         estimate_spectral_bound(ops.mass, ops.wave, info=info)
-        assert len(solves) == info["iterations"] - 1 >= 1
+        # the bound makes no mass solve
+        assert solves == [] and info["iterations"] >= 1
         assert 0 <= info["relative_change"] <= 1e-4
 
 
