@@ -61,6 +61,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import ClassSizeError, NoConvergence
 from .icosian import merge_classes
@@ -191,7 +192,25 @@ class SparseSymMatrix:
         return self._full.shape[0]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._full @ x
+        return self.matvec(x, np.empty(self.n))
+
+    def matvec(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The product with the vector x written into `out`, which is returned.
+
+        Byte-equal to `self._full @ x`: the same CSR kernel sums each row in
+        the same order, without scipy's operator dispatch and without a new
+        result array.  `out` must be a C-contiguous float64 vector of length n
+        that does not overlap x.
+        """
+        full = self._full
+        n = full.shape[0]
+        if np.shape(x) != (n,) or out.shape != (n,) or not out.flags.c_contiguous:
+            raise ValueError(f"matvec needs x and a C-contiguous out of shape ({n},)")
+        # the kernel adds into out; its signature (n_row, n_col, indptr,
+        # indices, data, x, y) has held across scipy >= 1.10
+        out.fill(0.0)
+        _sparsetools.csr_matvec(n, n, full.indptr, full.indices, full.data, x, out)
+        return out
 
     @property
     def lower(self) -> sp.csr_matrix:
@@ -398,8 +417,8 @@ def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
     state = np.zeros((3, 3, mass.n))
     x, w, p = state
     x[0] = np.random.default_rng(0).standard_normal(mass.n)
-    x[1] = wave @ x[0]
-    x[2] = mass @ x[0]
+    wave.matvec(x[0], x[1])
+    mass.matvec(x[0], x[2])
     inv_diag = 1.0 / mass.diagonal()
     lam = 0.0
     k = 0
@@ -421,8 +440,8 @@ def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
         if k > BOUND_MAX_ITER:
             raise NoConvergence(f"LOBPCG did not settle in {BOUND_MAX_ITER} iterations")
         w[0] *= inv_diag
-        w[1] = wave @ w[0]
-        w[2] = mass @ w[0]
+        wave.matvec(w[0], w[1])
+        mass.matvec(w[0], w[2])
         w /= math.sqrt(w[0] @ w[2])
         try:
             c = _top_ritz_vector(state if k > 1 else state[:2])

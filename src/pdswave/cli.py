@@ -438,7 +438,7 @@ def cmd_report(args) -> int:
                           power_relative_change=_NUMBER)
             # written only while the bound made inner mass solves
             pcg = manifest.get("power_pcg_iterations")
-            print(f"spectral bound: {manifest['power_iterations']} power iterations, "
+            print(f"spectral bound: {manifest['power_iterations']} LOBPCG iterations, "
                   f"final relative change {manifest['power_relative_change']:.3e}"
                   + ("" if pcg is None else f", {pcg} PCG iterations in its mass solves"))
         stage_s = manifest.get("stage_s")

@@ -11,13 +11,22 @@ conserves the discrete energy
 
 exactly in exact arithmetic; the only drift comes from the inexact mass
 solves, so the solver tolerance is kept tight and solves are warm-started
-from a linear predictor.
+from the levels already held.
 
 Each step makes one product with `wave` and (iterations + 1) products with
 `mass`: one per PCG iteration plus the solver's final true-residual check,
-whose product `mass @ U^{n+1}` is the next step's mass level.  The
-predictor's product `mass (2 U^n - U^{n-1})` is formed from the two mass
-levels already held, not by a fresh product.
+whose product `mass @ U^{n+1}` is the next step's mass level.  The loop
+holds the last four levels and their mass products.  A solve starts from
+the cubic extrapolation x0 = 4 U^n - 6 U^{n-1} + 4 U^{n-2} - U^{n-3}
+(Fischer 1998, CMAME 163), or from the linear 2 U^n - U^{n-1} while fewer
+levels are held: the first two steps after the Taylor start or after a
+restart from a level pair.  `mass @ x0`, like the right-hand side's
+`mass (2 U^n - U^{n-1})`, is that combination of the held mass levels, not
+a fresh product.  Every product is written by `SparseSymMatrix.matvec`
+into a given array: the wave product into a work vector reused from step
+to step, the mass products into one buffer per solve, whose last product
+is the next mass level.  So the loop allocates no vector per step beyond
+the solve's, and PCG none per iteration.
 """
 
 from __future__ import annotations
@@ -137,9 +146,10 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
         return done(x, mass_x, 0)
     z = precond * r
     p = z.copy()
+    ap = np.empty(n)
     rz = float(r @ z)
     for it in range(max_iter):
-        ap = mass @ p
+        mass.matvec(p, ap)
         pap = float(p @ ap)
         if not 0.0 < pap < math.inf:
             raise NoConvergence(f"pcg: breakdown, p.Ap = {pap:.3e} at iteration {it + 1}")
@@ -148,7 +158,9 @@ def pcg_solve(mass: SparseSymMatrix, b: np.ndarray,
         x = daxpy(p, x, a=alpha)
         r = daxpy(ap, r, a=-alpha)
         if r @ r <= target_sq:
-            mass_x = mass @ x
+            # the check's product goes into ap: it is returned as mass_x, or
+            # overwritten by the next iteration after a restart
+            mass_x = mass.matvec(x, ap)
             np.subtract(b, mass_x, out=r)
             if r @ r <= 4 * target_sq:
                 return done(x, mass_x, it + 1)
@@ -212,6 +224,17 @@ class LeapfrogResult:
     snapshots: list = field(repr=False, default_factory=list)
 
 
+def _extrapolate(levels: list, out: np.ndarray) -> np.ndarray:
+    """The predictor of the next level from the held levels, newest first,
+    written into `out`: cubic, 4 v_0 - 6 v_1 + 4 v_2 - v_3, once four are
+    held, and linear, 2 v_0 - v_1, before."""
+    coefs = (4.0, -6.0, 4.0, -1.0) if len(levels) == 4 else (2.0, -1.0)
+    np.multiply(levels[0], coefs[0], out=out)
+    for coef, level in zip(coefs[1:], levels[1:]):
+        daxpy(level, out, a=coef)
+    return out
+
+
 def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
                  u0: np.ndarray, dt: float, steps: int,
                  u_prev: np.ndarray | None = None,
@@ -225,9 +248,10 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
 
     The previous level is built from u0 at rest by a second-order Taylor
     start; passing `u_prev` instead restarts from an explicit level pair,
-    e.g. for time reversal.  Solves warm-start from a linear predictor.  A
-    non-finite energy, or one beyond `energy_guard` times E(dt), raises
-    EnergyBlowup.
+    e.g. for time reversal.  Each solve starts from the cubic extrapolation
+    of the last four levels, or from the linear one of the last two while
+    fewer are held (see the module docstring).  A non-finite energy, or one
+    beyond `energy_guard` times E(dt), raises EnergyBlowup.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -240,21 +264,33 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
         precond = make_preconditioner(mass)
     info: dict = {}
     iterations = []
+    dt2 = dt * dt
 
-    u_cur = np.asarray(u0, dtype=float).copy()
+    u_cur = np.array(u0, dtype=float)
+    n_dofs = len(u_cur)
+    # work vectors reused by every step: the wave product W U^n, the
+    # right-hand side, the predictor x0 and its mass product; x0 holds
+    # dt^2 W U^n while the right-hand side is formed, and after each solve
+    # rhs and x0 hold the energy's level differences
+    wave_u, rhs, x0, mass_x0 = np.empty((4, n_dofs))
     if u_prev is not None:
-        u_prev = np.asarray(u_prev, dtype=float).copy()
+        u_prev = np.array(u_prev, dtype=float)
     else:
-        a0 = wave @ u_cur
-        z = pcg_solve(mass, a0, precond, tol=solve_tol, info=info)
+        z = pcg_solve(mass, wave.matvec(u_cur, wave_u), precond, tol=solve_tol,
+                      info=info)
         iterations.append(info["iterations"])
-        u_prev = u_cur - 0.5 * dt * dt * z
+        u_prev = u_cur - 0.5 * dt2 * z
 
-    m_cur = mass @ u_cur
-    m_prev = mass @ u_prev
+    def energy_of(u_new, u_old, mass_new, mass_old, wave_old):
+        np.subtract(mass_new, mass_old, out=rhs)
+        np.subtract(u_new, u_old, out=x0)
+        return float(rhs @ x0) / dt2 + float(wave_old @ u_new)
+
+    # the held levels U^n, U^{n-1}, ... (at most four) and their mass products
+    levels = [u_cur, u_prev]
+    mass_levels = [mass @ u for u in levels]
     energy = np.empty(steps + 1)
-    energy[0] = (float((m_cur - m_prev) @ (u_cur - u_prev)) / (dt * dt)
-                 + float((wave @ u_prev) @ u_cur))
+    energy[0] = energy_of(u_cur, u_prev, *mass_levels, wave.matvec(u_prev, wave_u))
     if not math.isfinite(energy[0]):
         raise EnergyBlowup(f"energy {energy[0]} at step 0")
     e_ref = None
@@ -271,17 +307,25 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
     if snapshot_every:
         snapshots.append((0, u_cur.copy()))
 
-    dt2 = dt * dt
     for n in range(1, steps + 1):
-        a_cur = wave @ u_cur
-        m_pred = 2.0 * m_cur - m_prev              # mass @ the predictor x0
-        rhs = m_pred - dt2 * a_cur
-        x0 = 2.0 * u_cur - u_prev
+        u_cur = levels[0]
+        mass_cur, mass_prev = mass_levels[:2]
+        wave.matvec(u_cur, wave_u)
+        np.multiply(wave_u, dt2, out=x0)
+        np.multiply(mass_cur, 2.0, out=rhs)
+        rhs -= mass_prev
+        rhs -= x0                                  # M (2 U^n - U^{n-1}) - dt^2 W U^n
+        _extrapolate(levels, x0)
+        _extrapolate(mass_levels, mass_x0)
         u_new = pcg_solve(mass, rhs, precond, tol=solve_tol, x0=x0, info=info,
-                          mass_x0=m_pred)
+                          mass_x0=mass_x0)
         iterations.append(info["iterations"])
-        m_new = info["mass_x"]
-        e = float((m_new - m_cur) @ (u_new - u_cur)) / dt2 + float(a_cur @ u_new)
+        mass_new = info["mass_x"]
+        if mass_new is mass_x0:
+            # an immediate return hands back the predictor's product as the
+            # new mass level, so the next predictor needs another buffer
+            mass_x0 = np.empty(n_dofs)
+        e = energy_of(u_new, u_cur, mass_new, mass_cur, wave_u)
         energy[n] = e
         if not math.isfinite(e):
             raise EnergyBlowup(f"energy {e} at step {n}")
@@ -291,16 +335,16 @@ def leapfrog_run(mass: SparseSymMatrix, wave: SparseSymMatrix,
             raise EnergyBlowup(
                 f"energy {e:.6e} exceeded {energy_guard} x E(dt) = "
                 f"{energy_guard * e_ref:.6e} at step {n}")
-        u_prev, u_cur = u_cur, u_new
-        m_prev, m_cur = m_cur, m_new
+        levels = [u_new] + levels[:3]
+        mass_levels = [mass_new] + mass_levels[:3]
         if probes is not None and probes.window[0] <= n <= probes.window[1]:
-            signals[sample_count] = u_cur[probes.dofs]
+            signals[sample_count] = u_new[probes.dofs]
             sample_count += 1
         if snapshot_every and n % snapshot_every == 0:
-            snapshots.append((n, u_cur.copy()))
+            snapshots.append((n, u_new.copy()))
 
     if signals is not None:
         signals = signals[:sample_count]
-    return LeapfrogResult(u_cur=u_cur, u_prev=u_prev, energy=energy,
+    return LeapfrogResult(u_cur=levels[0], u_prev=levels[1], energy=energy,
                           probe_signals=signals, snapshots=snapshots,
                           solve_iterations=np.array(iterations, dtype=np.int64))

@@ -251,6 +251,30 @@ class TestSingleStorage:
         self.check(getattr(ops, name))
 
 
+class TestMatvec:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_byte_equal_to_the_csr_product(self, the_domain, n):
+        # out starts as NaN: the kernel adds into it, so matvec must zero it
+        mesh = generate_mesh(the_domain, n, n)
+        rng = np.random.default_rng(n)
+        for mat in assemble(mesh, build_dof_map(mesh)):
+            x = rng.standard_normal(mat.n)
+            out = np.full(mat.n, np.nan)
+            assert mat.matvec(x, out) is out
+            assert out.tobytes() == (mat._full @ x).tobytes()
+            assert (mat @ x).tobytes() == out.tobytes()
+
+    def test_shapes_are_checked(self, ops11):
+        # the kernel itself checks no length: a short vector would be read,
+        # or written, past its end
+        _, ops = ops11
+        n = ops.mass.n
+        for x, out in [(np.ones(n + 1), np.empty(n)), (np.ones(n), np.empty(n - 1)),
+                       (np.ones(n), np.empty(2 * n)[::2])]:
+            with pytest.raises(ValueError):
+                ops.mass.matvec(x, out)
+
+
 class TestAssembly:
     def test_matches_dense_oracle(self, mesh11, mesh22):
         # mesh22's tets come in more shapes, so a transposed local matrix

@@ -317,7 +317,7 @@ def test_report_run_dir(run_dir, capsys):
     assert (f"PCG iterations per step: min {per_step['min']}, mean "
             f"{per_step['mean']:.2f}, max {per_step['max']} "
             f"({manifest['pcg_iterations']} in all)") in out
-    assert (f"spectral bound: {manifest['power_iterations']} power iterations, final "
+    assert (f"spectral bound: {manifest['power_iterations']} LOBPCG iterations, final "
             f"relative change {manifest['power_relative_change']:.3e}") in out
     assert f"peak RSS after the write stage: {manifest['peak_rss_mb']:.1f} MB" in out
 

@@ -290,6 +290,57 @@ class TestLeapfrog:
             assert len(ref) == 300
             assert np.abs(res.energy[1:] - ref).max() <= 2e-14 * abs(ref[0])
 
+    @pytest.mark.parametrize("dt_frac, solve_tol", [(0.95, 1e-13), (0.2, 1e-2)])
+    def test_last_energy_is_discrete_energy_of_the_last_pair(self, small_system,
+                                                             dt_frac, solve_tol):
+        # at the loose tol every solve returns at once, handing back the
+        # predictor's product as the mass level: a buffer that the next step
+        # overwrote would show here
+        mesh, dof_map, ops, dt_max = small_system
+        dt = dt_frac * dt_max
+        u0 = initial_bump(mesh, dof_map, the_domain_of(mesh))
+        res = leapfrog_run(ops.mass, ops.wave, u0, dt=dt, steps=60, dt_max=dt_max,
+                           solve_tol=solve_tol)
+        assert (res.solve_iterations[1:] == 0).all() == (solve_tol > 1e-3)
+        ref = discrete_energy(ops.mass, ops.wave, res.u_cur, res.u_prev, dt)
+        assert res.energy[-1] == pytest.approx(ref, rel=1e-12)
+
+    def test_cubic_start_saves_iterations(self, the_domain):
+        # criterion 7's bump at n = L = 4; the linear start alone reads 18.23
+        mesh = generate_mesh(the_domain, 4, 4)
+        dof_map = build_dof_map(mesh)
+        ops = assemble(mesh, dof_map)
+        _, dt_max = estimate_spectral_bound(ops.mass, ops.wave)
+        u0 = initial_bump(mesh, dof_map, the_domain, (0.10, 0.06, 0.12), 0.25, 100.0)
+        res = leapfrog_run(ops.mass, ops.wave, u0, dt=0.95 * dt_max, steps=400,
+                           dt_max=dt_max, solve_tol=1e-10)
+        assert res.solve_iterations[1:].mean() <= 17.5
+
+    def test_restart_takes_two_linear_starts(self, small_system):
+        # from a level pair the first two steps start from 2 U^n - U^{n-1},
+        # with its product from the held mass levels; the cubic start needs
+        # four levels
+        _, dof_map, ops, dt_max = small_system
+        dt = 0.9 * dt_max
+        rng = np.random.default_rng(21)
+        u_prev, u_cur = rng.standard_normal((2, dof_map.n_dofs))
+        precond = make_preconditioner(ops.mass)
+        res = leapfrog_run(ops.mass, ops.wave, u_cur, dt=dt, steps=2, u_prev=u_prev,
+                           solve_tol=1e-10, snapshot_every=1)
+        levels = [u_prev, u_cur]
+        mass_levels = [ops.mass @ u_prev, ops.mass @ u_cur]
+        for step in range(2):
+            mass_prev, mass_cur = mass_levels[-2:]
+            rhs = (2.0 * mass_cur - mass_prev) - (dt * dt) * (ops.wave @ levels[-1])
+            info = {}
+            u_new = pcg_solve(ops.mass, rhs, precond, tol=1e-10,
+                              x0=2.0 * levels[-1] - levels[-2], info=info,
+                              mass_x0=2.0 * mass_cur - mass_prev)
+            assert res.solve_iterations[step] == info["iterations"]
+            assert res.snapshots[step + 1][1].tobytes() == u_new.tobytes()
+            levels.append(u_new)
+            mass_levels.append(info["mass_x"])
+
     def test_determinism(self, small_system):
         mesh, dof_map, ops, dt_max = small_system
         u0 = initial_random(11, 1.0, dof_map.n_dofs)
@@ -385,15 +436,16 @@ class TestSolveCounting:
 
 
 class CountingMatrix(SparseSymMatrix):
-    """The same matrix, counting its products."""
+    """The same matrix, counting its products at `matvec`, which every
+    product, `@` included, goes through."""
 
     def __init__(self, matrix: SparseSymMatrix):
         super().__init__(matrix.lower)
         self.products = 0
 
-    def __matmul__(self, x):
+    def matvec(self, x, out):
         self.products += 1
-        return super().__matmul__(x)
+        return super().matvec(x, out)
 
 
 class TestProductCounts:
