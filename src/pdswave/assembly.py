@@ -60,6 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.io
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
@@ -70,10 +71,6 @@ from .quadrature import QUADRATURE, edge_cofactors, quadrature_weights, rows_tim
 
 # LOBPCG iterations before estimate_spectral_bound gives up
 BOUND_MAX_ITER = 10000
-# Jacobi sweeps of its 3 x 3 Rayleigh-Ritz step, and the size, relative to
-# the largest entry, below which an off-diagonal entry counts as zero
-JACOBI_MAX_SWEEPS = 50
-JACOBI_TOL = 1e-15
 
 
 def _symmetric_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -465,48 +462,10 @@ def estimate_spectral_bound(mass: SparseSymMatrix, wave: SparseSymMatrix,
 
 
 def _top_ritz_vector(basis: np.ndarray) -> np.ndarray:
-    """Coefficients of the Ritz vector of (wave, mass) with the largest Ritz
-    value on the span of the m <= 3 vectors basis[:, 0], from their wave and
-    mass products basis[:, 1] and basis[:, 2].
-
-    With L the Cholesky factor of the mass Gram matrix, the pencil of the
-    Gram matrices has the eigenvalues of A = L^-1 G L^-T, G the wave Gram
-    matrix, which cyclic Jacobi rotations find to round-off.  It is done by
-    hand because the first LAPACK call of a process maps about 1.5 MB of
-    library code, which would raise the peak resident set of a run.  Raises
-    `LinAlgError` if the mass Gram matrix is not positive definite.
-    """
+    """Mass-normalised coefficients of the top Ritz vector of (wave, mass) on
+    the span of the m <= 3 vectors basis[:, 0], from their wave and mass
+    products basis[:, 1] and basis[:, 2].  Raises `LinAlgError` if their mass
+    Gram matrix is not positive definite."""
     vecs = basis[:, 0]
-    gram_wave = vecs @ basis[:, 1].T
-    gram_mass = vecs @ basis[:, 2].T
-    m = len(vecs)
-    chol = np.zeros((m, m))
-    for j in range(m):
-        pivot = gram_mass[j, j] - chol[j, :j] @ chol[j, :j]
-        if not pivot > 0:
-            raise np.linalg.LinAlgError("the mass Gram matrix is not positive definite")
-        chol[j, j] = math.sqrt(pivot)
-        chol[j + 1:, j] = (gram_mass[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
-    inv = np.eye(m)                              # L^-1, by forward substitution
-    for j in range(m):
-        inv[j] = (inv[j] - chol[j, :j] @ inv[:j]) / chol[j, j]
-    a = inv @ gram_wave @ inv.T
-    a += a.T
-    a /= 2.0
-    coef = inv.T                                 # columns: L^-T times the eigenvectors
-    small = JACOBI_TOL * np.abs(a).max()
-    for _ in range(JACOBI_MAX_SWEEPS):
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if abs(a[i, j]) > small]
-        if not pairs:
-            break
-        for i, j in pairs:
-            # the rotation in the (i, j) plane that zeroes a[i, j]
-            theta = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            rot = np.eye(m)
-            rot[i, i] = rot[j, j] = 1.0 / math.hypot(t, 1.0)
-            rot[i, j] = t * rot[i, i]
-            rot[j, i] = -rot[i, j]
-            a = rot.T @ a @ rot
-            coef = coef @ rot
-    return coef[:, np.argmax(np.diagonal(a))]
+    _, coefs = scipy.linalg.eigh(vecs @ basis[:, 1].T, vecs @ basis[:, 2].T)
+    return coefs[:, -1]                          # the values come in ascending order

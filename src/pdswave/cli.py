@@ -221,6 +221,8 @@ def cmd_run(args) -> int:
                          f"got {args.window[0]} {args.window[1]}")
     if not (math.isfinite(args.solve_tol) and args.solve_tol > 0):
         raise ValueError(f"--solve-tol must be finite and positive, got {args.solve_tol}")
+    if args.random is not None and args.random < 0:
+        raise ValueError(f"--random SEED must be non-negative, got {args.random}")
     if not math.isfinite(args.amplitude):
         raise ValueError(f"--amplitude must be finite, got {args.amplitude}")
     if not (math.isfinite(args.bump[3]) and args.bump[3] > 0):
@@ -460,7 +462,8 @@ def cmd_report(args) -> int:
             rep = _read_run_file(rpath, matches=(list,))
             for i, m in enumerate(rep["matches"]):
                 _checked_keys(f"{rpath}: matches[{i}]", m, beta=_NUMBER, exact_q2=_NUMBER,
-                              detected_q2=_NUMBER, relative_error=_NUMBER)
+                              detected_q2=_NUMBER, relative_error=_NUMBER,
+                              **({"detected_mu": _NUMBER} if "detected_mu" in m else {}))
             print(f"{'beta':>6} {'exact q^2':>12} {'numerical':>14} {'rel error':>13} "
                   f"{'leapfrog mu':>14}")
             for m in rep["matches"]:

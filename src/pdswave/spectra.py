@@ -82,7 +82,7 @@ class MagnitudeSpectrum:
 def dft_magnitude(signals: np.ndarray, dt: float) -> MagnitudeSpectrum:
     """Probe-averaged unwindowed magnitude spectrum, zero-padded to a fast length.
 
-    `signals` is (samples, probes), probes >= 1; a 1-D array is one probe.
+    `signals` is (samples, probes), probes >= 1, all finite; a 1-D array is one probe.
     The incoherent average over probes suppresses per-probe nodal-line misses.
     """
     signals = np.asarray(signals, dtype=float)
@@ -90,6 +90,9 @@ def dft_magnitude(signals: np.ndarray, dt: float) -> MagnitudeSpectrum:
         signals = signals[:, None]
     elif signals.ndim != 2 or signals.shape[1] == 0:
         raise ValueError(f"signals must be (samples, probes >= 1), got shape {signals.shape}")
+    if not np.isfinite(signals).all():
+        i, j = np.argwhere(~np.isfinite(signals))[0]
+        raise ValueError(f"signals must be finite, got {signals[i, j]} at sample {i} of probe {j}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"sample spacing dt must be finite and positive, got {dt}")
     n = len(signals)

@@ -158,6 +158,20 @@ def test_spectrum_without_probe_columns_is_usage_error(tmp_path, capsys):
     assert "probes >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_spectrum_with_non_finite_samples_is_usage_error(tmp_path, capsys, bad):
+    signals = tmp_path / "probes.csv"
+    t = 0.01 * np.arange(64)
+    values = np.column_stack([np.sin(40 * t), np.cos(40 * t)])
+    values[7, 1] = float(bad)
+    _write_csv(signals, "step,time,p0,p1", "%d,%.17g,%.17g,%.17g\n", np.arange(64), t, values)
+    code = main(["spectrum", "--signals", str(signals), "--out", str(tmp_path / "s"),
+                 "--dt", "0.01", "--force-window"])
+    assert code == 1
+    assert f"got {bad} at sample 7 of probe 1" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--prominence", "nan"], "--prominence"),
     (["--prominence", "inf"], "--prominence"),
@@ -222,6 +236,12 @@ def _without(key):
     return lambda manifest: {k: v for k, v in manifest.items() if k != key}
 
 
+def _match_with_mu(mu):
+    """A spectrum report of one match whose detected_mu is `mu`."""
+    return json.dumps({"matches": [{"beta": 13, "exact_q2": 168, "detected_q2": 171.6,
+                                    "relative_error": 0.02, "detected_mu": mu}]})
+
+
 @pytest.mark.parametrize("command, name, content, named", [
     pytest.param("spectrum", "manifest.json", '{"steps": 10}', "'dt'", id="no-dt"),
     pytest.param("spectrum", "manifest.json", "[0.01]", "list", id="array"),
@@ -246,6 +266,10 @@ def _without(key):
                  "stage_s: 'leapfrog' is 'slow'", id="report-stage-string"),
     pytest.param("report", "manifest.json", lambda m: {**m, "power_pcg_iterations": [3]},
                  "'power_pcg_iterations' is [3]", id="report-power-pcg-list"),
+    pytest.param("report", "spectrum_report.json", _match_with_mu(True),
+                 "matches[0]: 'detected_mu' is True", id="report-mu-bool"),
+    pytest.param("report", "spectrum_report.json", _match_with_mu("171.6"),
+                 "matches[0]: 'detected_mu' is '171.6'", id="report-mu-string"),
 ])
 def test_malformed_run_file_is_usage_error(run_dir, tmp_path, capsys, command, name,
                                            content, named):
@@ -431,6 +455,7 @@ def test_csv_writer_matches_reference(tmp_path):
     (["--bump", "0", "0", "0", "nan"], "--bump"),
     (["--bump", "0", "0", "0", "inf"], "--bump"),
     (["--bump", "0", "0", "0", "0"], "--bump"),
+    (["--random", "-1"], "--random"),
 ])
 def test_run_flags_checked_before_setup(tmp_path, monkeypatch, capsys, flags, named):
     def no_setup(*args, **kwargs):

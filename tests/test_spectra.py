@@ -128,6 +128,14 @@ class TestDft:
         with pytest.raises(TooShort):
             dft_magnitude(np.zeros(15), dt=0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_is_named(self, bad):
+        signals = np.zeros((64, 3))
+        signals[40, 2] = bad
+        signals[41, 0] = bad
+        with pytest.raises(ValueError, match=f"got {bad} at sample 40 of probe 2"):
+            dft_magnitude(signals, dt=0.1)
+
 
 class TestFindPeaks:
     def synth(self, qs, amps, dt=1e-3, n=60000):
