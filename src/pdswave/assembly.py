@@ -42,14 +42,12 @@ same slots.
 
 All four matrices share one pattern, so one `SparseSymMatrix.from_triplets`
 call, given the pattern's int32 rows and columns and the list of the four
-value arrays, builds them all.  It builds the full pattern once from the
-lower one: the int32 row pointer, the column indices (each row's lower
-entries, then its mirrored strict entries by increasing row) and a map from
-each full slot to the lower entry it copies.  Each matrix is then one
-gather of its lower values through that map, and the four share one
-read-only row pointer and one read-only index array.  The value arrays are
-never stacked, and each is released once its matrix has gathered it, so
-the lower values are not held next to all four full matrices.
+value arrays, builds them all.  Its full pattern is scipy's S + tril(S, -1)^T
+for the lower CSR S of the slot numbers plus one, whose values less one map
+each full slot to the lower entry it copies.  Each matrix is one gather
+through that map, and all four share one read-only row pointer and index
+array.  The value arrays are never stacked, and each is released once its
+matrix has gathered it, so they are not held next to all four matrices.
 """
 
 from __future__ import annotations
@@ -74,33 +72,21 @@ BOUND_MAX_ITER = 10000
 
 
 def _symmetric_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
-    """Full CSR pattern (indptr, indices, src) of a symmetric n x n matrix
-    from its lower pattern, the distinct entries (rows, cols) on and below
-    the diagonal in row-major order.
-
-    Row i holds its lower entries, then the mirrored strict entries (j, i) by
-    increasing j, so its columns increase.  src maps each full slot to the
-    lower entry it copies.  indptr and indices are read-only.
+    """Full CSR pattern (indptr, indices, src) of a symmetric n x n matrix from
+    its lower pattern, the distinct entries (rows, cols) on and below the
+    diagonal in row-major order: S + tril(S, -1)^T for the lower CSR S of the
+    slot numbers plus one (0 would be dropped), whose values less one, src, map
+    each full slot to the lower entry it copies.  The strict part is CSC, whose
+    transpose is CSR without a conversion.  indptr and indices are read-only.
     """
-    is_strict = rows != cols
-    nnz = len(rows) + np.count_nonzero(is_strict)
-    index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-    strict = np.flatnonzero(is_strict).astype(index)
-    del is_strict
-    strict = strict[np.argsort(cols[strict], kind="stable")]     # by (col, row)
-    counts = np.stack([np.bincount(rows, minlength=n),
-                       np.bincount(cols[strict], minlength=n)], axis=1)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(counts.sum(axis=1), out=indptr[1:])
-    is_lower = np.repeat(np.tile([True, False], n), counts.ravel())
-    src = np.empty(nnz, dtype=index)
-    src[is_lower] = np.arange(len(rows), dtype=index)
-    src[~is_lower] = strict
-    indices = np.empty(nnz, dtype=index)
-    indices[is_lower] = cols
-    indices[~is_lower] = rows[strict]
-    indptr.flags.writeable = indices.flags.writeable = False
-    return indptr, indices, src
+    index = np.int32 if len(rows) < np.iinfo(np.int32).max else np.int64
+    slots = np.arange(1, len(rows) + 1, dtype=index)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    lower = sp.csr_matrix((slots, cols, indptr), shape=(n, n))
+    full = lower + sp.tril(lower, -1, format="csc").T
+    full.indptr.flags.writeable = full.indices.flags.writeable = False
+    full.data -= 1
+    return full.indptr, full.indices, full.data
 
 
 def _symmetric_csr(n: int, rows, cols, vals: list) -> list:
@@ -109,7 +95,11 @@ def _symmetric_csr(n: int, rows, cols, vals: list) -> list:
     Each row is taken off the list when its matrix is built, so the list ends
     empty.  See `SparseSymMatrix.from_triplets` for the rules.
     """
-    rows, cols = np.asarray(rows), np.asarray(cols)
+    # an empty list is an empty index array, not np.asarray's float64 one
+    rows, cols = (np.asarray(i) if np.size(i) else np.zeros(0, int) for i in (rows, cols))
+    if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+        raise ValueError(f"triplet rows and cols must be integer arrays, "
+                         f"got {rows.dtype} and {cols.dtype}")
     if any(val.shape != rows.shape for val in vals):
         raise ValueError(f"each row of vals must hold {len(rows)} values")
     keep = rows >= cols
@@ -154,7 +144,7 @@ class SparseSymMatrix:
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals):
-        """Symmetric matrices from triplets on and below the diagonal.
+        """Symmetric matrices from integer-indexed triplets on and below the diagonal.
 
         `vals` holds one value per triplet, shape (m,), or k rows of them,
         as a (k, m) array or a list of k float arrays of shape (m,); k rows

@@ -357,10 +357,14 @@ def cmd_spectrum(args) -> int:
         dt, source = args.dt, "--dt"
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"{source} must be finite and positive, got {dt}")
-    _, steps, _, values = _read_signals(signals_path)
+    names, steps, _, values = _read_signals(signals_path)
     if args.window:
         keep = (steps >= args.window[0]) & (steps <= args.window[1])
         steps, values = steps[keep], values[keep]
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"signals must be finite, got {values[i, j]} at sample {i} "
+                         f"of probe {j} (step {steps[i]}, column {names[j]})")
     if len(steps) and steps[0] * dt < DOMAIN_DIAMETER and not args.force_window:
         print(f"window starts at t = {steps[0] * dt:.4f} < domain diameter "
               f"{DOMAIN_DIAMETER:.6f}; transients pollute the spectrum "
@@ -440,7 +444,8 @@ def cmd_report(args) -> int:
                           power_relative_change=_NUMBER)
             # written only while the bound made inner mass solves
             pcg = manifest.get("power_pcg_iterations")
-            print(f"spectral bound: {manifest['power_iterations']} LOBPCG iterations, "
+            method = "LOBPCG" if pcg is None else "power"
+            print(f"spectral bound: {manifest['power_iterations']} {method} iterations, "
                   f"final relative change {manifest['power_relative_change']:.3e}"
                   + ("" if pcg is None else f", {pcg} PCG iterations in its mass solves"))
         stage_s = manifest.get("stage_s")

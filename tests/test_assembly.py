@@ -219,10 +219,17 @@ class TestFromTriplets:
     @pytest.mark.parametrize("rows,cols,vals", [
         pytest.param([3], [0], [1.0], id="row-past-n"),
         pytest.param([1], [-1], [1.0], id="negative-col"),
-        pytest.param([1], [0], [[[1.0]]], id="three-dim-vals")])
+        pytest.param([1], [0], [[[1.0]]], id="three-dim-vals"),
+        pytest.param([1.5], [0], [1.0], id="float-row")])
     def test_bad_triplets_rejected(self, rows, cols, vals):
         with pytest.raises(ValueError):
             SparseSymMatrix.from_triplets(3, rows, cols, vals)
+
+    def test_empty_triplets_give_the_zero_matrix(self):
+        # empty Python lists become float64 arrays, which are not index arrays
+        mat = SparseSymMatrix.from_triplets(3, [], [], [])
+        assert np.array_equal(mat.to_dense(), np.zeros((3, 3)))
+        assert mat.nnz_lower == 0
 
     def test_constructor_keeps_the_lower_triangle(self):
         mat = SparseSymMatrix(sp.csr_matrix([[1.0, 9.0], [2.0, 3.0]]))

@@ -172,6 +172,20 @@ def test_spectrum_with_non_finite_samples_is_usage_error(tmp_path, capsys, bad):
     assert not (tmp_path / "s").exists()
 
 
+def test_spectrum_names_the_step_of_a_non_finite_sample(tmp_path, capsys):
+    # within --window 10 63, sample 7 of the window is step 17 of the file
+    signals = tmp_path / "probes.csv"
+    t = 0.01 * np.arange(64)
+    values = np.column_stack([np.sin(40 * t), np.cos(40 * t)])
+    values[17, 1] = np.nan
+    _write_csv(signals, "step,time,p0,p1", "%d,%.17g,%.17g,%.17g\n", np.arange(64), t, values)
+    code = main(["spectrum", "--signals", str(signals), "--out", str(tmp_path / "s"),
+                 "--dt", "0.01", "--force-window", "--window", "10", "63"])
+    assert code == 1
+    assert "got nan at sample 7 of probe 1 (step 17, column p1)" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--prominence", "nan"], "--prominence"),
     (["--prominence", "inf"], "--prominence"),
@@ -361,6 +375,17 @@ def test_report_prints_power_pcg_iterations(run_dir, tmp_path, capsys):
     line = next(row for row in capsys.readouterr().out.splitlines()
                 if row.startswith("spectral bound: "))
     assert line.endswith(", 298 PCG iterations in its mass solves")
+
+
+def test_report_names_a_power_iteration_bound(run_dir, tmp_path, capsys):
+    # a manifest with power_pcg_iterations was written by the power iteration
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["power_pcg_iterations"] = 298
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--run-dir", str(tmp_path)]) == 0
+    line = next(row for row in capsys.readouterr().out.splitlines()
+                if row.startswith("spectral bound: "))
+    assert line.startswith(f"spectral bound: {manifest['power_iterations']} power iterations, ")
 
 
 def test_report_of_manifest_without_peak_rss(run_dir, tmp_path, capsys):
