@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
@@ -100,6 +99,9 @@ def _symmetric_csr(n: int, rows, cols, vals: list) -> list:
     if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
         raise ValueError(f"triplet rows and cols must be integer arrays, "
                          f"got {rows.dtype} and {cols.dtype}")
+    if rows.shape != cols.shape:
+        raise ValueError(f"triplet rows and cols must have the same length, "
+                         f"got {len(rows)} and {len(cols)}")
     if any(val.shape != rows.shape for val in vals):
         raise ValueError(f"each row of vals must hold {len(rows)} values")
     keep = rows >= cols
@@ -223,6 +225,8 @@ class SparseSymMatrix:
         return float(self._full.sum())
 
     def save_matrix_market(self, path) -> None:
+        import scipy.io    # only export writes files; the run path never loads it
+
         scipy.io.mmwrite(path, self._full.tocoo(), symmetry="symmetric")
 
 

@@ -37,11 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import daxpy
-from scipy.spatial import cKDTree
 
 from .assembly import DofMap, SparseSymMatrix
 from .domain import DOMAIN_DIAMETER, FundamentalDomain, lift
 from .errors import EnergyBlowup, NoConvergence, NotInDomain, UnstableTimeStep
+from .icosian import nearest
 from .meshing import TetMesh
 
 
@@ -192,11 +192,12 @@ def snap_probes(mesh: TetMesh, dof_map: DofMap, points, window: tuple,
                 dt: float, force_window: bool = False) -> ProbeSet:
     """Snap each probe point to the dof of its nearest mesh vertex.
 
+    A point equidistant from several vertices snaps to the lowest vertex id.
     The nearest vertex may be a boundary node that is not its class's
     representative; its dof is still the one it carries.
     """
-    _, nodes = cKDTree(mesh.vertices).query(np.atleast_2d(np.asarray(points, dtype=float)))
-    dofs = dof_map.node_to_dof[np.atleast_1d(nodes)].astype(np.int64)
+    _, nodes = nearest(mesh.vertices, points)
+    dofs = dof_map.node_to_dof[nodes].astype(np.int64)
     first, last = window
     if first * dt < DOMAIN_DIAMETER and not force_window:
         warnings.warn(

@@ -13,6 +13,10 @@ generate them.  Every element is a right-handed Clifford translation of
 the 3-sphere; its translation distance is the arccos of the real part.
 The orbit of the twenty fundamental-domain vertices under the group is the
 600-vertex skeleton of the regular 120-cell.
+
+The package's point searches and its one union-find live here too, in
+numpy: the group table, the orbit, the boundary merge, the face partners
+and the probes all use them, and none needs scipy.spatial or csgraph.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ import json
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import GenerationDiverged, NonUnitQuaternion, OrbitCountMismatch
 
@@ -100,9 +101,11 @@ class GroupTable:
         # the nearest element of every product (row-major) and every inverse
         queries = np.vstack([np.einsum("iab,jb->ija", mats, coeffs).reshape(-1, 4),
                              coeffs * [1.0, -1.0, -1.0, -1.0]])      # conjugates
-        dist, idx = cKDTree(coeffs).query(queries)
-        if dist.max() > 1e-6:                   # elements lie >= 0.3 apart
-            raise GenerationDiverged(f"a product or inverse lies {dist.max():.3g} "
+        idx = nearest_within(coeffs, queries, 1e-6)     # elements lie >= 0.3 apart
+        lost = idx < 0
+        if lost.any():
+            dist = nearest(coeffs, queries[lost])[0].max()
+            raise GenerationDiverged(f"a product or inverse lies {dist:.3g} "
                                      "from every element: the set is not closed")
         self.coeffs = coeffs
         self.matrices = mats
@@ -161,7 +164,15 @@ def generate_group() -> GroupTable:
     return table
 
 
-# -- equivalence classes ----------------------------------------------------
+# -- equivalence classes and point searches -----------------------------------
+
+# floats in the largest temporary of one `nearest` block (2 MiB)
+SEARCH_BLOCK = 1 << 18
+# the sort key of `close_pairs`, the projection on a generic direction of
+# length at most 1 (its first 3 or 4 entries), so that distinct points of a
+# symmetric set do not share a key
+_KEY_DIRECTION = np.sqrt([0.5, 0.3, 0.15, 0.05])
+
 
 def merge_classes(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Equivalence classes of range(n) under the closure of (i, j) `pairs`.
@@ -170,13 +181,116 @@ def merge_classes(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
     the smallest member of each class.  Labels are numbered in the order of
     the smallest members, so representatives[labels[i]] <= i and
     representatives is increasing.
+
+    A union-find on arrays: every item points at a member of its class no
+    larger than itself, and each round hooks the larger root of every pair
+    whose roots differ onto the smallest root it meets, then jumps every
+    pointer to its root.  The roots left are the smallest members.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                          shape=(n, n))
-    labels = connected_components(graph, directed=False)[1].astype(np.int64)
-    _, representatives = np.unique(labels, return_index=True)
-    return labels, representatives.astype(np.int64)
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError(f"a pair holds an item outside range({n})")
+    items = np.arange(n, dtype=np.int64)
+    root = items.copy()
+    while True:
+        ri, rj = root[pairs[:, 0]], root[pairs[:, 1]]
+        apart = ri != rj
+        if not apart.any():
+            break
+        ri, rj = ri[apart], rj[apart]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    is_rep = root == items
+    return (np.cumsum(is_rep) - 1)[root], np.flatnonzero(is_rep).astype(np.int64)
+
+
+def close_pairs(points, tol: float, others=None) -> np.ndarray:
+    """(m, 2) index pairs (i, j), in no set order, with |points[i] - others[j]|
+    <= tol or, without `others`, |points[i] - points[j]| <= tol and i < j:
+    the pairs scipy's `cKDTree.query_pairs(tol)` finds.
+
+    Sort and window: each point is keyed by its projection on one direction
+    of length at most 1, which two points within tol differ in by at most
+    tol plus the keys' round-off.  So the matches of a point lie in the
+    window of sorted keys around its own, and each point of the window is
+    checked by its squared distance.  Where the points are coincident or
+    far apart, a window holds only the coincident ones.
+    """
+    within = others is None
+    points = np.asarray(points, dtype=float)
+    others = points if within else np.asarray(others, dtype=float)
+    direction = _KEY_DIRECTION[:points.shape[1]]
+    keys = others @ direction
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    own = points @ direction
+    scale = max(np.abs(points).max(initial=0.0), np.abs(others).max(initial=0.0))
+    reach = tol + 4 * points.shape[1] * np.finfo(float).eps * scale
+    at = np.searchsorted(keys, own - reach, "left")
+    end = np.searchsorted(keys, own + reach, "right")
+    found = [np.zeros((0, 2), dtype=np.int64)]
+    q = np.flatnonzero(at < end)
+    while len(q):
+        j = order[at[q]]
+        close = _squared_distances(points[q], others[j]) <= tol * tol
+        found.append(np.column_stack([q[close], j[close]]))
+        at[q] += 1
+        q = q[at[q] < end[q]]
+    pairs = np.vstack(found)
+    return pairs[pairs[:, 0] < pairs[:, 1]] if within else pairs
+
+
+def nearest_within(points, queries, tol: float) -> np.ndarray:
+    """Index of the nearest of `points` to each of the `queries` among those
+    within `tol` of it (`close_pairs`), the lowest index on a tie; -1 where
+    none is within tol."""
+    queries = np.asarray(queries, dtype=float)
+    found = close_pairs(queries, tol, points)
+    d = _squared_distances(queries[found[:, 0]], np.asarray(points, dtype=float)[found[:, 1]])
+    found = found[np.lexsort((found[:, 1], d, found[:, 0]))]
+    first = np.ones(len(found), dtype=bool)          # each query's first row
+    first[1:] = found[1:, 0] != found[:-1, 0]
+    idx = np.full(len(queries), -1, dtype=np.int64)
+    idx[found[first, 0]] = found[first, 1]
+    return idx
+
+
+def nearest(points, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Distance to, and index of, the nearest of `points` for each of the
+    `queries`, the lowest index on an exact tie.
+
+    Exhaustive, over blocks of queries whose two temporaries hold at most
+    SEARCH_BLOCK floats each; for a few queries, or a failed search.
+    """
+    points = np.asarray(points, dtype=float)
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    dist = np.empty(len(queries))
+    idx = np.empty(len(queries), dtype=np.int64)
+    step = max(1, SEARCH_BLOCK // max(1, len(points)))
+    for start in range(0, len(queries), step):
+        blk = slice(start, start + step)
+        sq = _squared_distances(queries[blk, None, :], points)
+        idx[blk] = sq.argmin(axis=1)
+        dist[blk] = np.sqrt(sq[np.arange(len(sq)), idx[blk]])
+        del sq                          # before the next block's is made
+    return dist, idx
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|^2 over the last axis of the broadcast a and b, summed over the
+    coordinates in order, as scipy's KD-tree sums up to four of them."""
+    sq = a[..., 0] - b[..., 0]
+    sq *= sq
+    d = np.empty_like(sq)
+    for k in range(1, a.shape[-1]):
+        np.subtract(a[..., k], b[..., k], out=d)
+        d *= d
+        sq += d
+    return sq
 
 
 # -- the 600-cell orbit ------------------------------------------------------
@@ -209,8 +323,7 @@ def orbit_vertices(table: GroupTable, seeds: np.ndarray) -> tuple[np.ndarray, np
     seeds = np.asarray(seeds, dtype=float)
     pts = np.einsum("gab,sb->gsa", table.matrices, seeds).reshape(-1, 4)
     # merge duplicates; distinct 120-cell vertices are >= 0.27 apart
-    pairs = cKDTree(pts).query_pairs(1e-9, output_type="ndarray")
-    points = pts[merge_classes(len(pts), pairs)[1]]
+    points = pts[merge_classes(len(pts), close_pairs(pts, 1e-9))[1]]
     if len(points) != 600:
         raise OrbitCountMismatch(f"orbit has {len(points)} points, expected 600")
 

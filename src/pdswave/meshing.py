@@ -48,12 +48,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .charts import FaceChart, triangulate_face_chart
 from .domain import FundamentalDomain
 from .errors import DegenerateTet, PeriodicityViolation, SnapFailure
-from .icosian import SIGMA as _S, merge_classes
+from .icosian import SIGMA as _S, close_pairs, merge_classes, nearest, nearest_within
 from .quadrature import quadrature_weights, tet_determinants
 
 # tets per block of every per-tet geometry pass (here and in assembly): the
@@ -125,8 +124,7 @@ def build_boundary_mesh(domain: FundamentalDomain, chart: FaceChart) -> SurfaceM
     all_nodes = np.vstack([blocks[i] for i in range(1, 13)])
 
     # merge coincident nodes (shared pentagon edges and corners)
-    pairs = cKDTree(all_nodes).query_pairs(1e-9, output_type="ndarray")
-    global_id, first = merge_classes(len(all_nodes), pairs)
+    global_id, first = merge_classes(len(all_nodes), close_pairs(all_nodes, 1e-9))
     nodes = all_nodes[first]
 
     offsets = ns * np.arange(12)
@@ -149,19 +147,22 @@ def periodic_pairs(domain: FundamentalDomain, vertices: np.ndarray, tris: np.nda
 
     The (node, face) pairs are the distinct (vertex, tag) pairs of the tagged
     triangles `tris`; each partner is the boundary vertex nearest the node's
-    image under the face map, which must lie within `tol` of it.
+    image under the face map (the lowest on a tie), which must lie within
+    `tol` of it.
     """
     key = np.unique(13 * tris.astype(np.int64) + tri_face[:, None])
     node, face = np.divmod(key, 13)
     boundary = np.unique(tris)
-    dist, j = cKDTree(vertices[boundary]).query(
-        _face_images(domain, vertices[node], face))
-    if len(dist) and dist.max() > tol:
+    images = _face_images(domain, vertices[node], face)
+    partner = nearest_within(vertices[boundary], images, tol)
+    lost = np.flatnonzero(partner < 0)
+    if len(lost):
+        dist, _ = nearest(vertices[boundary], images[lost])
         k = int(dist.argmax())
         raise PeriodicityViolation(
-            f"boundary node {node[k]} has no partner through face {face[k]} "
+            f"boundary node {node[lost[k]]} has no partner through face {face[lost[k]]} "
             f"(nearest at distance {dist[k]:.2e})")
-    return np.column_stack([node, face, boundary[j]]).astype(np.int64)
+    return np.column_stack([node, face, boundary[partner]]).astype(np.int64)
 
 
 def layer_radii(layers: int) -> np.ndarray:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import GenerationDiverged, TooShort
 from .icosian import generate_group
@@ -98,6 +97,8 @@ def dft_magnitude(signals: np.ndarray, dt: float) -> MagnitudeSpectrum:
     n = len(signals)
     if n < 16:
         raise TooShort(f"signal has {n} samples, need at least 16")
+    import scipy.fft    # the DFT is the last stage; setup never loads it
+
     n_fft = scipy.fft.next_fast_len(n)
     mag = np.abs(scipy.fft.rfft(signals.T, n=n_fft)).mean(axis=0)
     return MagnitudeSpectrum(magnitude=mag, n_signal=n, n_fft=n_fft, dt=dt)

@@ -225,6 +225,13 @@ class TestFromTriplets:
         with pytest.raises(ValueError):
             SparseSymMatrix.from_triplets(3, rows, cols, vals)
 
+    @pytest.mark.parametrize("rows,cols,vals", [
+        pytest.param([0], [0, 1], [1.0], id="more-cols"),
+        pytest.param([1, 1], [0], [1.0, 2.0], id="more-rows")])
+    def test_rows_and_cols_must_have_one_length(self, rows, cols, vals):
+        with pytest.raises(ValueError, match=f"got {len(rows)} and {len(cols)}"):
+            SparseSymMatrix.from_triplets(3, rows, cols, vals)
+
     def test_empty_triplets_give_the_zero_matrix(self):
         # empty Python lists become float64 arrays, which are not index arrays
         mat = SparseSymMatrix.from_triplets(3, [], [], [])

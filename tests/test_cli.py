@@ -1,12 +1,16 @@
 import json
+import os
 import resource
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdswave
 import pdswave.cli as cli
 import pdswave.mesh_io as mesh_io
 import pdswave.meshing as meshing
@@ -662,3 +666,21 @@ def test_out_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PDSWAVE_OUT", str(tmp_path / "envout"))
     args = build_parser().parse_args(["mesh"])
     assert args.out == str(tmp_path / "envout")
+
+
+# scipy subpackages the run path does without: the searches and the union-find
+# are numpy code, and the DFT and Matrix Market export import theirs on use
+OFF_THE_IMPORT_PATH = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+                       "scipy.fft", "scipy.io")
+
+
+@pytest.mark.parametrize("module", ["pdswave", "pdswave.cli"])
+def test_import_floor(module):
+    # a fresh process: this one has imported them for other tests
+    script = (f"import sys, {module}\n"
+              f"print(sorted(m for m in {OFF_THE_IMPORT_PATH!r} if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pdswave.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -5,12 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from pdswave import evolve
-from pdswave.assembly import SparseSymMatrix, assemble, build_dof_map, estimate_spectral_bound
+from pdswave.assembly import (DofMap, SparseSymMatrix, assemble, build_dof_map,
+                              estimate_spectral_bound)
 from pdswave.errors import EnergyBlowup, NoConvergence, NotInDomain, UnstableTimeStep
 from pdswave.evolve import (DOMAIN_DIAMETER, ProbeSet, bump_profile, discrete_energy,
                             initial_bump, initial_random, leapfrog_run,
                             make_preconditioner, pcg_solve, snap_probes)
-from pdswave.meshing import generate_mesh
+from pdswave.meshing import TetMesh, generate_mesh
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +378,28 @@ class TestProbes:
         ps = snap_probes(mesh, dof_map, mesh.vertices[nodes], (1000, 2000), dt=1e-3)
         assert np.array_equal(ps.dofs, dof_map.node_to_dof[nodes])
         assert np.array_equal(ps.nodes, dof_map.dof_to_node[ps.dofs])
+
+    def test_tie_snaps_to_the_lowest_vertex_id(self, small_system):
+        # the midpoint of the origin (vertex 0) and its nearest other vertex
+        # v is equidistant from both, bit for bit: m - 0 = m and m - v = -m
+        mesh, dof_map, _, _ = small_system
+        assert not mesh.vertices[0].any()
+        v = 1 + int(np.linalg.norm(mesh.vertices[1:], axis=1).argmin())
+        mid = mesh.vertices[v] / 2
+        ps = snap_probes(mesh, dof_map, [mid], (1000, 2000), dt=1e-3)
+        assert ps.nodes.tolist() == [0]
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_tie_rule_follows_ids_not_positions(self, order):
+        vertices = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]])[order]
+        mesh = TetMesh(vertices=vertices, tets=np.zeros((0, 4), dtype=np.int64),
+                       boundary_tris=np.zeros((0, 3), dtype=np.int64),
+                       periodic=np.zeros((0, 3), dtype=np.int64))
+        dof_map = DofMap(node_to_dof=np.arange(2), dof_to_node=np.arange(2), n_interior=2,
+                         n_edge_nodes=0, n_face_nodes=0, n_corner_classes=0)
+        ps = snap_probes(mesh, dof_map, [[0.1, 0.0, 0.0], [0.15, 0.0, 0.0]], (1000, 2000),
+                         dt=1e-3)
+        assert ps.nodes.tolist() == [0, order.index(1)]
 
     def test_early_window_warns(self, small_system):
         mesh, dof_map, _, _ = small_system

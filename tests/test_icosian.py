@@ -4,13 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from pdswave import icosian
 from pdswave.errors import GenerationDiverged, NonUnitQuaternion, OrbitCountMismatch
 from pdswave.icosian import (CHI_VALUES, GEN_GAMMA, GEN_S, GroupTable, SIGMA,
-                             generate_group, left_matrix, merge_classes,
-                             orbit_vertices, rotation_of, translation_distance)
+                             close_pairs, generate_group, left_matrix, merge_classes,
+                             nearest, nearest_within, orbit_vertices, rotation_of,
+                             translation_distance)
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -122,6 +125,143 @@ def test_merge_classes_matches_transitive_closure(case):
     assert np.array_equal(labels, expected)
     assert np.array_equal(representatives,
                           [np.flatnonzero(expected == c)[0] for c in range(count)])
+
+
+def _components(n, pairs):
+    """scipy's connected components, which label in the order of the smallest member."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def test_merge_classes_long_chain():
+    # a chain of 10^4 items in shuffled order, beside 10^4 singletons: one
+    # hooking round links each item to one neighbour, pointer jumping does the rest
+    rng = np.random.default_rng(5)
+    n = 20_000
+    chain = rng.permutation(10_000)
+    labels, representatives = merge_classes(n, np.column_stack([chain[:-1], chain[1:]]))
+    assert labels.dtype == representatives.dtype == np.int64
+    assert np.array_equal(labels[:10_000], np.zeros(10_000))
+    assert np.array_equal(labels[10_000:], np.arange(1, 10_001))
+    assert np.array_equal(representatives, np.r_[0, 10_000:n])
+    assert np.array_equal(labels, _components(n, np.column_stack([chain[:-1], chain[1:]])))
+
+
+@pytest.mark.parametrize("pairs", [[(0, 5)], [(-1, 0)]], ids=["past-n", "negative"])
+def test_merge_classes_rejects_items_outside_the_range(pairs):
+    with pytest.raises(ValueError):
+        merge_classes(5, pairs)
+
+
+def test_merge_classes_star():
+    # every leaf joins the largest item, listed first and last in turn
+    n = 10_000
+    leaves = np.random.default_rng(6).permutation(n - 1)
+    for pairs in (np.column_stack([np.full(n - 1, n - 1), leaves]),
+                  np.column_stack([leaves, np.full(n - 1, n - 1)])):
+        labels, representatives = merge_classes(n, pairs)
+        assert not labels.any()
+        assert np.array_equal(representatives, [0])
+
+
+# near-duplicates planted at these distances from a point: two inside the
+# 1e-9 merge tolerance (one bit-equal), one outside it
+PLANTED = (0.0, 5e-10, 2e-9)
+
+
+def planted_points(rng, count, dim, copies):
+    """`count` random points on a 1/64 grid of [-1, 1]^dim (distinct ones lie
+    >= 1/64 apart) and `copies` near-duplicates of random ones, each at a
+    distance from PLANTED in a random direction; shuffled."""
+    base = np.unique(rng.integers(-64, 65, size=(count, dim)), axis=0) / 64.0
+    src = rng.integers(0, len(base), size=copies)
+    step = rng.normal(size=(copies, dim))
+    step *= rng.choice(PLANTED, size=copies)[:, None] / np.linalg.norm(step, axis=1)[:, None]
+    pts = np.vstack([base, base[src] + step])
+    return pts[rng.permutation(len(pts))]
+
+
+def as_set(pairs):
+    return set(map(tuple, np.asarray(pairs).tolist()))
+
+
+class TestSearches:
+    """close_pairs, nearest_within and nearest against scipy's cKDTree."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_close_pairs_match_query_pairs(self, dim, seed):
+        pts = planted_points(np.random.default_rng(seed), 3000, dim, 1500)
+        found = close_pairs(pts, 1e-9)
+        assert found.shape[1] == 2 and (found[:, 0] < found[:, 1]).all()
+        assert len(as_set(found)) == len(found)
+        expected = cKDTree(pts).query_pairs(1e-9, output_type="ndarray")
+        assert len(expected) > 100
+        assert as_set(found) == as_set(expected)
+
+    @given(st.integers(1, 60), st.integers(0, 60), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_close_pairs_match_query_pairs_hypothesis(self, count, copies, dim, seed):
+        pts = planted_points(np.random.default_rng(seed), count, dim, copies)
+        expected = cKDTree(pts).query_pairs(1e-9, output_type="ndarray")
+        assert as_set(close_pairs(pts, 1e-9)) == as_set(expected)
+
+    def test_close_pairs_between_two_sets(self):
+        rng = np.random.default_rng(7)
+        pts = planted_points(rng, 2000, 3, 1000)
+        queries, points = pts[:1200], pts[1200:]
+        expected = {(i, j) for i, near in enumerate(cKDTree(points).query_ball_point(queries, 1e-9))
+                    for j in near}
+        assert as_set(close_pairs(queries, 1e-9, points)) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nearest_within_matches_query(self, seed):
+        # queries at each planted distance from the points, and far from all
+        rng = np.random.default_rng(seed)
+        points = np.unique(rng.integers(-64, 65, size=(2000, 3)), axis=0) / 64.0
+        src = rng.integers(0, len(points), size=3000)
+        step = rng.normal(size=(3000, 3))
+        step *= rng.choice(PLANTED, size=3000)[:, None] / np.linalg.norm(step, axis=1)[:, None]
+        queries = np.vstack([points[src] + step, rng.uniform(-1, 1, size=(100, 3))])
+        dist, idx = cKDTree(points).query(queries)
+        got = nearest_within(points, queries, 1e-9)
+        assert np.array_equal(got, np.where(dist <= 1e-9, idx, -1))
+        assert (got[:3000] >= 0).sum() > 1500
+
+    def test_nearest_within_takes_the_nearest_then_the_lowest(self):
+        points = np.array([[0.0, 0, 0], [1e-7, 0, 0], [-1e-7, 0, 0], [2e-7, 0, 0]])
+        got = nearest_within(points, [[0.6e-7, 0, 0], [0.5e-7, 0, 0], [5.0, 0, 0]], 1e-6)
+        assert got.tolist() == [1, 0, -1]
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_nearest_matches_query(self, dim):
+        rng = np.random.default_rng(dim)
+        points = rng.normal(size=(5000, dim))
+        queries = np.vstack([rng.normal(size=(300, dim)), points[:50]])
+        dist, idx = nearest(points, queries)
+        want_dist, want_idx = cKDTree(points).query(queries)
+        assert np.array_equal(idx, want_idx)
+        np.testing.assert_allclose(dist, want_dist, rtol=1e-14, atol=0)
+
+    def test_nearest_tie_takes_the_lowest_index(self):
+        points = np.array([[3.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]])
+        dist, idx = nearest(points, [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+        assert idx.tolist() == [1, 1, 0]
+        assert dist.tolist() == [1.0, 0.0, 1.0]
+
+    def test_nearest_temporaries_stay_small(self):
+        # the blocks bound the memory, whatever the number of queries: two
+        # temporaries of a block, against 19 MB for one (20,000, 120) array
+        import tracemalloc
+        rng = np.random.default_rng(4)
+        points, queries = rng.normal(size=(120, 4)), rng.normal(size=(20_000, 4))
+        tracemalloc.start()
+        try:
+            nearest(points, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * icosian.SEARCH_BLOCK * 8
 
 
 def test_mul_matches_oracle():
@@ -281,10 +421,14 @@ class TestGroup:
             assert not a.flags.writeable
 
     def test_table_of_unclosed_set_diverges(self):
-        # without one element some products and one inverse have no match
-        coeffs = generate_group().coeffs
-        with pytest.raises(GenerationDiverged):
-            GroupTable(coeffs[:-1])
+        # without one element some products and one inverse have no match;
+        # the message gives the largest distance from every element
+        coeffs = generate_group().coeffs[:-1]
+        queries = np.vstack([np.einsum("iab,jb->ija", left_matrix(coeffs), coeffs).reshape(-1, 4),
+                             coeffs * [1.0, -1.0, -1.0, -1.0]])
+        far = cKDTree(coeffs).query(queries)[0].max()
+        with pytest.raises(GenerationDiverged, match=f"lies {far:.3g} from every element"):
+            GroupTable(coeffs)
 
     def test_associativity_on_random_triples(self):
         rng = np.random.default_rng(19)

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pdswave.charts import triangulate_face_chart
-from pdswave.errors import DegenerateTet, SnapFailure
+from pdswave import meshing
+from pdswave.errors import DegenerateTet, PeriodicityViolation, SnapFailure
 from pdswave.icosian import generate_group, rotation_of
 from pdswave.meshing import (EXACT_DOMAIN_VOLUME, REPLICATION_ROTATIONS,
                              build_boundary_mesh, build_volume_mesh, face_counts,
@@ -162,3 +163,45 @@ def test_face_counts_rejects_ids_overflowing_the_key():
     tets = np.array([[0, 1, 2, 3_000_000]])
     with pytest.raises(ValueError, match="int64"):
         face_counts(tets)
+
+
+def _kd_tree_partners(domain, vertices, tris, tri_face):
+    """The (node, face) rows of periodic_pairs and each image's nearest
+    boundary vertex and distance, by scipy's cKDTree."""
+    from scipy.spatial import cKDTree
+
+    key = np.unique(13 * tris.astype(np.int64) + tri_face[:, None])
+    node, face = np.divmod(key, 13)
+    boundary = np.unique(tris)
+    dist, j = cKDTree(vertices[boundary]).query(
+        meshing._face_images(domain, vertices[node], face))
+    return node, face, boundary[j], dist
+
+
+def test_periodic_partners_match_the_kd_tree(the_domain, mesh22):
+    tri_face = np.repeat(np.arange(1, 13), len(mesh22.boundary_tris) // 12)
+    node, face, partner, dist = _kd_tree_partners(the_domain, mesh22.vertices,
+                                                  mesh22.boundary_tris, tri_face)
+    assert dist.max() < 1e-12
+    assert np.array_equal(mesh22.periodic, np.column_stack([node, face, partner]))
+    again = meshing.periodic_pairs(the_domain, mesh22.vertices, mesh22.boundary_tris,
+                                   tri_face, 1e-9)
+    assert np.array_equal(again, mesh22.periodic)
+
+
+@pytest.mark.parametrize("shift", [2e-9, 1e-3])
+def test_periodicity_violation_names_the_farthest_node(the_domain, mesh22, shift):
+    # a boundary node pulled inward loses its partners; the message names the
+    # row whose image lies farthest from every boundary vertex, as before
+    vertices = mesh22.vertices.copy()
+    moved = mesh22.boundary_nodes[5]
+    vertices[moved] *= 1.0 - shift / np.linalg.norm(vertices[moved])
+    tri_face = np.repeat(np.arange(1, 13), len(mesh22.boundary_tris) // 12)
+    node, face, _, dist = _kd_tree_partners(the_domain, vertices, mesh22.boundary_tris,
+                                            tri_face)
+    k = int(dist.argmax())
+    message = (f"boundary node {node[k]} has no partner through face {face[k]} "
+               f"(nearest at distance {dist[k]:.2e})")
+    with pytest.raises(PeriodicityViolation) as info:
+        meshing.periodic_pairs(the_domain, vertices, mesh22.boundary_tris, tri_face, 1e-9)
+    assert str(info.value) == message
