@@ -22,9 +22,10 @@ import numpy as np
 from . import __version__
 from .assembly import assemble, build_dof_map, estimate_spectral_bound
 from .domain import build_domain
-from .errors import (ClassSizeError, DegenerateTet, EnergyBlowup, NoConvergence,
-                     NotInDomain, OutsideUnitBall, ParseError, PeriodicityViolation,
-                     SnapFailure, TooShort, UnstableTimeStep, WeightSingularity)
+from .errors import (ClassSizeError, DegenerateTet, EnergyBlowup, InvalidMesh,
+                     NoConvergence, NotInDomain, OutsideUnitBall, ParseError,
+                     PeriodicityViolation, SnapFailure, TooShort, UnstableTimeStep,
+                     WeightSingularity)
 from .evolve import (DOMAIN_DIAMETER, initial_bump, initial_random, leapfrog_run,
                      make_preconditioner, snap_probes)
 from .icosian import cell_to_json, generate_group, group_to_json, orbit_vertices
@@ -36,7 +37,8 @@ from .spectra import analyze_probe_signals
 EXIT_OK, EXIT_USAGE, EXIT_MESH, EXIT_EVOLUTION, EXIT_ANALYSIS = 0, 1, 2, 3, 4
 
 _MESH_ERRORS = (ParseError, PeriodicityViolation, SnapFailure, DegenerateTet,
-                ClassSizeError, WeightSingularity, NotInDomain, OutsideUnitBall)
+                ClassSizeError, WeightSingularity, NotInDomain, OutsideUnitBall,
+                InvalidMesh)
 _EVOLUTION_ERRORS = (NoConvergence, EnergyBlowup, UnstableTimeStep)
 _ANALYSIS_ERRORS = (TooShort,)
 # the stages of `run` whose wall times manifest.json records, in run order
@@ -90,24 +92,53 @@ def _get_mesh(args, domain, validate: bool):
     return mesh, validate_mesh(domain, mesh) if validate else None
 
 
+def _check_mesh_verdict(report) -> None:
+    """Raise InvalidMesh naming the checks of a validation report that decide
+    whether a mesh is used and that `report` fails."""
+    # an import has oriented every tet and rejected flat ones, so the volumes
+    # as read ("all_volumes_positive") are not among them
+    failed = [name for name in ("vertices_inside", "conforming", "partner_involution")
+              if not report[name]]
+    if failed:
+        raise InvalidMesh(f"mesh fails validation: {', '.join(failed)}")
+
+
 def _write_json(path, data):
     Path(path).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 _NUMBER = (int, float)
 _NUMBER_OR_NULL = (int, float, type(None))
+_STRING_OR_NULL = (str, type(None))
+# the manifest keys that `report --run-dir` prints, with their JSON types
+_REPORTED_MANIFEST = {
+    "steps": (int,), "dt": _NUMBER, "n_dofs": (int,), "mesh_hash": (str,),
+    "energy_drift": _NUMBER_OR_NULL,
+    "pcg_per_step": {"min": _NUMBER, "mean": _NUMBER, "max": _NUMBER},
+    "pcg_iterations": _NUMBER,
+    "power_iterations": _NUMBER, "power_relative_change": _NUMBER,
+    "stage_s": dict.fromkeys(RUN_STAGES, _NUMBER),
+    "peak_rss_mb": _NUMBER,
+    "threads": dict.fromkeys(THREAD_VARS, _STRING_OR_NULL),
+}
+# the keys of each spectrum_report.json match that `report --run-dir` prints
+_REPORTED_MATCH = {"beta": _NUMBER, "exact_q2": _NUMBER, "detected_q2": _NUMBER,
+                   "relative_error": _NUMBER, "detected_mu": _NUMBER}
 
 
 def _checked_keys(where, data, /, **required) -> dict:
     """`data` if it is a JSON object holding every key of `required` as an
     instance of that key's tuple of types (a JSON true or false is none of
-    them), else a ValueError naming `where` and the key."""
+    them), else a ValueError naming `where` and the key.  A dict in place of
+    a tuple of types is a nested object, checked the same way."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(data).__name__}")
     for key, kind in required.items():
         if key not in data:
             raise ValueError(f"{where}: no {key!r}")
-        if isinstance(data[key], bool) or not isinstance(data[key], kind):
+        if isinstance(kind, dict):
+            _checked_keys(f"{where}: {key}", data[key], **kind)
+        elif isinstance(data[key], bool) or not isinstance(data[key], kind):
             raise ValueError(f"{where}: {key!r} is {data[key]!r}, "
                              f"expected {' or '.join(k.__name__ for k in kind)}")
     return data
@@ -233,11 +264,13 @@ def cmd_run(args) -> int:
     if (np.einsum("ij,ij->i", points, points) >= 1.0).any() \
             or not domain.contains(points, tol=1e-9).all():
         raise NotInDomain(f"probe points {args.probes!r} are not all in the domain")
-    if not domain.contains(args.bump[:3], tol=1e-9):
+    center = np.array(args.bump[:3])
+    if center @ center >= 1.0 or not domain.contains(center, tol=1e-9):
         raise NotInDomain(f"--bump center {args.bump[:3]} is outside the domain")
     stage_s: dict = {}
     with _timed(stage_s, "mesh"):
         mesh, mesh_report = _get_mesh(args, domain, validate=True)
+    _check_mesh_verdict(mesh_report)
     with _timed(stage_s, "assemble"):
         dof_map = build_dof_map(mesh)
         ops = assemble(mesh, dof_map)
@@ -391,11 +424,8 @@ def cmd_validate(args) -> int:
     domain = build_domain()
     _, report = import_mesh(domain, args.import_node, args.import_ele, tol=args.tol)
     print(json.dumps(report, indent=1, sort_keys=True))
-    # import_mesh has oriented every tet and rejected flat ones, so the
-    # volumes as read ("all_volumes_positive") do not decide the exit code
-    ok = (report["vertices_inside"] and report["conforming"]
-          and report["partner_involution"])
-    return EXIT_OK if ok else EXIT_MESH
+    _check_mesh_verdict(report)
+    return EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -418,64 +448,36 @@ def cmd_report(args) -> int:
         wrote = True
     if args.run_dir:
         run_dir = Path(args.run_dir)
-        mpath = run_dir / "manifest.json"
-        manifest = _read_run_file(mpath, steps=(int,), dt=_NUMBER, n_dofs=(int,),
-                                  mesh_hash=(str,))
+        manifest = _read_run_file(run_dir / "manifest.json", **_REPORTED_MANIFEST)
         print(f"run of {manifest['steps']} steps, dt = {manifest['dt']:.6e}, "
               f"{manifest['n_dofs']} dofs (mesh {manifest['mesh_hash'][:12]})")
-        _checked_keys(mpath, manifest, **{
-            key: kind for key, kind in (("energy_drift", _NUMBER_OR_NULL),
-                                        ("peak_rss_mb", _NUMBER),
-                                        ("power_pcg_iterations", _NUMBER))
-            if key in manifest})
-        drift = manifest.get("energy_drift")
+        drift = manifest["energy_drift"]
         print("relative energy drift |E_T - E_1| / |E_1| = "
               + ("n/a" if drift is None else f"{drift:.3e}"))
-        per_step = manifest.get("pcg_per_step")
-        if per_step:
-            _checked_keys(f"{mpath}: pcg_per_step", per_step,
-                          min=_NUMBER, mean=_NUMBER, max=_NUMBER)
-            _checked_keys(mpath, manifest, pcg_iterations=_NUMBER)
-            print(f"PCG iterations per step: min {per_step['min']}, "
-                  f"mean {per_step['mean']:.2f}, max {per_step['max']} "
-                  f"({manifest['pcg_iterations']} in all)")
-        if "power_iterations" in manifest:
-            _checked_keys(mpath, manifest, power_iterations=_NUMBER,
-                          power_relative_change=_NUMBER)
-            # written only while the bound made inner mass solves
-            pcg = manifest.get("power_pcg_iterations")
-            method = "LOBPCG" if pcg is None else "power"
-            print(f"spectral bound: {manifest['power_iterations']} {method} iterations, "
-                  f"final relative change {manifest['power_relative_change']:.3e}"
-                  + ("" if pcg is None else f", {pcg} PCG iterations in its mass solves"))
-        stage_s = manifest.get("stage_s")
-        if stage_s:
-            _checked_keys(f"{mpath}: stage_s", stage_s,
-                          **{name: _NUMBER for name in RUN_STAGES if name in stage_s})
-            print("stage wall times: " + ", ".join(
-                f"{name} {stage_s[name]:.3f} s" for name in RUN_STAGES if name in stage_s))
-        if "peak_rss_mb" in manifest:
-            print(f"peak RSS after the write stage: {manifest['peak_rss_mb']:.1f} MB")
-        threads = manifest.get("threads")
-        if threads:
-            _checked_keys(f"{mpath}: threads", threads)
-            print("threads: " + ", ".join(
-                f"{var}={'unset' if threads[var] is None else threads[var]}"
-                for var in THREAD_VARS if var in threads))
+        per_step = manifest["pcg_per_step"]
+        print(f"PCG iterations per step: min {per_step['min']}, "
+              f"mean {per_step['mean']:.2f}, max {per_step['max']} "
+              f"({manifest['pcg_iterations']} in all)")
+        print(f"spectral bound: {manifest['power_iterations']} LOBPCG iterations, "
+              f"final relative change {manifest['power_relative_change']:.3e}")
+        stage_s, threads = manifest["stage_s"], manifest["threads"]
+        print("stage wall times: " + ", ".join(
+            f"{name} {stage_s[name]:.3f} s" for name in RUN_STAGES))
+        print(f"peak RSS after the write stage: {manifest['peak_rss_mb']:.1f} MB")
+        print("threads: " + ", ".join(
+            f"{var}={'unset' if threads[var] is None else threads[var]}"
+            for var in THREAD_VARS))
         rpath = run_dir / "spectrum_report.json"
         if rpath.exists():
             rep = _read_run_file(rpath, matches=(list,))
             for i, m in enumerate(rep["matches"]):
-                _checked_keys(f"{rpath}: matches[{i}]", m, beta=_NUMBER, exact_q2=_NUMBER,
-                              detected_q2=_NUMBER, relative_error=_NUMBER,
-                              **({"detected_mu": _NUMBER} if "detected_mu" in m else {}))
+                _checked_keys(f"{rpath}: matches[{i}]", m, **_REPORTED_MATCH)
             print(f"{'beta':>6} {'exact q^2':>12} {'numerical':>14} {'rel error':>13} "
                   f"{'leapfrog mu':>14}")
             for m in rep["matches"]:
-                mu = m.get("detected_mu")      # absent from older reports
                 print(f"{m['beta']:>6.0f} {m['exact_q2']:>12.0f} "
                       f"{m['detected_q2']:>14.4f} {m['relative_error']:>13.4e} "
-                      + (f"{'-':>14}" if mu is None else f"{mu:>14.4f}"))
+                      f"{m['detected_mu']:>14.4f}")
         wrote = True
     if not wrote:
         print("nothing to do; pass --run-dir or --dump-* options", file=sys.stderr)

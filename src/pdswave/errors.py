@@ -56,6 +56,10 @@ class PeriodicityViolation(PdsError):
     pass
 
 
+class InvalidMesh(PdsError):
+    """A mesh whose validation report fails a check that decides its use."""
+
+
 # assembly
 class ClassSizeError(PdsError):
     pass

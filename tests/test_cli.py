@@ -282,8 +282,8 @@ def _match_with_mu(mu):
     pytest.param("report", "manifest.json",
                  lambda m: {**m, "stage_s": {**m["stage_s"], "leapfrog": "slow"}},
                  "stage_s: 'leapfrog' is 'slow'", id="report-stage-string"),
-    pytest.param("report", "manifest.json", lambda m: {**m, "power_pcg_iterations": [3]},
-                 "'power_pcg_iterations' is [3]", id="report-power-pcg-list"),
+    pytest.param("report", "manifest.json", lambda m: {**m, "power_iterations": [3]},
+                 "'power_iterations' is [3]", id="report-power-pcg-list"),
     pytest.param("report", "spectrum_report.json", _match_with_mu(True),
                  "matches[0]: 'detected_mu' is True", id="report-mu-bool"),
     pytest.param("report", "spectrum_report.json", _match_with_mu("171.6"),
@@ -364,42 +364,53 @@ def test_report_run_dir(run_dir, capsys):
     assert f"peak RSS after the write stage: {manifest['peak_rss_mb']:.1f} MB" in out
 
 
+def _bound_line(out):
+    return next(row for row in out.splitlines() if row.startswith("spectral bound: "))
+
+
 def test_report_prints_power_pcg_iterations(run_dir, tmp_path, capsys):
-    # the bound makes no mass solve, so a new manifest has no PCG count for it
+    # the PCG count that manifests held while the bound made mass solves is
+    # a key like any other that the report does not print
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert "power_pcg_iterations" not in manifest
     assert main(["report", "--run-dir", str(run_dir)]) == 0
-    line = next(row for row in capsys.readouterr().out.splitlines()
-                if row.startswith("spectral bound: "))
-    assert line.endswith(f"final relative change {manifest['power_relative_change']:.3e}")
-    # a manifest written while the bound made mass solves still reports them
+    plain = capsys.readouterr().out
     manifest["power_pcg_iterations"] = 298
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    assert main(["report", "--run-dir", str(tmp_path)]) == 0
-    line = next(row for row in capsys.readouterr().out.splitlines()
-                if row.startswith("spectral bound: "))
-    assert line.endswith(", 298 PCG iterations in its mass solves")
-
-
-def test_report_names_a_power_iteration_bound(run_dir, tmp_path, capsys):
-    # a manifest with power_pcg_iterations was written by the power iteration
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    manifest["power_pcg_iterations"] = 298
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    assert main(["report", "--run-dir", str(tmp_path)]) == 0
-    line = next(row for row in capsys.readouterr().out.splitlines()
-                if row.startswith("spectral bound: "))
-    assert line.startswith(f"spectral bound: {manifest['power_iterations']} power iterations, ")
-
-
-def test_report_of_manifest_without_peak_rss(run_dir, tmp_path, capsys):
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    del manifest["peak_rss_mb"]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     assert main(["report", "--run-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "stage wall times: " in out
-    assert "peak RSS" not in out
+    assert out == plain
+    assert _bound_line(out).endswith(
+        f"final relative change {manifest['power_relative_change']:.3e}")
+
+
+def test_report_names_a_power_iteration_bound(run_dir, tmp_path, capsys):
+    # the bound is LOBPCG, whatever else the manifest holds
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest.update(power_pcg_iterations=298, method="power")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--run-dir", str(tmp_path)]) == 0
+    assert _bound_line(capsys.readouterr().out).startswith(
+        f"spectral bound: {manifest['power_iterations']} LOBPCG iterations, ")
+
+
+def test_report_of_manifest_without_peak_rss(run_dir, tmp_path, capsys):
+    # every key that the report prints is required
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    del manifest["peak_rss_mb"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--run-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "'peak_rss_mb'" in captured.err
+    assert captured.out == ""
+
+
+def test_run_manifest_holds_what_report_prints(run_dir):
+    # the writer against the reader: run cannot drop a key that report needs
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    cli._checked_keys("manifest.json", manifest, **cli._REPORTED_MANIFEST)
+    assert sorted(manifest["stage_s"]) == sorted(RUN_STAGES)
+    assert sorted(manifest["threads"]) == sorted(cli.THREAD_VARS)
 
 
 def test_manifest_run_facts(run_dir):
@@ -575,13 +586,40 @@ def test_probe_outside_domain_exit_code(tmp_path, probes, capsys):
 
 @pytest.mark.parametrize("center", [["0.9", "0", "0"], ["2", "0", "0"]],
                          ids=["outside-domain", "outside-unit-ball"])
-def test_bump_center_checked_before_setup(tmp_path, monkeypatch, center):
+def test_bump_center_checked_before_setup(tmp_path, monkeypatch, capsys, center):
     def no_setup(*args, **kwargs):
         raise AssertionError("setup ran before the bump center was checked")
     monkeypatch.setattr(cli, "generate_mesh", no_setup)
     code = main(["run", "--n", "1", "--layers", "1", "--steps", "10",
                  "--bump", *center, "0.3", "--out", str(tmp_path / "r")])
     assert code == 2
+    # outside the unit ball too, the message names the flag, not the lift
+    err = capsys.readouterr().err
+    assert "--bump center" in err and "unit ball" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.fixture
+def outside_import(tmp_path, the_domain, mesh22):
+    """Import flags of mesh22 with node 123 of its periodic row (123, 1, 194)
+    pushed 3e-6 out through face 1 and node 194 moved to its image, so the
+    periodic rows still pair up but a vertex lies outside the domain."""
+    assert [123, 1, 194] in mesh22.periodic.tolist()
+    v = mesh22.vertices.copy()
+    v[123] += 3e-6 * the_domain.outward_normal(1, v[123])
+    v[194] = the_domain.identify(v[123], 1)
+    write_node_file(tmp_path / "o.node", v)
+    write_ele_file(tmp_path / "o.ele", mesh22.tets)
+    return ["--import-node", str(tmp_path / "o.node"), "--import-ele", str(tmp_path / "o.ele")]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_run_and_validate_share_the_mesh_verdict(tmp_path, capsys, outside_import, command):
+    argv = [command] + outside_import
+    if command == "run":
+        argv += ["--steps", "10", "--window", "0", "10", "--out", str(tmp_path / "r")]
+    assert main(argv) == 2
+    assert "mesh fails validation: vertices_inside" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
