@@ -42,7 +42,9 @@ same slots.
 
 All four matrices share one pattern, so one `SparseSymMatrix.from_triplets`
 call, given the pattern's int32 rows and columns and the list of the four
-value arrays, builds them all.  Its full pattern is scipy's S + tril(S, -1)^T
+value arrays, builds them all.  It takes only that: distinct entries on and
+below the diagonal in row-major order, which it checks, and sums nothing,
+drops nothing and sorts nothing.  Its full pattern is scipy's S + tril(S, -1)^T
 for the lower CSR S of the slot numbers plus one, whose values less one map
 each full slot to the lower entry it copies.  Each matrix is one gather
 through that map, and all four share one read-only row pointer and index
@@ -89,47 +91,26 @@ def _symmetric_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
 
 
 def _symmetric_csr(n: int, rows, cols, vals: list) -> list:
-    """One full CSR matrix per row in the list `vals`, all on one pattern.
-
-    Each row is taken off the list when its matrix is built, so the list ends
-    empty.  See `SparseSymMatrix.from_triplets` for the rules.
-    """
+    """One full CSR matrix per array in the list `vals`, all on one pattern,
+    each array taken off the list when its matrix is built.  See
+    `SparseSymMatrix.from_triplets` for the input it takes."""
     # an empty list is an empty index array, not np.asarray's float64 one
     rows, cols = (np.asarray(i) if np.size(i) else np.zeros(0, int) for i in (rows, cols))
     if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
         raise ValueError(f"triplet rows and cols must be integer arrays, "
                          f"got {rows.dtype} and {cols.dtype}")
-    if rows.shape != cols.shape:
-        raise ValueError(f"triplet rows and cols must have the same length, "
-                         f"got {len(rows)} and {len(cols)}")
+    if rows.ndim != 1 or rows.shape != cols.shape:
+        raise ValueError(f"triplet rows and cols must be 1-D and have the same length, "
+                         f"got {rows.size} and {cols.size}")
     if any(val.shape != rows.shape for val in vals):
         raise ValueError(f"each row of vals must hold {len(rows)} values")
-    keep = rows >= cols
-    if not keep.all():
-        rows, cols = rows[keep], cols[keep]
-        vals[:] = [val[keep] for val in vals]
-    del keep
     if len(rows) and (cols.min() < 0 or rows.max() >= n):
         raise ValueError(f"triplet index outside a {n} x {n} matrix")
-    if not ((rows[1:] > rows[:-1])
-            | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))).all():
-        # sort by (row, col), stably so that duplicates keep the triplet order
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        slot = np.cumsum(first) - 1
-        for i, val in enumerate(vals):
-            vals[i] = np.zeros(np.count_nonzero(first))
-            np.add.at(vals[i], slot, val[order])
-        rows, cols = rows[first], cols[first]
-    nonzero = np.zeros(len(rows), dtype=bool)
-    for val in vals:
-        nonzero |= val != 0
-    if not nonzero.all():
-        rows, cols = rows[nonzero], cols[nonzero]
-        vals[:] = [val[nonzero] for val in vals]
-    del nonzero
+    if not ((rows >= cols).all()
+            and ((rows[1:] > rows[:-1])
+                 | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))).all()):
+        raise ValueError("triplets must be distinct entries on and below the "
+                         "diagonal, in row-major order")
     indptr, indices, src = _symmetric_pattern(n, rows, cols)
     return [sp.csr_matrix((vals.pop(0)[src], indices, indptr), shape=(n, n))
             for _ in range(len(vals))]
@@ -139,42 +120,36 @@ class SparseSymMatrix:
     """Symmetric matrix built from its lower triangle, stored once as full CSR."""
 
     def __init__(self, lower):
-        """The symmetric matrix whose lower triangle is that of the sparse `lower`."""
-        lower = sp.coo_matrix(lower)
-        (self._full,) = _symmetric_csr(lower.shape[0], lower.row, lower.col,
-                                       [lower.data])
+        """The symmetric matrix whose lower triangle is that of the sparse
+        `lower`, its duplicates summed."""
+        lower = sp.tril(lower, format="csr")
+        lower.sum_duplicates()
+        rows = np.repeat(np.arange(lower.shape[0]), np.diff(lower.indptr))
+        (self._full,) = _symmetric_csr(lower.shape[0], rows, lower.indices, [lower.data])
 
     @classmethod
-    def from_triplets(cls, n: int, rows, cols, vals):
-        """Symmetric matrices from integer-indexed triplets on and below the diagonal.
+    def from_triplets(cls, n: int, rows, cols, vals: list) -> list:
+        """Symmetric matrices on one pattern, from their lower triangles.
 
-        `vals` holds one value per triplet, shape (m,), or k rows of them,
-        as a (k, m) array or a list of k float arrays of shape (m,); k rows
-        give a list of k matrices.  A list of rows is not stacked: each row
-        is taken off it once its matrix holds the values, so the list ends
-        empty and a row's memory can go before the next matrix is built.
-        Triplets above the diagonal are dropped, and duplicates are summed
-        from 0.0 in triplet order.  Entries already distinct and in
-        row-major order are copied, not summed.  An entry is dropped only
-        when it sums to zero in every row, so all k matrices share one
-        pattern: one read-only `indptr` and one read-only `indices` array.
+        `rows` and `cols` are integer arrays naming distinct entries on and
+        below the diagonal, in strictly row-major order; `vals` is a list of
+        k float arrays, each holding one value per entry.  Returns a list of
+        k matrices, which share one read-only `indptr` and one read-only
+        `indices` array; an entry zero in every array stays stored.  The
+        arrays are not stacked: each is taken off the list once its matrix
+        holds the values, so the list ends empty and an array's memory can
+        go before the next matrix is built.  Any other input raises
+        ValueError.
         """
-        if isinstance(vals, list) and vals and np.ndim(vals[0]) == 1:
-            vals[:] = [np.asarray(val, dtype=float) for val in vals]
-            many = True
-        else:
-            array = np.asarray(vals, dtype=float)
-            if array.ndim not in (1, 2):
-                raise ValueError(f"vals must be (m,) or (k, m), got shape {array.shape}")
-            many = array.ndim == 2
-            vals = list(np.atleast_2d(array))
-            del array
+        if not isinstance(vals, list):
+            raise ValueError(f"vals must be a list of arrays, got {type(vals).__name__}")
+        vals[:] = [np.asarray(val, dtype=float) for val in vals]
         mats = []
         for full in _symmetric_csr(n, rows, cols, vals):
             mat = cls.__new__(cls)
             mat._full = full
             mats.append(mat)
-        return mats if many else mats[0]
+        return mats
 
     @property
     def n(self) -> int:

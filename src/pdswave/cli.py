@@ -171,6 +171,7 @@ def _timed(stage_s: dict, name: str):
 def cmd_mesh(args) -> int:
     domain = build_domain()
     mesh, report = _get_mesh(args, domain, validate=True)
+    _check_mesh_verdict(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_mesh(mesh, out / "mesh.node", out / "mesh.ele")
@@ -193,6 +194,7 @@ def cmd_assemble(args) -> int:
     mesh, _ = _get_mesh(args, build_domain(), validate=False)
     dof_map = build_dof_map(mesh)
     ops = assemble(mesh, dof_map)
+    mass_sum = ops.mass.total_sum()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     info = {
@@ -204,7 +206,7 @@ def cmd_assemble(args) -> int:
         "corner_classes": dof_map.n_corner_classes,
         "quadrature_degree": QUADRATURE.degree,
         "mass_nnz_lower": ops.mass.nnz_lower,
-        "mass_sum": ops.mass.total_sum(),
+        "mass_sum": mass_sum,
     }
     _write_json(out / "dof_report.json", info)
     if args.export_matrices:
@@ -213,7 +215,7 @@ def cmd_assemble(args) -> int:
         ops.radial.save_matrix_market(out / "radial.mtx")
     print(f"assembled {dof_map.n_dofs} dofs "
           f"({dof_map.n_interior} interior, {dof_map.n_corner_classes} corner classes)")
-    print(f"sum of mass entries {ops.mass.total_sum():.10f}")
+    print(f"sum of mass entries {mass_sum:.10f}")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pdswave.assembly import (DofMap, SparseSymMatrix, _canonical_order, assemble,
                               build_dof_map, element_matrices, estimate_spectral_bound)
@@ -134,107 +135,161 @@ def lower_triplets(mesh, dof_map):
     return rows, cols, [loc[lower] for loc in element_matrices(mesh.vertices[tets])]
 
 
+def scipy_mirror(n, rows, cols, val):
+    """scipy's full CSR of the symmetric matrix with the lower entries
+    (rows, cols, val): the lower COO and its strict part transposed, which
+    scipy converts to CSR, as L + tril(L, -1)^T.  Its sparse `+` would drop
+    stored zeros, this conversion keeps them."""
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    strict = rows > cols
+    return sp.csr_matrix((np.r_[val, val[strict]],
+                          (np.r_[rows, cols[strict]], np.r_[cols, rows[strict]])),
+                         shape=(n, n))
+
+
+def assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+@st.composite
+def lower_patterns(draw):
+    """(n, rows, cols, vals): a random lower pattern of an n x n matrix, its
+    distinct entries on and below the diagonal in row-major order, and 1-4
+    value arrays on it."""
+    n = draw(st.integers(1, 8))
+    rows, cols = np.tril_indices(n)              # row-major
+    keep = draw(hnp.arrays(bool, len(rows)))
+    vals = draw(st.lists(hnp.arrays(np.float64, int(keep.sum()),
+                                    elements=st.floats(allow_nan=False)),
+                         min_size=1, max_size=4))
+    return n, rows[keep], cols[keep], vals
+
+
 class TestFromTriplets:
     def test_sums_duplicates_and_drops_upper_triangle(self):
-        rows = [2, 0, 2, 1, 0, 2, 1]
-        cols = [0, 0, 0, 2, 1, 2, 0]
-        vals = [1.0, 4.0, 2.0, 9.0, 9.0, 5.0, 3.0]
-        mat = SparseSymMatrix.from_triplets(3, rows, cols, vals)
-        # (1, 2) and (0, 1) lie above the diagonal and are dropped
-        expected = np.array([[4.0, 3.0, 3.0],
-                             [3.0, 0.0, 0.0],
-                             [3.0, 0.0, 5.0]])
-        assert np.array_equal(mat.to_dense(), expected)
-        assert mat.nnz_lower == 4
-        assert mat.lower.has_sorted_indices
-        for i in range(mat.n):
-            row = mat.lower.indices[mat.lower.indptr[i]:mat.lower.indptr[i + 1]]
-            assert np.all(np.diff(row) > 0)
+        # the builder sums nothing and drops nothing: an entry above the
+        # diagonal, a repeated entry and an unsorted pair are each refused
+        for rows, cols in [([0, 1, 1], [0, 0, 2]), ([0, 1, 1], [0, 0, 0]),
+                           ([0, 1, 1], [0, 1, 0])]:
+            vals = [np.ones(3)]
+            with pytest.raises(ValueError, match="distinct entries on and below"):
+                SparseSymMatrix.from_triplets(3, rows, cols, vals)
 
     def test_duplicates_summed_from_zero_in_triplet_order(self):
-        # magnitudes over 16 decades make the sum depend on its order
+        # the constructor sums a COO's duplicates and keeps its lower
+        # triangle; integer values make the sum independent of its order
         rng = np.random.default_rng(5)
         m = 400
         rows = rng.integers(0, 4, m)
         cols = rng.integers(0, 4, m)
-        vals = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)
-        mat = SparseSymMatrix.from_triplets(4, rows, cols, vals)
+        vals = rng.integers(-9, 10, m).astype(float)
+        mat = SparseSymMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(4, 4)))
         want = np.zeros((4, 4))
         for r, c, v in zip(rows, cols, vals):
             if r >= c:
                 want[r, c] += v
         assert np.array_equal(np.tril(mat.to_dense()), want)
+        assert np.array_equal(mat.to_dense(), mat.to_dense().T)
 
     def test_k_rows_share_one_pattern(self):
-        # (1, 0) is zero in the first row only and stays stored in both
-        # matrices; (2, 1) is zero in both rows and is dropped
+        # (1, 0) is zero in the first array only and (2, 1) in both: every
+        # entry stays stored in both matrices
         rows, cols = [0, 1, 1, 2, 2], [0, 0, 1, 1, 2]
-        vals = [[1.0, 0.0, 2.0, 0.0, 3.0],
-                [1.0, 5.0, 2.0, 0.0, 0.0]]
+        vals = [np.array([1.0, 0.0, 2.0, 0.0, 3.0]),
+                np.array([1.0, 5.0, 2.0, 0.0, 0.0])]
         first, second = SparseSymMatrix.from_triplets(3, rows, cols, vals)
         for part in ("indptr", "indices"):
             a, b = getattr(first._full, part), getattr(second._full, part)
             assert np.shares_memory(a, b) and not a.flags.writeable
-        assert first.nnz_lower == second.nnz_lower == 4
-        assert first._full.indices.tolist() == [0, 1, 0, 1, 2]
-        assert first._full.data.tolist() == [1.0, 0.0, 0.0, 2.0, 3.0]
-        assert second._full.data.tolist() == [1.0, 5.0, 5.0, 2.0, 0.0]
+        assert first.nnz_lower == second.nnz_lower == 5
+        assert first._full.indices.tolist() == [0, 1, 0, 1, 2, 1, 2]
+        assert first._full.data.tolist() == [1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0]
+        assert second._full.data.tolist() == [1.0, 5.0, 5.0, 2.0, 0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("rows,cols,vals", [
+    @pytest.mark.parametrize("rows,cols,vals,valid", [
         pytest.param([0, 1, 1, 2, 2], [0, 0, 1, 1, 2],
-                     [[1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, 1.5]],
+                     [[1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, 1.5]], True,
                      id="sorted-distinct"),
         pytest.param([2, 0, 2, 1, 2, 1], [0, 0, 0, 1, 0, 0],
                      [[1e16, 4.0, 1.0, 2.0, -1e16, 3.0], [0.5, 0.0, 0.25, 1.0, 2.0, -3.0]],
-                     id="unsorted-duplicates"),
+                     False, id="unsorted-duplicates"),
         pytest.param([0, 1, 2, 2], [0, 0, 1, 2],
-                     [[1.0, 0.0, 7.0, 2.0], [3.0, 0.0, 0.0, 4.0], [5.0, 0.0, 6.0, 0.0]],
+                     [[1.0, 0.0, 7.0, 2.0], [3.0, 0.0, 0.0, 4.0], [5.0, 0.0, 6.0, 0.0]], True,
                      id="zero-in-every-row")])
-    def test_list_of_rows_gives_the_arrays_of_the_stacked_rows(self, rows, cols, vals):
-        # the rows are not stacked, and each is taken off the list once its
-        # matrix is built; the CSR arrays are those of the (k, m) array
-        stacked = SparseSymMatrix.from_triplets(3, rows, cols, np.array(vals))
+    def test_list_of_rows_gives_the_arrays_of_the_stacked_rows(self, rows, cols, vals, valid):
+        # each array is taken off the list once its matrix is built; each
+        # matrix has scipy's CSR arrays of its mirrored lower triangle
         given = [np.array(val) for val in vals]
+        if not valid:
+            with pytest.raises(ValueError):
+                SparseSymMatrix.from_triplets(3, rows, cols, given)
+            return
         listed = SparseSymMatrix.from_triplets(3, rows, cols, given)
         assert given == []
-        for mat, want in zip(listed, stacked, strict=True):
-            for part in ("indptr", "indices", "data"):
-                got, ref = getattr(mat._full, part), getattr(want._full, part)
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for mat, val in zip(listed, vals, strict=True):
+            assert_same_csr(mat._full, scipy_mirror(3, rows, cols, np.array(val)))
         for part in ("indptr", "indices"):
             assert all(np.shares_memory(getattr(mat._full, part), getattr(listed[0]._full, part))
                        for mat in listed)
+
+    @settings(deadline=None)
+    @given(lower_patterns())
+    def test_matrices_are_scipy_mirrors_on_one_read_only_pattern(self, case):
+        n, rows, cols, vals = case
+        want = [scipy_mirror(n, rows, cols, val) for val in vals]
+        mats = SparseSymMatrix.from_triplets(n, rows, cols, list(vals))
+        for mat, ref in zip(mats, want, strict=True):
+            assert_same_csr(mat._full, ref)
+            for part in ("indptr", "indices"):
+                arr = getattr(mat._full, part)
+                # an empty pattern's indices share no memory, having none
+                assert np.shares_memory(arr, getattr(mats[0]._full, part)) or not arr.size
+                assert not arr.flags.writeable
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 6), entries=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-4, 4)), max_size=30))
+    def test_constructor_mirrors_the_summed_lower_triangle(self, n, entries):
+        # upper entries and duplicates allowed; integer values sum exactly
+        entries = np.array(entries, dtype=int).reshape(-1, 3)
+        coo = sp.coo_matrix((entries[:, 2].astype(float), (entries[:, 0] % n, entries[:, 1] % n)),
+                            shape=(n, n))
+        dense = coo.toarray()
+        mat = SparseSymMatrix(coo)
+        assert np.array_equal(mat.to_dense(), np.tril(dense) + np.tril(dense, -1).T)
 
     def test_list_rows_must_match_the_triplets(self):
         with pytest.raises(ValueError):
             SparseSymMatrix.from_triplets(3, [0, 1], [0, 0], [np.ones(2), np.ones(3)])
 
     def test_one_row_of_values_gives_one_matrix(self):
-        mats = SparseSymMatrix.from_triplets(2, [1], [0], [[3.0]])
+        mats = SparseSymMatrix.from_triplets(2, [1], [0], [np.array([3.0])])
         assert len(mats) == 1
-        mat = SparseSymMatrix.from_triplets(2, [1], [0], [3.0])
-        assert np.array_equal(mat.to_dense(), mats[0].to_dense())
-        assert np.array_equal(mat.to_dense(), [[0.0, 3.0], [3.0, 0.0]])
+        assert np.array_equal(mats[0].to_dense(), [[0.0, 3.0], [3.0, 0.0]])
 
     @pytest.mark.parametrize("rows,cols,vals", [
-        pytest.param([3], [0], [1.0], id="row-past-n"),
-        pytest.param([1], [-1], [1.0], id="negative-col"),
+        pytest.param([3], [0], [[1.0]], id="row-past-n"),
+        pytest.param([1], [-1], [[1.0]], id="negative-col"),
         pytest.param([1], [0], [[[1.0]]], id="three-dim-vals"),
-        pytest.param([1.5], [0], [1.0], id="float-row")])
+        pytest.param([1], [0], np.array([[1.0]]), id="stacked-vals"),
+        pytest.param([[1]], [[0]], [[1.0]], id="two-dim-rows"),
+        pytest.param([1.5], [0], [[1.0]], id="float-row")])
     def test_bad_triplets_rejected(self, rows, cols, vals):
         with pytest.raises(ValueError):
             SparseSymMatrix.from_triplets(3, rows, cols, vals)
 
     @pytest.mark.parametrize("rows,cols,vals", [
-        pytest.param([0], [0, 1], [1.0], id="more-cols"),
-        pytest.param([1, 1], [0], [1.0, 2.0], id="more-rows")])
+        pytest.param([0], [0, 1], [[1.0]], id="more-cols"),
+        pytest.param([1, 1], [0], [[1.0, 2.0]], id="more-rows")])
     def test_rows_and_cols_must_have_one_length(self, rows, cols, vals):
         with pytest.raises(ValueError, match=f"got {len(rows)} and {len(cols)}"):
             SparseSymMatrix.from_triplets(3, rows, cols, vals)
 
     def test_empty_triplets_give_the_zero_matrix(self):
         # empty Python lists become float64 arrays, which are not index arrays
-        mat = SparseSymMatrix.from_triplets(3, [], [], [])
+        (mat,) = SparseSymMatrix.from_triplets(3, [], [], [np.zeros(0)])
         assert np.array_equal(mat.to_dense(), np.zeros((3, 3)))
         assert mat.nnz_lower == 0
 
@@ -253,9 +308,8 @@ class TestSingleStorage:
         assert mat.nnz_lower == np.count_nonzero(coo.col <= coo.row)
 
     def test_from_triplets(self):
-        # the two (1, 1) triplets cancel exactly and leave no stored entry
-        mat = SparseSymMatrix.from_triplets(3, [2, 0, 1, 1, 2], [0, 0, 1, 1, 2],
-                                            [1.0, 4.0, 2.0, -2.0, 5.0])
+        (mat,) = SparseSymMatrix.from_triplets(3, [0, 2, 2], [0, 0, 2],
+                                               [np.array([4.0, 1.0, 5.0])])
         self.check(mat)
         assert mat.nnz_lower == 3
 
@@ -318,18 +372,21 @@ class TestAssembly:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_triplet_path(self, the_domain, n):
-        # from_triplets sums duplicates in triplet order, so all (t, a, b)
-        # triplets summed by it give the assembled CSR arrays bit for bit
+        # the reference sums all (t, a, b) triplets from 0.0 in that order,
+        # by one np.add.at over the distinct (row, col) entries in row-major
+        # order; mirrored by scipy they give the assembled CSR arrays bit for bit
         mesh = generate_mesh(the_domain, n, n)
         dof_map = build_dof_map(mesh)
+        n_dofs = dof_map.n_dofs
         rows, cols, vals = lower_triplets(mesh, dof_map)
-        ref = SparseSymMatrix.from_triplets(dof_map.n_dofs, rows, cols, np.array(vals))
-        ref.append(SparseSymMatrix((ref[1].lower + ref[2].lower).tocsr()))
-        for mat, want in zip(assemble(mesh, dof_map), ref, strict=True):
-            for part in ("indptr", "indices", "data"):
-                got, ref_part = getattr(mat._full, part), getattr(want._full, part)
-                assert got.dtype == ref_part.dtype
-                assert np.array_equal(got, ref_part)
+        entries, slot = np.unique(rows * n_dofs + cols, return_inverse=True)
+        sums = [np.zeros(len(entries)) for _ in vals]
+        for total, val in zip(sums, vals):
+            np.add.at(total, slot, val)
+        sums.append(sums[1] + sums[2])
+        for mat, total in zip(assemble(mesh, dof_map), sums, strict=True):
+            assert_same_csr(mat._full, scipy_mirror(n_dofs, entries // n_dofs,
+                                                    entries % n_dofs, total))
 
     def test_wave_is_built_once(self, ops44):
         _, ops = ops44
@@ -459,10 +516,7 @@ class TestAssembly:
         mesh = generate_mesh(the_domain, n, n)
         for mat in assemble(mesh, build_dof_map(mesh)):
             lower = sp.tril(mat._full, format="csr")
-            want = (lower + sp.tril(lower, -1).T).tocsr()
-            for part in ("indptr", "indices", "data"):
-                got, ref = getattr(mat._full, part), getattr(want, part)
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert_same_csr(mat._full, (lower + sp.tril(lower, -1).T).tocsr())
 
     def test_matrix_market_round_trip(self, ops11, tmp_path):
         _, ops = ops11

@@ -613,11 +613,13 @@ def outside_import(tmp_path, the_domain, mesh22):
     return ["--import-node", str(tmp_path / "o.node"), "--import-ele", str(tmp_path / "o.ele")]
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("command", ["validate", "run", "mesh"])
 def test_run_and_validate_share_the_mesh_verdict(tmp_path, capsys, outside_import, command):
     argv = [command] + outside_import
     if command == "run":
-        argv += ["--steps", "10", "--window", "0", "10", "--out", str(tmp_path / "r")]
+        argv += ["--steps", "10", "--window", "0", "10"]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "r")]
     assert main(argv) == 2
     assert "mesh fails validation: vertices_inside" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
