@@ -54,42 +54,62 @@ def _default_out() -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ValueError (exit 1 in `main`)."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        raise ValueError(f"{self.prog}: {message}")
 
 
-def _tolerance(text: str) -> float:
-    """The finite positive float of a `--tol` value, else a usage error."""
+def _number(cast, low=None, *, strict=False):
+    """The argparse type of a finite `cast(text)` that is >= `low` (> `low`
+    when `strict`); any other value is a usage error naming the flag."""
+    kind = "an integer" if cast is int else "a finite number"
+    bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or (low is not None
+                                        and (value <= low if strict else value < low)):
+            raise argparse.ArgumentTypeError(f"must be {kind}{bound}, got {text!r}")
+        return value
+    return parse
+
+
+_COUNT = _number(int, 1)
+_INDEX = _number(int, 0)
+_POSITIVE = _number(float, 0, strict=True)
+
+
+def _dt(text):
+    """The argparse type of `run --dt`: None for "auto", else a finite float > 0."""
+    return None if text == "auto" else _POSITIVE(text)
+
+
+def _points(text):
+    """The argparse type of `--probes`: (k, 3) points from "x,y,z;x,y,z;..."
+    with k >= 1."""
     try:
-        tol = float(text)
+        pts = np.array([[float(v) for v in chunk.split(",")]
+                        for chunk in text.split(";") if chunk.strip()])
     except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return tol
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
+        raise argparse.ArgumentTypeError(f"must be one or more x,y,z triples "
+                                         f"separated by ';', got {text!r}")
+    return pts
 
 
 def _add_mesh_source(p):
-    p.add_argument("--n", type=int, default=4, help="edge subdivisions per pentagon edge")
-    p.add_argument("--layers", type=int, default=4, help="radial layers")
+    p.add_argument("--n", type=_COUNT, default=4, help="edge subdivisions per pentagon edge")
+    p.add_argument("--layers", type=_COUNT, default=4, help="radial layers")
     p.add_argument("--import-node", help="read mesh vertices from a .node file")
     p.add_argument("--import-ele", help="read mesh tets from an .ele file")
-    p.add_argument("--tol", type=_tolerance, default=1e-6,
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6,
                    help="geometric tolerance for imported meshes")
-
-
-def _get_mesh(args, domain, validate: bool):
-    """The generated or imported mesh and, with `validate`, its validation
-    report (else None)."""
-    if args.import_node or args.import_ele:
-        if not (args.import_node and args.import_ele):
-            raise ParseError("--import-node and --import-ele must be given together")
-        return import_mesh(domain, args.import_node, args.import_ele, tol=args.tol,
-                           validate=validate)
-    mesh = generate_mesh(domain, args.n, args.layers)
-    return mesh, validate_mesh(domain, mesh) if validate else None
 
 
 def _check_mesh_verdict(report) -> None:
@@ -101,6 +121,20 @@ def _check_mesh_verdict(report) -> None:
               if not report[name]]
     if failed:
         raise InvalidMesh(f"mesh fails validation: {', '.join(failed)}")
+
+
+def _get_mesh(args, domain):
+    """The generated or imported mesh and its validation report, whose
+    verdict it has passed (else InvalidMesh)."""
+    if args.import_node or args.import_ele:
+        if not (args.import_node and args.import_ele):
+            raise ValueError("--import-node and --import-ele must be given together")
+        mesh, report = import_mesh(domain, args.import_node, args.import_ele, tol=args.tol)
+    else:
+        mesh = generate_mesh(domain, args.n, args.layers)
+        report = validate_mesh(domain, mesh)
+    _check_mesh_verdict(report)
+    return mesh, report
 
 
 def _write_json(path, data):
@@ -168,10 +202,8 @@ def _timed(stage_s: dict, name: str):
     stage_s[name] = time.perf_counter() - start
 
 
-def cmd_mesh(args) -> int:
-    domain = build_domain()
-    mesh, report = _get_mesh(args, domain, validate=True)
-    _check_mesh_verdict(report)
+def cmd_mesh(args) -> None:
+    mesh, report = _get_mesh(args, build_domain())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_mesh(mesh, out / "mesh.node", out / "mesh.ele")
@@ -186,12 +218,10 @@ def cmd_mesh(args) -> int:
     print(f"boundary edges in [{report['boundary_edge_min']:.6e}, "
           f"{report['boundary_edge_max']:.6e}], "
           f"{report['periodic_pairs']} periodic pairs")
-    return EXIT_OK
 
 
-def cmd_assemble(args) -> int:
-    # nothing here prints or records a validation report, so none is built
-    mesh, _ = _get_mesh(args, build_domain(), validate=False)
+def cmd_assemble(args) -> None:
+    mesh, _ = _get_mesh(args, build_domain())
     dof_map = build_dof_map(mesh)
     ops = assemble(mesh, dof_map)
     mass_sum = ops.mass.total_sum()
@@ -216,63 +246,25 @@ def cmd_assemble(args) -> int:
     print(f"assembled {dof_map.n_dofs} dofs "
           f"({dof_map.n_interior} interior, {dof_map.n_corner_classes} corner classes)")
     print(f"sum of mass entries {mass_sum:.10f}")
-    return EXIT_OK
 
 
-def _parse_points(text):
-    """(k, 3) points from "x,y,z;x,y,z;..." with k >= 1, else ValueError."""
-    try:
-        pts = np.array([[float(v) for v in chunk.split(",")]
-                        for chunk in text.split(";") if chunk.strip()])
-    except ValueError:
-        pts = None
-    if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"--probes must be one or more x,y,z triples "
-                         f"separated by ';', got {text!r}")
-    return pts
-
-
-def _parse_dt(text):
-    """The finite positive float of a `run --dt` value other than "auto", else ValueError."""
-    try:
-        dt = float(text)
-    except ValueError:
-        dt = math.nan
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"--dt must be 'auto' or finite and positive, got {text!r}")
-    return dt
-
-
-def cmd_run(args) -> int:
-    if args.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {args.steps}")
-    if args.snapshot_every < 0:
-        raise ValueError(f"--snapshot-every must be 0 (none) or positive, "
-                         f"got {args.snapshot_every}")
-    if args.window and not 0 <= args.window[0] <= args.window[1] <= args.steps:
-        raise ValueError(f"--window NI NF needs 0 <= NI <= NF <= --steps = {args.steps}, "
+def cmd_run(args) -> None:
+    if args.window and not args.window[0] <= args.window[1] <= args.steps:
+        raise ValueError(f"--window NI NF needs NI <= NF <= --steps = {args.steps}, "
                          f"got {args.window[0]} {args.window[1]}")
-    if not (math.isfinite(args.solve_tol) and args.solve_tol > 0):
-        raise ValueError(f"--solve-tol must be finite and positive, got {args.solve_tol}")
-    if args.random is not None and args.random < 0:
-        raise ValueError(f"--random SEED must be non-negative, got {args.random}")
-    if not math.isfinite(args.amplitude):
-        raise ValueError(f"--amplitude must be finite, got {args.amplitude}")
     if not (math.isfinite(args.bump[3]) and args.bump[3] > 0):
         raise ValueError(f"--bump radius must be finite and positive, got {args.bump[3]}")
-    dt = None if args.dt == "auto" else _parse_dt(args.dt)
-    points = _parse_points(args.probes)
+    points = args.probes
     domain = build_domain()
     if (np.einsum("ij,ij->i", points, points) >= 1.0).any() \
             or not domain.contains(points, tol=1e-9).all():
-        raise NotInDomain(f"probe points {args.probes!r} are not all in the domain")
+        raise NotInDomain(f"probe points {points.tolist()} are not all in the domain")
     center = np.array(args.bump[:3])
     if center @ center >= 1.0 or not domain.contains(center, tol=1e-9):
         raise NotInDomain(f"--bump center {args.bump[:3]} is outside the domain")
     stage_s: dict = {}
     with _timed(stage_s, "mesh"):
-        mesh, mesh_report = _get_mesh(args, domain, validate=True)
-    _check_mesh_verdict(mesh_report)
+        mesh, mesh_report = _get_mesh(args, domain)
     with _timed(stage_s, "assemble"):
         dof_map = build_dof_map(mesh)
         ops = assemble(mesh, dof_map)
@@ -281,8 +273,7 @@ def cmd_run(args) -> int:
     power: dict = {}
     with _timed(stage_s, "spectral_bound"):
         lam, dt_max = estimate_spectral_bound(ops.mass, ops.wave, info=power)
-    if dt is None:
-        dt = 0.95 * dt_max
+    dt = 0.95 * dt_max if args.dt is None else args.dt
     if args.random is not None:
         u0 = initial_random(args.random, args.amplitude, dof_map.n_dofs)
         initial = {"kind": "random", "seed": args.random, "amplitude": args.amplitude}
@@ -356,7 +347,6 @@ def cmd_run(args) -> int:
     print(f"E_d(T) = {eT:.14e}")
     if drift is not None:
         print(f"relative energy drift {drift:.3e}")
-    return EXIT_OK
 
 
 def _signal_row(header):
@@ -371,15 +361,9 @@ def _read_signals(path):
     return header[2:], rows["step"], rows["time"], rows["values"]
 
 
-def cmd_spectrum(args) -> int:
-    if not (math.isfinite(args.prominence) and args.prominence >= 0):
-        raise ValueError(f"--prominence must be finite and >= 0, got {args.prominence}")
-    if not (math.isfinite(args.match_tol) and args.match_tol > 0):
-        raise ValueError(f"--match-tol must be finite and positive, got {args.match_tol}")
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
-    if args.window and not 0 <= args.window[0] <= args.window[1]:
-        raise ValueError(f"--window NI NF needs 0 <= NI <= NF, "
+def cmd_spectrum(args) -> None:
+    if args.window and not args.window[0] <= args.window[1]:
+        raise ValueError(f"--window NI NF needs NI <= NF, "
                          f"got {args.window[0]} {args.window[1]}")
     signals_path = Path(args.signals)
     if args.dt is None:
@@ -401,10 +385,9 @@ def cmd_spectrum(args) -> int:
         raise ValueError(f"signals must be finite, got {values[i, j]} at sample {i} "
                          f"of probe {j} (step {steps[i]}, column {names[j]})")
     if len(steps) and steps[0] * dt < DOMAIN_DIAMETER and not args.force_window:
-        print(f"window starts at t = {steps[0] * dt:.4f} < domain diameter "
-              f"{DOMAIN_DIAMETER:.6f}; transients pollute the spectrum "
-              "(pass --force-window to proceed)", file=sys.stderr)
-        return EXIT_ANALYSIS
+        raise TooShort(f"window starts at t = {steps[0] * dt:.4f} < domain diameter "
+                       f"{DOMAIN_DIAMETER:.6f}; transients pollute the spectrum "
+                       "(pass --force-window to proceed)")
 
     report = analyze_probe_signals(values, dt, count=args.count,
                                    min_prominence=args.prominence,
@@ -419,35 +402,30 @@ def cmd_spectrum(args) -> int:
     print(report.table())
     print(f"resolution dq = {report.resolution:.6f}, "
           f"{len(report.matches)} matched, {len(report.missing)} missing")
-    return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    domain = build_domain()
-    _, report = import_mesh(domain, args.import_node, args.import_ele, tol=args.tol)
+def cmd_validate(args) -> None:
+    _, report = import_mesh(build_domain(), args.import_node, args.import_ele, tol=args.tol)
     print(json.dumps(report, indent=1, sort_keys=True))
     _check_mesh_verdict(report)
-    return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    wrote = False
+def cmd_report(args) -> None:
+    if not (args.dump_group or args.dump_cell or args.dump_domain or args.run_dir):
+        raise ValueError("nothing to do; pass --run-dir or --dump-* options")
     if args.dump_group or args.dump_cell:
         table = generate_group()
         if args.dump_group:
             Path(args.dump_group).write_text(group_to_json(table) + "\n")
             print(f"wrote {args.dump_group}")
-            wrote = True
         if args.dump_cell:
             domain = build_domain()
             pts, labels = orbit_vertices(table, domain.vertices4)
             Path(args.dump_cell).write_text(cell_to_json(pts, labels) + "\n")
             print(f"wrote {args.dump_cell}")
-            wrote = True
     if args.dump_domain:
         Path(args.dump_domain).write_text(build_domain().to_json() + "\n")
         print(f"wrote {args.dump_domain}")
-        wrote = True
     if args.run_dir:
         run_dir = Path(args.run_dir)
         manifest = _read_run_file(run_dir / "manifest.json", **_REPORTED_MANIFEST)
@@ -480,11 +458,6 @@ def cmd_report(args) -> int:
                 print(f"{m['beta']:>6.0f} {m['exact_q2']:>12.0f} "
                       f"{m['detected_q2']:>14.4f} {m['relative_error']:>13.4e} "
                       f"{m['detected_mu']:>14.4f}")
-        wrote = True
-    if not wrote:
-        print("nothing to do; pass --run-dir or --dump-* options", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -509,18 +482,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="evolve an initial condition")
     _add_mesh_source(p)
     p.add_argument("--out", default=_default_out())
-    p.add_argument("--dt", default="auto", help="time step, or 'auto' for 0.95 dt_max")
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--dt", type=_dt, default="auto",
+                   help="time step, or 'auto' for 0.95 dt_max")
+    p.add_argument("--steps", type=_COUNT, default=2000)
     p.add_argument("--bump", type=float, nargs=4, metavar=("X", "Y", "Z", "R"),
                    default=[0.0, 0.0, 0.0, 0.3], help="bump center and radius")
-    p.add_argument("--random", type=int, default=None, metavar="SEED",
+    p.add_argument("--random", type=_INDEX, default=None, metavar="SEED",
                    help="random initial data instead of a bump")
-    p.add_argument("--amplitude", type=float, default=100.0)
-    p.add_argument("--probes", default="0,0,0;0.1,0.05,0.15;-0.12,0.2,0.02",
+    p.add_argument("--amplitude", type=_number(float), default=100.0)
+    p.add_argument("--probes", type=_points, default="0,0,0;0.1,0.05,0.15;-0.12,0.2,0.02",
                    help="semicolon-separated probe points x,y,z")
-    p.add_argument("--window", type=int, nargs=2, metavar=("NI", "NF"), default=None)
-    p.add_argument("--snapshot-every", type=int, default=0)
-    p.add_argument("--solve-tol", type=float, default=1e-13)
+    p.add_argument("--window", type=_INDEX, nargs=2, metavar=("NI", "NF"), default=None)
+    p.add_argument("--snapshot-every", type=_INDEX, default=0)
+    p.add_argument("--solve-tol", type=_POSITIVE, default=1e-13)
     p.add_argument("--force", action="store_true",
                    help="allow dt beyond the stability bound")
     p.add_argument("--force-window", action="store_true",
@@ -532,17 +506,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=_default_out())
     p.add_argument("--dt", type=float, default=None,
                    help="sample step (default: from manifest.json next to signals)")
-    p.add_argument("--window", type=int, nargs=2, metavar=("NI", "NF"), default=None)
-    p.add_argument("--count", type=int, default=10, help="exact eigenvalues to match")
-    p.add_argument("--prominence", type=float, default=0.01)
-    p.add_argument("--match-tol", type=float, default=0.05)
+    p.add_argument("--window", type=_INDEX, nargs=2, metavar=("NI", "NF"), default=None)
+    p.add_argument("--count", type=_COUNT, default=10, help="exact eigenvalues to match")
+    p.add_argument("--prominence", type=_number(float, 0), default=0.01)
+    p.add_argument("--match-tol", type=_POSITIVE, default=0.05)
     p.add_argument("--force-window", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("validate", help="validate an imported mesh")
     p.add_argument("--import-node", required=True)
     p.add_argument("--import-ele", required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("report", help="summarize a run; dump group/domain JSON")
@@ -556,10 +530,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; every failure becomes its exit code here."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        args.func(args)
     except _MESH_ERRORS as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return EXIT_MESH
@@ -569,13 +543,7 @@ def main(argv=None) -> int:
     except _ANALYSIS_ERRORS as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return EXIT_OK

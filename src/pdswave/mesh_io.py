@@ -133,15 +133,14 @@ def read_ele_file(path, node_count: int) -> np.ndarray:
 
 
 def import_mesh(domain: FundamentalDomain, node_path, ele_path,
-                tol: float = 1e-6, validate: bool = True) -> tuple[TetMesh, dict | None]:
+                tol: float = 1e-6) -> tuple[TetMesh, dict]:
     """Read, orient, tag and periodicity-check a mesh; returns (mesh, report).
 
     The report is `validate_mesh`'s on the oriented mesh, except that
     "all_volumes_positive" and "reoriented_tets" describe the tets as read.
     It is built from the determinants of the orientation and the triangle
     counts of the boundary extraction, which the import has computed
-    already; with `validate` false it is not built, and None comes back in
-    its place.
+    already.
     """
     vertices = read_node_file(node_path)
     tets = read_ele_file(ele_path, len(vertices))
@@ -175,8 +174,6 @@ def import_mesh(domain: FundamentalDomain, node_path, ele_path,
     mesh = TetMesh(vertices=vertices, tets=tets, boundary_tris=boundary_tris,
                    periodic=periodic_pairs(domain, vertices, boundary_tris,
                                            boundary_faces, tol))
-    if not validate:
-        return mesh, None
     # the tets as read, not as oriented above
     as_read = {"all_volumes_positive": bool(det.min() > 0),
                "reoriented_tets": int((det < 0).sum())}

@@ -58,13 +58,13 @@ def mesh11_files(tmp_path_factory):
 
 @pytest.mark.parametrize("command, imported, calls", [
     ("mesh", False, 1), ("mesh", True, 1), ("validate", True, 1),
-    ("run", False, 1), ("run", True, 1), ("assemble", False, 0), ("assemble", True, 0),
+    ("run", False, 1), ("run", True, 1), ("assemble", False, 1), ("assemble", True, 1),
 ], ids=["mesh", "mesh-import", "validate", "run", "run-import", "assemble",
         "assemble-import"])
 def test_only_commands_that_report_validate(tmp_path, monkeypatch, mesh11_files,
                                             command, imported, calls):
-    # a command validates its mesh once when it prints or records the report
-    # (mesh_report.json, validate's JSON, the manifest), and not otherwise
+    # every command that takes a mesh validates it once: one gate decides
+    # whether mesh, assemble, run and validate use it
     made = []
     original = meshing.validate_mesh
 
@@ -496,6 +496,10 @@ def test_csv_writer_matches_reference(tmp_path):
     (["--bump", "0", "0", "0", "inf"], "--bump"),
     (["--bump", "0", "0", "0", "0"], "--bump"),
     (["--random", "-1"], "--random"),
+    (["--n", "0"], "--n"),
+    (["--layers", "0"], "--layers"),
+    (["--steps", "0"], "--steps"),
+    (["--steps", "1.5"], "--steps"),
 ])
 def test_run_flags_checked_before_setup(tmp_path, monkeypatch, capsys, flags, named):
     def no_setup(*args, **kwargs):
@@ -519,10 +523,10 @@ def test_run_flags_checked_before_setup(tmp_path, monkeypatch, capsys, flags, na
     ["spectrum", "--signals", "s.csv", "--hann"],
 ], ids=["unknown-flag", "run-degree", "assemble-degree", "run-config", "mesh-grading",
         "spectrum-hann"])
-def test_usage_error_exit_code(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
+def test_usage_error_exit_code(argv, capsys):
+    # the parser raises, and main returns the exit code
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: pdswave ")
 
 
 def test_readme_cli_block_parses():
@@ -613,7 +617,7 @@ def outside_import(tmp_path, the_domain, mesh22):
     return ["--import-node", str(tmp_path / "o.node"), "--import-ele", str(tmp_path / "o.ele")]
 
 
-@pytest.mark.parametrize("command", ["validate", "run", "mesh"])
+@pytest.mark.parametrize("command", ["validate", "run", "mesh", "assemble"])
 def test_run_and_validate_share_the_mesh_verdict(tmp_path, capsys, outside_import, command):
     argv = [command] + outside_import
     if command == "run":
@@ -625,6 +629,30 @@ def test_run_and_validate_share_the_mesh_verdict(tmp_path, capsys, outside_impor
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", ["mesh", "assemble", "run"])
+@pytest.mark.parametrize("flag", ["--import-node", "--import-ele"])
+def test_lone_import_flag_is_usage_error(tmp_path, capsys, command, flag):
+    # a missing flag, not a bad mesh: exit 1, and nothing is read or written
+    out = tmp_path / "D"
+    assert main([command, flag, str(tmp_path / "x"), "--out", str(out)]) == 1
+    assert "must be given together" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_with_nothing_to_do_is_usage_error(capsys):
+    assert main(["report"]) == 1
+    captured = capsys.readouterr()
+    assert "nothing to do" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["mesh", "--help"]],
+                         ids=["help", "version", "mesh-help"])
+def test_help_and_version_exit_0(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+
+
 def test_zero_subdivision_is_usage_error(tmp_path):
     assert main(["mesh", "--n", "0", "--out", str(tmp_path / "m")]) == 1
 
@@ -633,10 +661,8 @@ def test_zero_subdivision_is_usage_error(tmp_path):
 def test_bad_grading_is_usage_error(tmp_path, grading):
     # the layers are uniform: the parser rejects --grading before any setup
     out = tmp_path / "m"
-    with pytest.raises(SystemExit) as exc:
-        main(["mesh", "--n", "1", "--layers", "1", "--grading", grading,
-              "--out", str(out)])
-    assert exc.value.code == 1
+    assert main(["mesh", "--n", "1", "--layers", "1", "--grading", grading,
+                 "--out", str(out)]) == 1
     assert not (out / "mesh_report.json").exists()
 
 
@@ -648,11 +674,7 @@ def test_bad_tol_is_usage_error(tmp_path, capsys, command, tol):
             "--import-ele", str(tmp_path / "missing.ele"), "--tol", tol]
     if command != "validate":
         argv += ["--out", str(tmp_path / "o")]
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 1
+    assert main(argv) == 1
     assert "--tol" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

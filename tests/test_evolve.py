@@ -268,6 +268,17 @@ class TestLeapfrog:
             leapfrog_run(ops.mass, ops.wave, np.ones(dof_map.n_dofs), dt=0.5 * dt_max,
                          steps=steps, dt_max=dt_max)
 
+    def test_negative_snapshot_every_rejected(self, small_system, monkeypatch):
+        # rejected before the Taylor start's solve, as negative steps are
+        _, dof_map, ops, dt_max = small_system
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before snapshot_every was checked")
+        monkeypatch.setattr(evolve, "pcg_solve", no_solve)
+        with pytest.raises(ValueError, match="snapshot_every"):
+            leapfrog_run(ops.mass, ops.wave, np.ones(dof_map.n_dofs), dt=0.5 * dt_max,
+                         steps=10, snapshot_every=-3, dt_max=dt_max)
+
     def test_zero_steps_gives_one_energy(self, small_system):
         mesh, dof_map, ops, dt_max = small_system
         u0 = initial_bump(mesh, dof_map, the_domain_of(mesh))

@@ -54,9 +54,6 @@ def test_import_report_is_validate_mesh_of_the_imported_mesh(the_domain, tmp_pat
             == {k: repr(v) for k, v in ref.items() if k not in as_read})
     assert rep["reoriented_tets"] == (len(mesh.tets) if swapped else 0)
     assert rep["all_volumes_positive"] is not swapped
-    _, none = import_mesh(the_domain, tmp_path / "m.node", tmp_path / "m.ele",
-                          validate=False)
-    assert none is None
 
 
 def test_import_recovers_node_face_sets(the_domain, mesh22, tmp_path):
