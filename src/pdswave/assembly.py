@@ -12,14 +12,20 @@ w(X) = (1 - |X|^2)^(-1/2):
 
 plus the wave operator, stiffness + radial.
 
-Each tet gives three 4x4 element matrices.  The gradients G of the
-barycentric coordinates lam are closed-form: with the edges e_i = v_i - v_0,
+Each tet gives three symmetric 4x4 element matrices, and `element_matrices`
+returns only their ten entries at the basis pairs (a, b), a >= b, of
+`quadrature.PAIRS`, as a (3, 10, T) array: one row over the tets per
+matrix and pair.  Every value is made from such rows by elementwise
+products and sums (`quadrature.dot_rows`), with no stacked 4x4 matmul.
+The gradients G of the barycentric coordinates lam are closed-form, as
+rows from `quadrature.edge_cofactors`: with the edges e_i = v_i - v_0,
 grad lam_1..3 are e_2 x e_3, e_3 x e_1 and e_1 x e_2 over the determinant
-e_1 . (e_2 x e_3), and grad lam_0 is minus their sum.  lam is affine, so
-X . grad lam_i = (B lam)_i with B = G V^T (V the vertices, G and V both
-(4, 3)): the radial element matrix is
--B M_loc B^T with M_loc the mass element matrix, and the quadrature needs
-only the weights, which take |X|^2 from the vertex Gram matrix V V^T.
+e_1 . (e_2 x e_3), and grad lam_0 is minus their sum.  The stiffness entry
+is (g_a . g_b) sum_q wq |det|.  lam is affine, so X . grad lam_i =
+(B lam)_i with B = G V^T (V the vertices, G and V both (4, 3)), formed as
+the sixteen rows g_a . v_i: the radial entry is -(B M_loc B^T)_ab with
+M_loc the mass element matrix, and the quadrature needs only the weights,
+which take |X|^2 from the vertex Gram matrix V V^T.
 
 Each matrix is built from its summed lower triangle and stored once, as
 the full symmetric matrix in compressed sparse rows.  The tets are taken in
@@ -29,15 +35,18 @@ two int64 keys per tet, not four columns.  The lower pattern is built first, as
 tril(E^T E) of the (T, n_dofs) tet-dof incidence E, which is dropped with
 the tets' dofs once the pattern exists; a CSR array on the pattern whose
 values are the slot numbers then maps each (row, col) to its slot.  The
-element matrices are computed over the blocks of `meshing.tet_blocks`,
-each block's tets and their dofs gathered through the permutation; one
-lookup in that CSR per block finds the slots of their entries on or below
-the diagonal, each by a search within its short pattern row, and
-`np.add.at` adds them into one value array per matrix.  It adds in the
-(t, a, b) order of a whole-mesh pass over the canonically ordered tets, so
-every entry is that ordered sum from 0.0, whatever the block size, and the
-setup memory grows with the pattern, not with the triplets or (T, 4, 4)
-arrays.  The wave values are the stiffness plus the radial values on the
+element entries are computed over the blocks of `meshing.tet_blocks`,
+each block's tets and their dofs gathered through the permutation.  Pair
+(a, b) of a tet goes to the lower entry (max(d_a, d_b), min(d_a, d_b)) of
+its dofs d; a pair of two distinct vertices that share one dof stands for
+both its entries (a, b) and (b, a) of the diagonal, so its value is
+doubled.  One lookup in the slot CSR per block finds the slots, each by a
+search within its short pattern row, and `np.add.at` adds the entries into
+one value array per matrix.  It adds in the (t, pair) order of a
+whole-mesh pass over the canonically ordered tets, so every entry is that
+ordered sum from 0.0, whatever the block size, and the setup memory grows
+with the pattern, not with the triplets or per-tet arrays over the whole
+mesh.  The wave values are the stiffness plus the radial values on the
 same slots.
 
 All four matrices share one pattern, so one `SparseSymMatrix.from_triplets`
@@ -66,10 +75,21 @@ from scipy.sparse import _sparsetools
 from .errors import ClassSizeError, NoConvergence
 from .icosian import merge_classes
 from .meshing import TetMesh, tet_blocks
-from .quadrature import QUADRATURE, edge_cofactors, quadrature_weights, rows_times
+from .quadrature import (PAIRS, QUADRATURE, coordinate_rows, dot_rows, edge_cofactors,
+                         quadrature_weights, rows_times)
 
 # LOBPCG iterations before estimate_spectral_bound gives up
 BOUND_MAX_ITER = 10000
+
+# lam_a lam_b at the quadrature points, (m, 10) with column p for PAIRS[p]
+_PAIR_PRODUCTS = np.stack([QUADRATURE.points[:, a] * QUADRATURE.points[:, b]
+                           for a, b in PAIRS], axis=1)
+_PAIR_PRODUCTS.flags.writeable = False
+# the pair of each (i, j) of a 4 x 4 symmetric matrix, and the pairs (a, b),
+# b <= a, of row a
+_PAIR_OF = np.array([[PAIRS.index((max(i, j), min(i, j))) for j in range(4)]
+                     for i in range(4)])
+_LOWER_ROW = [slice(a * (a + 1) // 2, (a + 1) * (a + 2) // 2) for a in range(4)]
 
 
 def _symmetric_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -269,24 +289,38 @@ def build_dof_map(mesh: TetMesh) -> DofMap:
     return dof_map
 
 
-def element_matrices(verts: np.ndarray):
-    """Mass, stiffness and radial element matrices (T, 4, 4) of the tets `verts`."""
+def element_matrices(verts: np.ndarray) -> np.ndarray:
+    """Mass, stiffness and radial entries (3, 10, T) of the tets `verts`
+    (T, 4, 3) at the basis pairs `PAIRS`, one row over the tets per matrix
+    and pair."""
     cof, det = edge_cofactors(verts)
     wq = quadrature_weights(verts)
-    grads = np.empty_like(verts)                 # rows: grad lam_0..3
-    grads[:, 1:] = cof / det[:, None, None]
-    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    x = coordinate_rows(verts)
+    grads = np.empty_like(x)                     # grad lam_0..3 at [coordinate, a, tet]
+    np.divide(cof.transpose(2, 1, 0), det, out=grads[:, 1:])
+    np.negative(grads[:, 1:].sum(axis=1), out=grads[:, 0])
     det = np.abs(det)
 
-    bb = np.einsum("mi,mj->mij", QUADRATURE.points, QUADRATURE.points)   # (m, 4, 4)
-    m_loc = rows_times(wq, bb.reshape(-1, 16)).reshape(-1, 4, 4)
-    m_loc *= det[:, None, None]
-    k_loc = grads @ grads.transpose(0, 2, 1)
-    k_loc *= (wq.sum(axis=1) * det)[:, None, None]
+    out = np.empty((3, len(PAIRS), len(det)))
+    mass, stiff, radial = out
+    np.multiply(rows_times(wq, _PAIR_PRODUCTS).T, det, out=mass)
+    for a in range(4):
+        dot_rows(grads[:, :a + 1], grads[:, a, None], out=stiff[_LOWER_ROW[a]])
+    det *= wq.sum(axis=1)
+    stiff *= det
 
-    b = grads @ verts.transpose(0, 2, 1)         # X . grad lam = B lam
-    d_loc = -b @ m_loc @ b.transpose(0, 2, 1)
-    return m_loc, k_loc, d_loc
+    # X . grad lam = B lam with B = G V^T, B[a, i] = grad lam_a . v_i; the
+    # radial entries are -(B M B^T)[a, b] for the mass element matrix M
+    b = np.empty((4, 4, len(det)))
+    for a in range(4):
+        dot_rows(x, grads[:, a, None], out=b[a])
+    bm = np.empty_like(b)                         # (B M)[a, j] at [j, a, tet]
+    for j in range(4):
+        dot_rows(b.transpose(1, 0, 2), mass[_PAIR_OF[j], None], out=bm[j])
+    for a in range(4):
+        dot_rows(b[:a + 1].transpose(1, 0, 2), bm[:, a, None], out=radial[_LOWER_ROW[a]])
+    np.negative(radial, out=radial)
+    return out
 
 
 def _summed_values(mesh: TetMesh, order: np.ndarray, node_to_dof: np.ndarray,
@@ -296,17 +330,27 @@ def _summed_values(mesh: TetMesh, order: np.ndarray, node_to_dof: np.ndarray,
     each entry's slot number as its value."""
     vals = [np.zeros(slot_of.nnz) for _ in range(3)]
     for blk in tet_blocks(len(order)):
-        # entry (a, b) of tet t goes to (dof[t, a], dof[t, b]); those on or
-        # below the diagonal are added, in (t, a, b) order
-        tets = mesh.tets[order[blk]]
-        d = node_to_dof[tets]
-        lower = d[:, :, None] >= d[:, None, :]
-        slots = slot_of[np.broadcast_to(d[:, :, None], lower.shape)[lower],
-                        np.broadcast_to(d[:, None, :], lower.shape)[lower]]
-        for val, loc in zip(vals, element_matrices(mesh.vertices[tets])):
-            np.add.at(val, slots, loc[lower])
+        _add_block(vals, mesh.vertices, mesh.tets[order[blk]], node_to_dof, slot_of)
     vals.append(vals[1] + vals[2])
     return vals
+
+
+def _add_block(vals: list, vertices: np.ndarray, tets: np.ndarray,
+               node_to_dof: np.ndarray, slot_of: sp.csr_array) -> None:
+    """Add the mass, stiffness and radial entries of the tets `tets` into their
+    slots of `vals`.  Pair (a, b) of tet t goes to the lower entry of
+    (dof[t, a], dof[t, b]), added in (t, pair) order; a pair of two vertices
+    with one dof is both its entries (a, b) and (b, a) of the diagonal, so it
+    is doubled.  The block's arrays are released on return, before the next
+    block's kernel runs."""
+    loc = element_matrices(vertices[tets])
+    first, second = np.array(PAIRS).T
+    d = node_to_dof[tets]
+    da, db = d[:, first], d[:, second]
+    loc[:, ((da == db) & (first != second)).T] *= 2.0
+    slots = slot_of[np.maximum(da, db).ravel(), np.minimum(da, db).ravel()]
+    for val, entries in zip(vals, loc):
+        np.add.at(val, slots, entries.T.ravel())
 
 
 def _canonical_order(tets: np.ndarray, nv: int) -> np.ndarray:

@@ -123,12 +123,18 @@ def _check_mesh_verdict(report) -> None:
         raise InvalidMesh(f"mesh fails validation: {', '.join(failed)}")
 
 
+def _check_import_pair(args) -> None:
+    """Raise ValueError if a command's --import-node and --import-ele are not
+    given together; `main` checks this before any command reads or builds."""
+    pair = (getattr(args, "import_node", None), getattr(args, "import_ele", None))
+    if any(pair) and not all(pair):
+        raise ValueError("--import-node and --import-ele must be given together")
+
+
 def _get_mesh(args, domain):
     """The generated or imported mesh and its validation report, whose
     verdict it has passed (else InvalidMesh)."""
-    if args.import_node or args.import_ele:
-        if not (args.import_node and args.import_ele):
-            raise ValueError("--import-node and --import-ele must be given together")
+    if args.import_node:
         mesh, report = import_mesh(domain, args.import_node, args.import_ele, tol=args.tol)
     else:
         mesh = generate_mesh(domain, args.n, args.layers)
@@ -533,6 +539,7 @@ def main(argv=None) -> int:
     """Run one command; every failure becomes its exit code here."""
     try:
         args = build_parser().parse_args(argv)
+        _check_import_pair(args)
         args.func(args)
     except _MESH_ERRORS as exc:
         print(f"mesh error: {exc}", file=sys.stderr)

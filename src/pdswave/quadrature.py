@@ -8,15 +8,23 @@ physical tets under the weight w(X) = (1 - |X|^2)^(-1/2), the volume
 density of the lift to the 3-sphere.  |X|^2 = lam^T (V V^T) lam comes from
 the Gram matrix of the (4, 3) vertex matrix V, so no physical point
 X = V^T lam is formed.  The weighted integral of f over a tet is
-|det| * sum_q wq[q] f(X_q), X_q = QUADRATURE.points[q] @ verts.  The
-determinants and the barycentric gradients come in closed form from the
-edge cross products of `edge_cofactors`, not from a batched LU;
-`tet_determinants` gives the same determinants from one cross product.
-Both work on the coordinates of each kind (x, y or z) as rows over the
-tets and form each cross-product component as one product minus another,
-the operations `np.cross` makes, so their values are those of `np.cross`.
-Products with the rule's constant matrices go through `rows_times`, so a
-tet's values do not depend on how many tets are computed with it.
+|det| * sum_q wq[q] f(X_q), X_q = QUADRATURE.points[q] @ verts.
+
+The per-tet kernels work on coordinate rows (`coordinate_rows`): the
+coordinates of each kind (x, y or z) of each vertex as one row over the
+tets.  A per-tet value is then an elementwise numpy operation on rows, or
+a product of rows with one of the rule's constant matrices, and no stacked
+4x4 matmul is made.  `vertex_gram` forms V V^T from its ten
+distinct dot products v_i . v_j, i >= j (the pairs `PAIRS`), mirrored,
+each summed over x, y and z by `dot_rows`, which the element kernel of
+`assembly` uses too.  The determinants and the barycentric gradients come
+in closed form from the edge cross products of `edge_cofactors`, not from
+a batched LU; `tet_determinants` gives the same determinants from one
+cross product.  Both form each cross-product component as one product
+minus another, the operations `np.cross` makes, so their values are those
+of `np.cross`.  Products with the rule's constant matrices go through
+`rows_times`, so a tet's values do not depend on how many tets are
+computed with it.
 """
 
 from __future__ import annotations
@@ -72,6 +80,14 @@ def _fourteen_point_rule() -> QuadratureRule:
 
 QUADRATURE = _fourteen_point_rule()
 
+# the ten pairs (a, b), a >= b, of a tet's four vertices, in row-major order
+# of the lower triangle: pair (a, b) is number a (a + 1) / 2 + b
+PAIRS = tuple((a, b) for a in range(4) for b in range(a + 1))
+
+# lam_i lam_j at the quadrature points, (16, m) with row 4 i + j
+_POINT_PRODUCTS = np.einsum("mi,mj->ijm", QUADRATURE.points, QUADRATURE.points).reshape(16, -1)
+_POINT_PRODUCTS.flags.writeable = False
+
 
 def reference_monomial_integral(p: int, q: int, r: int) -> float:
     """Exact integral of x^p y^q z^r over the reference tetrahedron.
@@ -93,11 +109,31 @@ def rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def dot_rows(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k u[k] * v[k] written into `out`, which is returned: the products
+    of rows over the tets, added in order of k.  u and v broadcast to the
+    shape of `out` after their leading index k."""
+    np.multiply(u[0], v[0], out=out)
+    tmp = np.empty_like(out)
+    for uk, vk in zip(u[1:], v[1:]):
+        out += np.multiply(uk, vk, out=tmp)
+    return out
+
+
+def vertex_gram(verts: np.ndarray) -> np.ndarray:
+    """The Gram matrices V V^T (4, 4, T) of the tets `verts` (T, 4, 3), v_i . v_j
+    at [i, j, tet]: the ten dot products of coordinate rows with i >= j, mirrored."""
+    x = coordinate_rows(verts)
+    gram = np.empty((4, 4, len(verts)))
+    for i in range(4):
+        dot_rows(x[:, :i + 1], x[:, i, None], out=gram[i, :i + 1])
+        gram[:i, i] = gram[i, :i]
+    return gram
+
+
 def quadrature_weights(verts: np.ndarray) -> np.ndarray:
     """Weights times w (T, m) at the quadrature points of the tets `verts` (T, 4, 3)."""
-    pts = QUADRATURE.points
-    gram = (verts @ verts.transpose(0, 2, 1)).reshape(-1, 16)
-    r2 = rows_times(gram, np.einsum("mi,mj->ijm", pts, pts).reshape(16, -1))
+    r2 = rows_times(vertex_gram(verts).reshape(16, -1).T, _POINT_PRODUCTS)
     if r2.max() >= 1.0:
         raise WeightSingularity("quadrature point outside the unit ball")
     wq = 1.0 / np.sqrt(1.0 - r2)
@@ -105,11 +141,17 @@ def quadrature_weights(verts: np.ndarray) -> np.ndarray:
     return wq
 
 
+def coordinate_rows(verts: np.ndarray) -> np.ndarray:
+    """The coordinates (3, 4, T) of the tets `verts` (T, 4, 3), indexed
+    [coordinate, vertex, tet]: one row over the tets per coordinate and vertex."""
+    return np.ascontiguousarray(verts.transpose(2, 1, 0))
+
+
 def _edge_components(verts: np.ndarray, out=None) -> np.ndarray:
     """(3, 3, T) edges e_i = v_i - v_0 of the tets `verts` (T, 4, 3), indexed
     [coordinate, i - 1, tet]."""
-    vt = np.ascontiguousarray(verts.transpose(2, 1, 0))
-    return np.subtract(vt[:, 1:], vt[:, :1], out=out)
+    x = coordinate_rows(verts)
+    return np.subtract(x[:, 1:], x[:, :1], out=out)
 
 
 def tet_determinants(verts: np.ndarray) -> np.ndarray:

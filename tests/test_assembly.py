@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pdswave.meshing as meshing
 from pdswave.errors import ClassSizeError, NoConvergence
 from pdswave.meshing import (EXACT_DOMAIN_VOLUME, generate_mesh, orient_tets,
                              signed_tet_volumes, validate_mesh, weighted_volume)
-from pdswave.quadrature import QUADRATURE
+from pdswave.quadrature import PAIRS, QUADRATURE, quadrature_weights
 
 
 @pytest.fixture(scope="module")
@@ -124,15 +126,17 @@ def dense_reference_assembly(mesh, dof_map):
 
 def lower_triplets(mesh, dof_map):
     """Rows, cols and the mass, stiffness and radial values of every element
-    entry (t, a, b) on or below the diagonal, in (t, a, b) order over the
-    tets sorted by their sorted vertex ids."""
+    pair (t, a, b), a >= b, at its entry on or below the diagonal, in
+    (t, pair) order over the tets sorted by their sorted vertex ids; a pair
+    of two vertices with one dof is both (a, b) and (b, a), so it counts twice."""
     key = np.sort(mesh.tets, axis=1)
     tets = mesh.tets[np.lexsort(key.T[::-1])]
     dof = dof_map.node_to_dof[tets]
-    lower = dof[:, :, None] >= dof[:, None, :]
-    rows = np.broadcast_to(dof[:, :, None], lower.shape)[lower]
-    cols = np.broadcast_to(dof[:, None, :], lower.shape)[lower]
-    return rows, cols, [loc[lower] for loc in element_matrices(mesh.vertices[tets])]
+    first, second = np.array(PAIRS).T
+    da, db = dof[:, first], dof[:, second]
+    twice = np.where((da == db) & (first != second), 2.0, 1.0).ravel()
+    return (np.maximum(da, db).ravel(), np.minimum(da, db).ravel(),
+            [loc.T.ravel() * twice for loc in element_matrices(mesh.vertices[tets])])
 
 
 def scipy_mirror(n, rows, cols, val):
@@ -343,6 +347,69 @@ class TestMatvec:
                 ops.mass.matvec(x, out)
 
 
+def well_shaped_tets(count, seed):
+    """`count` random tets (count, 4, 3) inside the unit ball: regular tets of
+    circumradius 0.02-0.2, each vertex jittered, rotated at random and
+    centred within 0.7 of the origin."""
+    rng = np.random.default_rng(seed)
+    regular = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    tets = []
+    for _ in range(count):
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        center = rng.standard_normal(3)
+        center *= rng.uniform(0.0, 0.7) / np.linalg.norm(center)
+        shape = regular + rng.uniform(-0.15, 0.15, (4, 3))
+        tets.append(center + rng.uniform(0.02, 0.2) * shape @ rotation.T)
+    return np.array(tets)
+
+
+def expand_pairs(loc):
+    """The element matrices (3, 4, 4, T) whose entries (a, b) and (b, a) are
+    the kernel's pair (a, b) of `loc` (3, 10, T)."""
+    full = np.empty((3, 4, 4, loc.shape[2]))
+    for p, (a, b) in enumerate(PAIRS):
+        full[:, a, b] = full[:, b, a] = loc[:, p]
+    return full
+
+
+class TestElementMatrices:
+    def test_match_the_sum_over_quadrature_points(self):
+        # the oracle's formula on each tet alone, its four vertices its dofs:
+        # it sums w (X . grad lam_a)(X . grad lam_b) point by point, with
+        # gradients from np.linalg.inv, and fills both triangles, which the
+        # kernel's ten pairs a >= b, mirrored, must match
+        assert list(PAIRS) == list(zip(*np.tril_indices(4)))
+        verts = well_shaped_tets(200, 7)
+        loc = element_matrices(verts)
+        assert loc.shape == (3, len(PAIRS), len(verts))
+        full = expand_pairs(loc)
+        assert np.array_equal(full, full.swapaxes(1, 2))
+        one_tet = SimpleNamespace(n_dofs=4, node_to_dof=np.arange(4))
+        for t, v in enumerate(verts):
+            ref = dense_reference_assembly(SimpleNamespace(tets=[[0, 1, 2, 3]], vertices=v),
+                                           one_tet)
+            for got, want in zip(full[..., t], ref, strict=True):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_pair_with_one_dof_reaches_the_diagonal_twice(self, mesh11):
+        # two vertices of tet 0 are given one dof: its pair (a, b) is both
+        # entries (a, b) and (b, a) of that dof's diagonal; no generated mesh
+        # has such a tet
+        dof_map = build_dof_map(mesh11)
+        node_to_dof = dof_map.node_to_dof.copy()
+        a, b = mesh11.tets[0, :2]
+        assert node_to_dof[a] != node_to_dof[b]
+        node_to_dof[node_to_dof == node_to_dof[b]] = node_to_dof[a]
+        _, dof_to_node, node_to_dof = np.unique(node_to_dof, return_index=True,
+                                                return_inverse=True)
+        merged = dataclasses.replace(dof_map, node_to_dof=node_to_dof,
+                                     dof_to_node=dof_to_node)
+        assert merged.n_dofs == dof_map.n_dofs - 1
+        ops = assemble(mesh11, merged)
+        for op, ref in zip(ops[:3], dense_reference_assembly(mesh11, merged), strict=True):
+            assert np.abs(op.to_dense() - ref).max() < 1e-14 * np.abs(ref).max()
+
+
 class TestAssembly:
     def test_matches_dense_oracle(self, mesh11, mesh22):
         # mesh22's tets come in more shapes, so a transposed local matrix
@@ -359,7 +426,7 @@ class TestAssembly:
 
     def test_sums_each_entry_in_tet_order(self, mesh22):
         # every stored value is the sum from 0.0 of its element entries in
-        # (t, a, b) order, bit for bit
+        # (t, pair) order, bit for bit
         dof_map = build_dof_map(mesh22)
         ops = assemble(mesh22, dof_map)
         rows, cols, vals = lower_triplets(mesh22, dof_map)
@@ -372,7 +439,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_triplet_path(self, the_domain, n):
-        # the reference sums all (t, a, b) triplets from 0.0 in that order,
+        # the reference sums all (t, pair) triplets from 0.0 in that order,
         # by one np.add.at over the distinct (row, col) entries in row-major
         # order; mirrored by scipy they give the assembled CSR arrays bit for bit
         mesh = generate_mesh(the_domain, n, n)
@@ -541,6 +608,9 @@ def block_pass_outputs(domain, mesh):
     dof_map = build_dof_map(mesh)
     arrays = [getattr(mat._full, part) for mat in assemble(mesh, dof_map)
               for part in ("indptr", "indices", "data")]
+    verts = [mesh.vertices[mesh.tets[blk]] for blk in meshing.tet_blocks(len(mesh.tets))]
+    arrays += [np.concatenate([element_matrices(v) for v in verts], axis=2),
+               np.concatenate([quadrature_weights(v) for v in verts])]
     flipped = mesh.tets[:, [0, 1, 3, 2]]
     arrays += [signed_tet_volumes(mesh.vertices, flipped),
                *orient_tets(mesh.vertices, flipped), np.array(weighted_volume(mesh))]
@@ -550,7 +620,8 @@ def block_pass_outputs(domain, mesh):
 @pytest.mark.parametrize("n", [2, 4])
 def test_block_boundaries_change_nothing(the_domain, n, monkeypatch):
     # one block over all tets is the unblocked pass; blocks of 1 and 7 tets
-    # split it everywhere, and 7 leaves a one-tet last block at n = 2
+    # split it everywhere, and 7 leaves a one-tet last block at n = 2; the
+    # element kernel and the weights are compared block by block too
     mesh = generate_mesh(the_domain, n, n)
     default = meshing.TET_BLOCK
     monkeypatch.setattr(meshing, "TET_BLOCK", len(mesh.tets))

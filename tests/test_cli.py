@@ -639,6 +639,19 @@ def test_lone_import_flag_is_usage_error(tmp_path, capsys, command, flag):
     assert not out.exists()
 
 
+def test_lone_import_flag_is_checked_before_the_probes(tmp_path, monkeypatch, capsys):
+    # probes outside the domain are a mesh error (exit 2), but the missing
+    # --import-ele is found first, before the domain is built
+    def no_domain():
+        raise AssertionError("the domain was built before the import flags were checked")
+    monkeypatch.setattr(cli, "build_domain", no_domain)
+    out = tmp_path / "r"
+    assert main(["run", "--import-node", str(tmp_path / "x.node"), "--probes", "5,5,5",
+                 "--out", str(out)]) == 1
+    assert "must be given together" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_with_nothing_to_do_is_usage_error(capsys):
     assert main(["report"]) == 1
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from pdswave.errors import WeightSingularity
 from pdswave.meshing import generate_mesh
 from pdswave.quadrature import (QUADRATURE, edge_cofactors, quadrature_weights,
-                                reference_monomial_integral, tet_determinants)
+                                reference_monomial_integral, tet_determinants, vertex_gram)
 
 
 def quad_monomial(rule, p, q, r):
@@ -65,6 +65,20 @@ def test_weights_from_gram_match_the_points():
     pts = QUADRATURE.points @ verts
     ref = QUADRATURE.weights / np.sqrt(1.0 - (pts ** 2).sum(axis=2))
     assert np.abs(wq - ref).max() <= 1e-15 * ref.max()
+
+
+def test_gram_rows_equal_the_stacked_product():
+    # the ten coordinate-row dot products, mirrored, against numpy's stacked
+    # V V^T: both round a three-term dot product, so they agree within 4 ulp
+    # of the sum of the absolute products (a near-zero entry can differ by
+    # more ulp of itself)
+    rng = np.random.default_rng(9)
+    verts = rng.uniform(-0.5, 0.5, size=(200, 4, 3))
+    gram = vertex_gram(verts)
+    want = (verts @ verts.transpose(0, 2, 1)).transpose(1, 2, 0)
+    scale = np.einsum("tic,tjc->ijt", np.abs(verts), np.abs(verts))
+    assert np.array_equal(gram, gram.transpose(1, 0, 2))
+    assert (np.abs(gram - want) <= 4 * np.finfo(float).eps * scale).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
